@@ -20,25 +20,39 @@
 //!   lookup is one `partition_point`. Multi-field tables store a
 //!   fixed-width entry bitmask per interval; candidate sets intersect
 //!   with `u64` words and the lowest surviving bit is the winner.
-//! * **Ternary** — entries are ranked by descending priority (ties:
-//!   lowest install index) so a scan can exit on the first match. Tables
-//!   at or above [`TERNARY_FILTER_MIN`] entries additionally build
-//!   per-field bucketed bitmaps: the bits **all** non-wildcard patterns
-//!   care about (*exact-bits bucketing*) key a bucket map from masked
-//!   value to candidate bitmask, with fully-wildcard entries in an
-//!   always-on mask; per-field candidates intersect like the range index
-//!   and survivors are verified in rank order.
+//! * **Ternary** — one *pivot* dispatch, then a branch-light group.
+//!   The care bits every non-wildcard pattern of a field shares fix that
+//!   pattern's value over them, so they index a dense array directly:
+//!   `(v & mask) >> shift`, no hashing. The field whose shared bits
+//!   leave the smallest largest group becomes the pivot (compiled
+//!   programs key every feature-slot, keygen and model MAT on the
+//!   subtree id, so it is always `m.sid`: a packet only ever sees its
+//!   own subtree's few rules); rules wildcard on it join every group.
+//!   A group then resolves one of two ways:
+//!   * **interval** — its only remaining live field carries prefix
+//!     patterns (contiguous care bits under a common top bit, what
+//!     `range_to_prefixes` emits: every `keygen_*` group). Prefixes are
+//!     ranges, so the group is the single-field range index again —
+//!     winners precomputed, lookup one `partition_point`.
+//!   * **bits** — per live field one dense row of candidate bits, again
+//!     indexed by the field's shared care bits, AND-ed with no early
+//!     exit. Fields whose patterns all care about exactly the indexed
+//!     bits are decided by their row; survivors are checked in rank
+//!     order against the remaining fields' patterns only, so with none
+//!     remaining the lowest set bit wins outright, and with no indexable
+//!     field at all the group is a rank-ordered scan.
 //!
 //! Bit `r` of every bitmask is the entry of **rank** `r` (priority
-//! order), so the first set bit of an intersection is already the
-//! highest-priority survivor — no per-candidate priority comparison.
+//! descending, ties to the lowest install index), so the first set bit
+//! of an intersection is already the highest-priority survivor — no
+//! per-candidate priority comparison.
 //!
-//! Every structure here is an over- or exactly-approximating *filter*
-//! followed by (for ternary) a verifying match against the real pattern,
-//! so index results equal the linear oracle bit-for-bit; the
-//! `indexed_lookup_equals_linear` proptest holds the two paths equivalent
-//! over random table contents, priorities (including ties) and key
-//! streams.
+//! Index results equal the linear oracle bit-for-bit, including for
+//! patterns the oracle can never match (`value & !mask != 0`, installable
+//! through `Ternary`'s public fields): those are dropped at build time.
+//! The `indexed_lookup_equals_linear` proptest holds the two paths
+//! equivalent over random and compiler-shaped table contents, priorities
+//! (including ties) and key streams.
 //!
 //! [`Table::lookup_linear`]: crate::table::Table::lookup_linear
 
@@ -51,20 +65,21 @@ use std::cmp::Reverse;
 /// Sentinel for "no entry" in precomputed winner arrays.
 const NONE: u32 = u32::MAX;
 
-/// Ternary tables below this entry count skip the bucketed-bitmap
-/// prefilter: a rank-ordered early-exit scan already beats the filter's
-/// per-field hash + word intersection at very small n. Above it the
-/// filter pays for itself fastest on **misses** — compiled SpliDT
-/// programs are full of state-gated tables (window boundary, partition
-/// id) that miss for the vast majority of packets, and the filter turns
-/// each of those misses from a full rank × field scan into a couple of
-/// hash probes that zero the candidate word.
-pub const TERNARY_FILTER_MIN: usize = 4;
+/// Row budget of a dense direct-indexed array (pivot dispatch, filter
+/// rows): this many per rule it indexes, and never more than
+/// [`DENSE_ROWS_MAX`]. It keeps index memory and build time linear in
+/// the table, whatever the key width: a filter whose shared care bits
+/// span more leaves its field to verification, a pivot indexes their
+/// low end only.
+const DENSE_ROWS_PER_RULE: u64 = 64;
+/// Most rows any dense array may have.
+const DENSE_ROWS_MAX: u64 = 4096;
 
 /// Multi-field range tables below this entry count use a rank-ordered
-/// early-exit scan instead of per-field interval bitmasks, for the same
-/// reason as [`TERNARY_FILTER_MIN`]. (Single-field range tables always
-/// take the precomputed-winner binary search — it wins at any size.)
+/// early-exit scan instead of per-field interval bitmasks: the scan
+/// already beats per-field binary searches plus word intersection at very
+/// small n. (Single-field range tables always take the precomputed-winner
+/// binary search — it wins at any size.)
 pub const RANGE_BITMAP_MIN: usize = 32;
 
 /// A compiled lookup index for one table. See the module docs for the
@@ -83,45 +98,71 @@ pub enum MatchIndex {
         /// Key values → entry index.
         map: FxHashMap<Vec<u64>, u32>,
     },
-    /// Ternary entries in priority-rank order, with optional per-field
-    /// bucketed-bitmap prefilters.
+    /// Ternary entries behind a pivot dispatch into per-value groups.
     Ternary(TernaryIndex),
     /// Range entries over elementary intervals.
     Range(RangeIndex),
 }
 
-/// Priority-ranked ternary index. `entry_of`, `patterns` and every bitmask
-/// are rank-major: rank 0 is the entry the linear oracle would prefer over
-/// all others it ties or beats.
+/// Pivot-dispatched ternary index. Every group lists its rules in rank
+/// order: rank 0 is the entry the linear oracle would prefer over all
+/// others it ties or beats.
 #[derive(Debug, Clone)]
 pub struct TernaryIndex {
-    n_fields: usize,
-    /// Bitmask width in `u64` words (⌈n_entries / 64⌉).
-    words: usize,
-    /// Rank → original entry index (what the pipeline hit-counts).
-    entry_of: Vec<u32>,
-    /// Rank-major flattened patterns (`n_fields` per rank) for
-    /// verification.
-    patterns: Vec<Ternary>,
-    /// All-ranks mask (top word trimmed), the intersection's identity.
-    full: Vec<u64>,
-    /// Per-field prefilters (only fields where bucketing can narrow).
-    filters: Vec<TernaryFieldFilter>,
+    /// The field the rules are split on; `None` when no field's shared
+    /// care bits split them (the table is then `groups[0]` alone).
+    pivot: Option<DenseBits>,
+    /// Pivot row → index into `groups`. Rows no rule names share group 0,
+    /// which holds the rules wildcard on the pivot.
+    dispatch: Vec<u32>,
+    groups: Vec<TernaryGroup>,
 }
 
-/// One field's exact-bits bucket filter.
-#[derive(Debug, Clone)]
-struct TernaryFieldFilter {
-    /// Key component this filter reads.
+/// The shared care bits of one key field as a direct array index.
+#[derive(Debug, Clone, Copy)]
+struct DenseBits {
     field: usize,
-    /// The bits every non-wildcard pattern of this field cares about.
     mask: u64,
-    /// Ranks fully wildcard on this field — candidates for every value.
-    always_on: Vec<u64>,
-    /// `value & mask` → offset into `bucket_masks` (in words).
-    buckets: FxHashMap<u64, u32>,
-    /// Flattened candidate bitmasks, `words` per bucket.
-    bucket_masks: Vec<u64>,
+    shift: u32,
+}
+
+/// The rules one pivot value can match, in rank order.
+#[derive(Debug, Clone)]
+enum TernaryGroup {
+    /// One live field of prefix patterns: elementary intervals with the
+    /// winner precomputed, as in [`RangeIndex::Single`].
+    Interval {
+        field: usize,
+        /// All bits up to the prefixes' common top bit; key bits above it
+        /// are cared about by no pattern.
+        domain: u64,
+        cuts: Vec<u64>,
+        winners: Vec<u32>,
+    },
+    /// Bit-parallel candidate rows.
+    Bits(BitGroup),
+}
+
+#[derive(Debug, Clone)]
+struct BitGroup {
+    /// Group rank → original entry index (what the pipeline hit-counts).
+    entry_of: Vec<u32>,
+    /// Row width in `u64` words (⌈rules / 64⌉).
+    words: usize,
+    filters: Vec<BitFilter>,
+    /// The live fields no filter decides exactly.
+    verify_fields: Vec<usize>,
+    /// Group-rank-major patterns of `verify_fields`.
+    verify_pats: Vec<Ternary>,
+}
+
+/// One field's candidate rows: row `i` has the bit of every rule that is
+/// wildcard on the indexed bits or whose value over them is `i`.
+#[derive(Debug, Clone)]
+struct BitFilter {
+    bits: DenseBits,
+    /// `bits.rows() * words`, row-major.
+    rows: Vec<u64>,
 }
 
 /// Elementary-interval range index.
@@ -182,9 +223,8 @@ impl MatchIndex {
     /// highest priority, ties to the lowest install index.
     ///
     /// `scratch` is the caller's reusable intersection buffer (only
-    /// touched by multi-field range and filtered ternary lookups); size
-    /// it with [`MatchIndex::mask_words`] to keep the call
-    /// allocation-free.
+    /// touched by multi-field range lookups); size it with
+    /// [`MatchIndex::mask_words`] to keep the call allocation-free.
     #[inline]
     pub fn lookup(&self, key: &[u64], scratch: &mut Vec<u64>) -> Option<usize> {
         match self {
@@ -194,7 +234,7 @@ impl MatchIndex {
                 map.get(&packed).map(|&i| i as usize)
             }
             MatchIndex::ExactWide { map } => map.get(key).map(|&i| i as usize),
-            MatchIndex::Ternary(t) => t.lookup(key, scratch),
+            MatchIndex::Ternary(t) => t.lookup(key),
             MatchIndex::Range(r) => r.lookup(key, scratch),
         }
     }
@@ -203,18 +243,8 @@ impl MatchIndex {
     /// never touches the scratch buffer).
     pub fn mask_words(&self) -> usize {
         match self {
-            MatchIndex::ExactPacked { .. } | MatchIndex::ExactWide { .. } => 0,
-            MatchIndex::Ternary(t) => {
-                if t.filters.is_empty() {
-                    0
-                } else {
-                    t.words
-                }
-            }
-            MatchIndex::Range(r) => match r {
-                RangeIndex::Single { .. } | RangeIndex::Scan { .. } => 0,
-                RangeIndex::Multi { words, .. } => *words,
-            },
+            MatchIndex::Range(RangeIndex::Multi { words, .. }) => *words,
+            _ => 0,
         }
     }
 }
@@ -260,20 +290,71 @@ fn rank_order(priorities: &[u32]) -> Vec<u32> {
     ranks
 }
 
-/// The all-ones mask over `n` rank bits, trimmed in the top word.
-fn full_mask(n: usize, words: usize) -> Vec<u64> {
-    let mut full = vec![!0u64; words];
-    if !n.is_multiple_of(64) {
-        full[words - 1] = (1u64 << (n % 64)) - 1;
+/// Elementary cuts of one field's `(range, entry)` list, given in rank
+/// order, and the first-listed entry covering each interval.
+fn interval_winners(ranked: &[((u64, u64), u32)]) -> (Vec<u64>, Vec<u32>) {
+    let cuts = elementary_cuts(ranked.iter().map(|r| r.0));
+    let winners = (0..=cuts.len())
+        .map(|i| {
+            // Elementary intervals never straddle a range boundary, so
+            // covering the start covers it all.
+            let start = if i == 0 { 0 } else { cuts[i - 1] };
+            ranked.iter().find(|((lo, hi), _)| *lo <= start && start <= *hi).map_or(NONE, |r| r.1)
+        })
+        .collect();
+    (cuts, winners)
+}
+
+/// The precomputed winner of the elementary interval holding `v`.
+#[inline]
+fn interval_winner(cuts: &[u64], winners: &[u32], v: u64) -> Option<usize> {
+    let w = winners[interval_of(cuts, v)];
+    (w != NONE).then_some(w as usize)
+}
+
+/// The care bits every non-wildcard mask shares: each such pattern's
+/// value over them is fixed, so they can index an array. `None` when all
+/// masks are wildcard or the others share no bit.
+fn shared_care(masks: impl Iterator<Item = u64>) -> Option<u64> {
+    let shared = masks.filter(|&m| m != 0).reduce(|a, b| a & b)?;
+    (shared != 0).then_some(shared)
+}
+
+impl DenseBits {
+    /// Indexes `field` by the low end of `shared` that fits the row
+    /// budget of `rules` (≥ 1) rules.
+    fn new(field: usize, shared: u64, rules: usize) -> Self {
+        let budget = (DENSE_ROWS_PER_RULE * rules as u64).min(DENSE_ROWS_MAX);
+        let span = 1u64 << budget.ilog2();
+        let shift = shared.trailing_zeros();
+        DenseBits { field, mask: shared & ((span - 1) << shift), shift }
     }
-    full
+
+    fn rows(&self) -> usize {
+        (self.mask >> self.shift) as usize + 1
+    }
+
+    #[inline]
+    fn row_of(&self, value: u64) -> usize {
+        ((value & self.mask) >> self.shift) as usize
+    }
+}
+
+/// One ternary rule: its entry index and per-field patterns.
+#[derive(Clone, Copy)]
+struct Rule<'a> {
+    entry: u32,
+    pats: &'a [Ternary],
 }
 
 impl TernaryIndex {
     fn build(table: &Table) -> Self {
         let n_fields = table.spec().key.len();
         let entries = table.entries();
-        let n = entries.len();
+        let patterns = |i: u32| match &entries[i as usize].key {
+            EntryKey::Ternary { fields, .. } => fields.as_slice(),
+            _ => unreachable!("ternary table"),
+        };
         let priorities: Vec<u32> = entries
             .iter()
             .map(|e| match &e.key {
@@ -281,133 +362,192 @@ impl TernaryIndex {
                 _ => unreachable!("ternary table"),
             })
             .collect();
-        let entry_of = rank_order(&priorities);
-        let mut patterns = Vec::with_capacity(n * n_fields);
-        for &i in &entry_of {
-            let EntryKey::Ternary { fields, .. } = &entries[i as usize].key else {
-                unreachable!("ternary table")
-            };
-            patterns.extend_from_slice(fields);
-        }
-        let words = n.div_ceil(64);
-        let full = if n == 0 { Vec::new() } else { full_mask(n, words) };
+        // Rank order, less the rules `Ternary::matches` can never accept.
+        let rules: Vec<Rule> = rank_order(&priorities)
+            .into_iter()
+            .map(|entry| Rule { entry, pats: patterns(entry) })
+            .filter(|rule| rule.pats.iter().all(|t| t.value & !t.mask == 0))
+            .collect();
 
+        let Some(pivot) = choose_pivot(n_fields, &rules) else {
+            let groups = vec![TernaryGroup::build(n_fields, &rules, None)];
+            return Self { pivot: None, dispatch: Vec::new(), groups };
+        };
+        // Rules naming a pivot value, by dispatch row; the rest can win
+        // under any value and join every group at their rank.
+        let mut named: Vec<Vec<usize>> = vec![Vec::new(); pivot.rows()];
+        let mut wild = Vec::new();
+        for (rank, rule) in rules.iter().enumerate() {
+            match rule.pats[pivot.field] {
+                Ternary { mask: 0, .. } => wild.push(rank),
+                t => named[pivot.row_of(t.value)].push(rank),
+            }
+        }
+        let group_of = |ranks: &[usize]| {
+            let members: Vec<Rule> = ranks.iter().map(|&r| rules[r]).collect();
+            TernaryGroup::build(n_fields, &members, Some(&pivot))
+        };
+        let mut groups = vec![group_of(&wild)];
+        let dispatch = named
+            .into_iter()
+            .map(|mut ranks| {
+                if ranks.is_empty() {
+                    return 0;
+                }
+                ranks.extend_from_slice(&wild);
+                ranks.sort_unstable();
+                groups.push(group_of(&ranks));
+                groups.len() as u32 - 1
+            })
+            .collect();
+        Self { pivot: Some(pivot), dispatch, groups }
+    }
+
+    #[inline]
+    fn lookup(&self, key: &[u64]) -> Option<usize> {
+        let group = match &self.pivot {
+            Some(p) => self.dispatch[p.row_of(key[p.field])] as usize,
+            None => 0,
+        };
+        match &self.groups[group] {
+            TernaryGroup::Interval { field, domain, cuts, winners } => {
+                interval_winner(cuts, winners, key[*field] & domain)
+            }
+            TernaryGroup::Bits(g) => g.lookup(key),
+        }
+    }
+}
+
+/// The field whose shared care bits split `rules` into the smallest
+/// largest group (ties: the first such field), if any field splits them
+/// at all.
+fn choose_pivot(n_fields: usize, rules: &[Rule]) -> Option<DenseBits> {
+    let mut best = None;
+    let mut best_largest = rules.len();
+    for field in 0..n_fields {
+        let Some(shared) = shared_care(rules.iter().map(|r| r.pats[field].mask)) else { continue };
+        let bits = DenseBits::new(field, shared, rules.len());
+        let mut sizes = vec![0usize; bits.rows()];
+        let mut wild = 0;
+        for rule in rules {
+            match rule.pats[field] {
+                Ternary { mask: 0, .. } => wild += 1,
+                t => sizes[bits.row_of(t.value)] += 1,
+            }
+        }
+        let largest = wild + sizes.iter().max().expect("at least one row");
+        if largest < best_largest {
+            best_largest = largest;
+            best = Some(bits);
+        }
+    }
+    best
+}
+
+/// Bits up to and including the common top care bit, if every
+/// non-wildcard mask is a contiguous run ending at it (a prefix).
+fn prefix_domain(masks: impl Iterator<Item = u64>) -> Option<u64> {
+    let mut domain = None;
+    for m in masks.filter(|&m| m != 0) {
+        let run = m >> m.trailing_zeros();
+        let d = u64::MAX >> m.leading_zeros();
+        if run & run.wrapping_add(1) != 0 || *domain.get_or_insert(d) != d {
+            return None;
+        }
+    }
+    domain
+}
+
+impl TernaryGroup {
+    /// Compiles `rules` (rank order). Under a pivot every rule already
+    /// agrees with the key on the pivot's bits, so those count as
+    /// wildcard here.
+    fn build(n_fields: usize, rules: &[Rule], pivot: Option<&DenseBits>) -> Self {
+        let words = rules.len().div_ceil(64);
         let mut filters = Vec::new();
-        if n >= TERNARY_FILTER_MIN {
-            for field in 0..n_fields {
-                let pat = |rank: usize| patterns[rank * n_fields + field];
-                // The bits shared by every non-wildcard pattern: each such
-                // pattern's mask contains this AND, so its value over these
-                // bits is fixed and the entry lands in exactly one bucket.
-                let mut any_nonwild = false;
-                let mut mask = u64::MAX;
-                for r in 0..n {
-                    let m = pat(r).mask;
-                    if m != 0 {
-                        any_nonwild = true;
-                        mask &= m;
-                    }
+        let mut verify_fields = Vec::new();
+        let mut live_fields = 0;
+        // A rule's care bits on `field` that the dispatch left open.
+        let open_at = |rule: &Rule, field: usize| {
+            rule.pats[field].mask & !pivot.filter(|p| p.field == field).map_or(0, |p| p.mask)
+        };
+        for field in 0..n_fields {
+            let open = |rule: &Rule| open_at(rule, field);
+            let Some(shared) = shared_care(rules.iter().map(open)) else {
+                if rules.iter().any(|r| open(r) != 0) {
+                    live_fields += 1;
+                    verify_fields.push(field);
                 }
-                if !any_nonwild || mask == 0 {
-                    // All-wildcard field, or the non-wildcard patterns
-                    // share no care bit — the field cannot narrow
-                    // candidates.
-                    continue;
-                }
-                let mut always_on = vec![0u64; words];
-                let mut grouped: FxHashMap<u64, Vec<u64>> = FxHashMap::default();
-                for r in 0..n {
-                    let p = pat(r);
-                    if p.mask == 0 {
-                        always_on[r / 64] |= 1 << (r % 64);
-                    } else {
-                        grouped.entry(p.value & mask).or_insert_with(|| vec![0u64; words])
-                            [r / 64] |= 1 << (r % 64);
-                    }
-                }
-                let mut buckets = FxHashMap::default();
-                let mut bucket_masks = Vec::with_capacity(grouped.len() * words);
-                for (v, bits) in grouped {
-                    buckets.insert(v, bucket_masks.len() as u32);
-                    bucket_masks.extend_from_slice(&bits);
-                }
-                filters.push(TernaryFieldFilter { field, mask, always_on, buckets, bucket_masks });
+                continue;
+            };
+            live_fields += 1;
+            let bits = DenseBits::new(field, shared, rules.len());
+            if bits.mask != shared {
+                verify_fields.push(field);
+                continue;
             }
-        }
-        Self { n_fields, words, entry_of, patterns, full, filters }
-    }
-
-    #[inline]
-    fn verify(&self, rank: usize, key: &[u64]) -> bool {
-        let pats = &self.patterns[rank * self.n_fields..(rank + 1) * self.n_fields];
-        pats.iter().zip(key).all(|(t, &v)| t.matches(v))
-    }
-
-    #[inline]
-    fn lookup(&self, key: &[u64], scratch: &mut Vec<u64>) -> Option<usize> {
-        let n = self.entry_of.len();
-        if n == 0 {
-            return None;
-        }
-        if self.filters.is_empty() {
-            // Small table: rank-ordered scan, first match wins.
-            for rank in 0..n {
-                if self.verify(rank, key) {
-                    return Some(self.entry_of[rank] as usize);
+            let mut rows = vec![0u64; bits.rows() * words];
+            for (rank, rule) in rules.iter().enumerate() {
+                let bit = 1u64 << (rank % 64);
+                if open(rule) == 0 {
+                    rows.iter_mut().skip(rank / 64).step_by(words).for_each(|w| *w |= bit);
+                } else {
+                    rows[bits.row_of(rule.pats[field].value) * words + rank / 64] |= bit;
                 }
             }
-            return None;
+            filters.push(BitFilter { bits, rows });
+            if rules.iter().any(|r| open(r) & !shared != 0) {
+                verify_fields.push(field);
+            }
         }
-        if self.words == 1 {
-            // ≤ 64 entries: the candidate set is one machine word on the
-            // stack, and a zeroed word exits before the remaining filters
-            // — the common case for state-gated tables most packets miss.
-            let mut cand = self.full[0];
+
+        if let ([field], 1) = (verify_fields.as_slice(), live_fields) {
+            let field = *field;
+            if let Some(domain) = prefix_domain(rules.iter().map(|r| open_at(r, field))) {
+                let ranked: Vec<_> = rules
+                    .iter()
+                    .map(|rule| {
+                        let mask = open_at(rule, field);
+                        let lo = rule.pats[field].value & mask;
+                        ((lo, lo | (domain & !mask)), rule.entry)
+                    })
+                    .collect();
+                let (cuts, winners) = interval_winners(&ranked);
+                return TernaryGroup::Interval { field, domain, cuts, winners };
+            }
+        }
+
+        let verify_pats =
+            rules.iter().flat_map(|r| verify_fields.iter().map(|&f| r.pats[f])).collect();
+        TernaryGroup::Bits(BitGroup {
+            entry_of: rules.iter().map(|r| r.entry).collect(),
+            words,
+            filters,
+            verify_fields,
+            verify_pats,
+        })
+    }
+}
+
+impl BitGroup {
+    #[inline]
+    fn lookup(&self, key: &[u64]) -> Option<usize> {
+        let n_verify = self.verify_fields.len();
+        for w in 0..self.words {
+            // All of this word's rules, then every filter's row ANDed in
+            // without looking at the running result.
+            let rules = self.entry_of.len() - w * 64;
+            let mut cand = if rules >= 64 { !0 } else { (1u64 << rules) - 1 };
             for f in &self.filters {
-                let masked = key[f.field] & f.mask;
-                cand &= match f.buckets.get(&masked) {
-                    Some(&off) => f.always_on[0] | f.bucket_masks[off as usize],
-                    None => f.always_on[0],
-                };
-                if cand == 0 {
-                    return None;
-                }
+                cand &= f.rows[f.bits.row_of(key[f.bits.field]) * self.words + w];
             }
+            // Survivors in rank order; the first to match on the fields
+            // no filter decided is the highest-priority true match.
             while cand != 0 {
-                let rank = cand.trailing_zeros() as usize;
+                let rank = w * 64 + cand.trailing_zeros() as usize;
                 cand &= cand - 1;
-                if self.verify(rank, key) {
-                    return Some(self.entry_of[rank] as usize);
-                }
-            }
-            return None;
-        }
-        scratch.clear();
-        scratch.extend_from_slice(&self.full);
-        for f in &self.filters {
-            let masked = key[f.field] & f.mask;
-            match f.buckets.get(&masked) {
-                Some(&off) => {
-                    let bucket = &f.bucket_masks[off as usize..off as usize + self.words];
-                    for (s, (&a, &b)) in scratch.iter_mut().zip(f.always_on.iter().zip(bucket)) {
-                        *s &= a | b;
-                    }
-                }
-                None => {
-                    for (s, &a) in scratch.iter_mut().zip(&f.always_on) {
-                        *s &= a;
-                    }
-                }
-            }
-        }
-        // Survivors in rank order; the first that verifies is the
-        // highest-priority true match.
-        for (w, &word) in scratch.iter().enumerate() {
-            let mut bits = word;
-            while bits != 0 {
-                let rank = w * 64 + bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                if self.verify(rank, key) {
+                let pats = &self.verify_pats[rank * n_verify..(rank + 1) * n_verify];
+                if self.verify_fields.iter().zip(pats).all(|(&f, t)| t.matches(key[f])) {
                     return Some(self.entry_of[rank] as usize);
                 }
             }
@@ -435,24 +575,11 @@ impl RangeIndex {
             };
             fields[field]
         };
-        // Interval start of elementary interval `i` over `cuts`.
-        let start_of = |cuts: &[u64], i: usize| if i == 0 { 0 } else { cuts[i - 1] };
 
         if n_fields == 1 {
-            let cuts = elementary_cuts((0..n).map(|e| field_range(e, 0)));
-            let winners = (0..=cuts.len())
-                .map(|i| {
-                    let s = start_of(&cuts, i);
-                    entry_of
-                        .iter()
-                        .copied()
-                        .find(|&e| {
-                            let (lo, hi) = field_range(e as usize, 0);
-                            lo <= s && s <= hi
-                        })
-                        .unwrap_or(NONE)
-                })
-                .collect();
+            let ranked: Vec<_> =
+                entry_of.iter().map(|&e| (field_range(e as usize, 0), e)).collect();
+            let (cuts, winners) = interval_winners(&ranked);
             return RangeIndex::Single { cuts, winners };
         }
 
@@ -472,7 +599,7 @@ impl RangeIndex {
                 let cuts = elementary_cuts((0..n).map(|e| field_range(e, f)));
                 let mut masks = vec![0u64; (cuts.len() + 1) * words];
                 for i in 0..=cuts.len() {
-                    let s = start_of(&cuts, i);
+                    let s = if i == 0 { 0 } else { cuts[i - 1] };
                     let iv = &mut masks[i * words..(i + 1) * words];
                     for (rank, &e) in entry_of.iter().enumerate() {
                         let (lo, hi) = field_range(e as usize, f);
@@ -492,10 +619,7 @@ impl RangeIndex {
     #[inline]
     fn lookup(&self, key: &[u64], scratch: &mut Vec<u64>) -> Option<usize> {
         match self {
-            RangeIndex::Single { cuts, winners } => {
-                let w = winners[interval_of(cuts, key[0])];
-                (w != NONE).then_some(w as usize)
-            }
+            RangeIndex::Single { cuts, winners } => interval_winner(cuts, winners, key[0]),
             RangeIndex::Scan { n_fields, entry_of, bounds } => {
                 for (rank, &e) in entry_of.iter().enumerate() {
                     let bs = &bounds[rank * n_fields..(rank + 1) * n_fields];
@@ -618,28 +742,101 @@ mod tests {
     }
 
     #[test]
-    fn ternary_bucketed_filter_kicks_in_at_scale() {
-        let (_l, a, b) = layout2();
-        let mut t = Table::new(TableSpec::ternary("t", vec![a, b], TERNARY_FILTER_MIN * 4));
-        // Exact-on-low-byte patterns plus a few wildcards — the exact-bits
-        // AND keeps the low byte, so bucketing activates.
-        for i in 0..(TERNARY_FILTER_MIN * 2) as u64 {
+    fn ternary_pivot_with_wildcards_and_wide_groups() {
+        let mut l = PhvLayout::new();
+        let key: Vec<_> = (0..3).map(|i| l.add_field(format!("k{i}"), 16)).collect();
+        let mut t = Table::new(TableSpec::ternary("t", key, 512));
+        // Five values of field 0's low byte split the rules; every 17th
+        // rule is wildcard there and must still win, at its rank, under
+        // every value — including values no rule names. Each group holds
+        // ~100 rules (two candidate words): field 1 is a flag bit its
+        // rows decide, field 2 gives every rule a value of its own under
+        // masks that share no bit, so it is verified and low-ranked rules
+        // win too.
+        for i in 0..400u64 {
+            let j = i / 5;
+            let own = if j % 2 == 0 { Ternary::new(j, 0xFF) } else { Ternary::new(j << 8, 0xFF00) };
             let fields = if i % 17 == 0 {
-                vec![Ternary::ANY, Ternary::exact(i % 7, 16)]
+                vec![Ternary::ANY, Ternary::ANY, own]
             } else {
-                vec![Ternary::new(i % 251, 0xFF), Ternary::ANY]
+                vec![Ternary::new(i % 5, 0xFF), Ternary::new(j % 2, 1), own]
             };
             t.install(EntryKey::Ternary { fields, priority: (i % 11) as u32 }, Action::new("e"))
                 .unwrap();
         }
-        let idx = MatchIndex::build(&t);
-        match &idx {
-            MatchIndex::Ternary(ti) => {
-                assert!(!ti.filters.is_empty(), "large table must build prefilters")
+        assert_equivalent(
+            &t,
+            (0..7u64).flat_map(|a| {
+                (0..90u64)
+                    .flat_map(move |j| [j, j + 1].map(|flag| vec![a | 0x300, flag, j | j << 8]))
+            }),
+        );
+    }
+
+    #[test]
+    fn ternary_prefix_groups_resolve_by_interval() {
+        use splidt_ranging::range_to_prefixes;
+        let (_l, a, b) = layout2();
+        let mut t = Table::new(TableSpec::ternary("t", vec![a, b], 512));
+        // The keygen shape: exact subtree id × prefix cover of a value
+        // range, overlapping ranges told apart by priority alone.
+        for (sid, lo, hi, priority) in [
+            (1, 0, 999, 3),
+            (1, 500, 40_000, 7),
+            (1, 600, 700, 7),
+            (2, 17, 17, 1),
+            (9, 1, 65_535, 2),
+        ] {
+            for p in range_to_prefixes(lo, hi, 16) {
+                t.install(
+                    EntryKey::Ternary {
+                        fields: vec![Ternary::exact(sid, 8), Ternary::new(p.value, p.mask)],
+                        priority,
+                    },
+                    Action::new("mark"),
+                )
+                .unwrap();
             }
-            _ => panic!("ternary index expected"),
         }
-        assert_equivalent(&t, (0..600u64).map(|v| vec![v % 259, v % 13]));
+        let MatchIndex::Ternary(ti) = MatchIndex::build(&t) else { panic!("ternary index") };
+        assert!(ti.groups.iter().skip(1).all(|g| matches!(g, TernaryGroup::Interval { .. })));
+        // Boundary values of every range, and bits above both fields'
+        // patterns.
+        let edges = [0u64, 16, 17, 18, 499, 500, 599, 600, 700, 701, 999, 1000, 40_000, 40_001];
+        assert_equivalent(
+            &t,
+            (0..12u64).flat_map(|sid| {
+                edges.iter().flat_map(move |&v| [vec![sid, v], vec![sid | 1 << 20, v | 1 << 16]])
+            }),
+        );
+    }
+
+    #[test]
+    fn ternary_unnormalised_pattern_never_matches() {
+        let (_l, a, b) = layout2();
+        let mut t = Table::new(TableSpec::ternary("t", vec![a, b], 8));
+        // `value` has a bit outside `mask`: `Ternary::matches` compares
+        // `v & mask` to the whole value, so the oracle never matches it.
+        // Built by struct literal — `Ternary::new` would normalise.
+        let broken = Ternary { value: 0x13, mask: 0x03 };
+        assert!(!broken.matches(0x13) && !broken.matches(0x03));
+        for (fields, priority) in [
+            (vec![Ternary::exact(1, 16), broken], 9),
+            (vec![broken, Ternary::ANY], 8),
+            (vec![Ternary::exact(1, 16), Ternary::new(0x03, 0x03)], 5),
+            (vec![Ternary::ANY, Ternary::new(0x8000, 0x8000)], 1),
+        ] {
+            t.install(EntryKey::Ternary { fields, priority }, Action::new("e")).unwrap();
+        }
+        let idx = MatchIndex::build(&t);
+        let mut s = Vec::new();
+        assert_eq!(idx.lookup(&[1, 0x13], &mut s), Some(2), "the normalised rule below it wins");
+        assert_eq!(idx.lookup(&[0x13, 0x8000], &mut s), Some(3));
+        assert_equivalent(
+            &t,
+            (0..4u64).flat_map(|a| [0x03, 0x13, 0x8003, 0x8013, 0].map(|b| vec![a | 0x10, b])),
+        );
+        assert_equivalent(&t, (0..4u64).flat_map(|a| [0x03, 0x13, 0x8013].map(|b| vec![a, b])));
     }
 
     #[test]

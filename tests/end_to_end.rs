@@ -71,3 +71,71 @@ fn quantized_16bit_model_still_exact() {
     let report = run_flows(&model, &test_flows, 1 << 16, 2_000).unwrap();
     assert!((report.software_agreement - 1.0).abs() < 1e-9);
 }
+
+/// The plan-driven executor (compiled match indexes) against the
+/// entry-walking oracle (linear scans) on a **compiled** program under
+/// the TCP lifecycle, fed the keys production sees: subtree ids, prefix
+/// covers of trained thresholds, lifecycle flags. The random toy programs
+/// of `plan_execution_equals_entrywalk` never reach the subtree-pivoted
+/// and interval lookups; this replay does.
+#[test]
+fn compiled_program_plan_equals_entrywalk() {
+    use splidt::core::{compile_with, CompileOptions};
+    use splidt::dataplane::pipeline::Pipeline;
+    use splidt::flow::{churn, frame_for, ChurnConfig};
+
+    let id = DatasetId::D2;
+    let cfg = SplidtConfig { partitions: vec![3, 3], k: 4, ..Default::default() };
+    let wd = windowed_dataset(&generate(id, 400, 13), 2, spec(id).n_classes as usize);
+    let model = train_partitioned(&wd, &cfg, &catalog().hardware_eligible());
+    // Fewer slots than flows, so takeovers, collisions and refused claims
+    // are replayed too.
+    let opts = CompileOptions {
+        flow_slots: 128,
+        idle_timeout_us: 100_000,
+        policy: LifecyclePolicy::tcp(),
+    };
+    let compiled = compile_with(&model, &opts).expect("compiles");
+    let fields = compiled.io.fields;
+    let mut plan = Pipeline::new(compiled.program.clone());
+    let mut walk = Pipeline::new(compiled.program);
+
+    let schedule = churn(
+        id,
+        &ChurnConfig {
+            flows: 300,
+            mean_arrival_gap_us: 400,
+            syn_open_frac: 0.9,
+            rst_close_frac: 0.25,
+            seed: 17,
+            ..Default::default()
+        },
+    );
+    for (n, (ts, i, j)) in schedule.events().into_iter().enumerate() {
+        let frame = frame_for(&schedule.flows[i], j);
+        let a = plan.process_packet(&frame, ts, &fields).expect("parses");
+        let b = walk.process_packet_entrywalk(&frame, ts, &fields).expect("parses");
+        assert_eq!((a.disposition, a.passes), (b.disposition, b.passes), "packet {n}");
+        assert_eq!(a.phv, b.phv, "packet {n}");
+    }
+
+    assert!(plan.digests().len() >= 100, "only {} verdicts replayed", plan.digests().len());
+    assert_eq!(plan.digests(), walk.digests());
+    assert_eq!(plan.meters(), walk.meters());
+    for r in 0..plan.registers().len() {
+        for slot in 0..plan.registers().spec(r).len {
+            assert_eq!(
+                plan.registers().read(r, slot),
+                walk.registers().read(r, slot),
+                "register {} slot {slot}",
+                plan.registers().spec(r).name
+            );
+        }
+    }
+    for (p, w) in plan.program().tables().iter().zip(walk.program().tables()) {
+        let hits = |t: &splidt::dataplane::table::Table| -> Vec<u64> {
+            t.entries().iter().map(|e| e.hits).collect()
+        };
+        assert_eq!((hits(p), p.misses()), (hits(w), w.misses()), "table {}", p.spec().name);
+    }
+}

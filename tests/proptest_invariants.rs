@@ -169,6 +169,67 @@ fn random_program(rng: &mut rand::rngs::SmallRng) -> (Program, Vec<FieldId>) {
     (b.build().unwrap(), fields)
 }
 
+/// A ternary table shaped like the compiler's keygen / slot / model
+/// MATs, and probe keys for it. Field 0 is the subtree id: exact over
+/// 3–12 values with one busy subtree (past ~150 rules its group outgrows
+/// one 64-bit word), wildcard on a few rules. Field 1 takes
+/// `range_to_prefixes` covers of overlapping value ranges, told apart by
+/// priority (ties included). Field 2 is, per table, wildcard throughout
+/// (the keygen shape), flag bits under one shared mask (decided by the
+/// index without verification), or range marks under differing masks
+/// (verified). Probes carry subtree ids no rule names, range edges, and
+/// bits above every pattern's top care bit.
+fn compiler_shaped_ternary(
+    rng: &mut rand::rngs::SmallRng,
+) -> (splidt::dataplane::table::Table, Vec<Vec<u64>>) {
+    use rand::Rng;
+    use splidt::dataplane::table::{EntryKey, Table};
+    const VALUE_BITS: u8 = 12;
+    let mut layout = splidt::dataplane::PhvLayout::new();
+    let key = vec![
+        layout.add_field("sid", 8),
+        layout.add_field("fval", 16),
+        layout.add_field("guard", 8),
+    ];
+    let target = rng.random_range(1usize..300);
+    let mut table = Table::new(TableSpec::ternary("t", key, target + 64));
+    let n_sids = rng.random_range(3u64..13);
+    let guard_style = rng.random_range(0u8..3);
+    let mut edges = vec![0u64];
+    while table.n_entries() < target {
+        let sid = match rng.random_range(0u8..8) {
+            0 => Ternary::ANY,
+            1..=3 => Ternary::exact(0, 8),
+            _ => Ternary::exact(rng.random_range(0..n_sids), 8),
+        };
+        let lo = rng.random_range(0u64..1 << VALUE_BITS);
+        let hi = (lo + rng.random_range(0u64..600)).min((1 << VALUE_BITS) - 1);
+        edges.extend([lo, hi, hi + 1]);
+        let guard = match (guard_style, rng.random_range(0u8..4)) {
+            (0, _) | (_, 0) => Ternary::ANY,
+            (1, _) => Ternary::new(rng.random_range(0u64..4), 0x3),
+            (_, 1) => Ternary::new(rng.random_range(0u64..256), rng.random_range(1u64..256)),
+            _ => Ternary::new(rng.random_range(0u64..16), 0xC | rng.random_range(0u64..4)),
+        };
+        let priority = rng.random_range(0u32..5);
+        for p in range_to_prefixes(lo, hi, VALUE_BITS) {
+            let fields = vec![sid, Ternary::new(p.value, p.mask), guard];
+            table.install(EntryKey::Ternary { fields, priority }, Action::new("e")).expect("room");
+        }
+    }
+    let probes = (0..200)
+        .map(|_| {
+            let edge = edges[rng.random_range(0..edges.len())];
+            vec![
+                rng.random_range(0..n_sids + 3) | rng.random_range(0u64..2) << 8,
+                (edge + rng.random_range(0u64..2)) | rng.random_range(0u64..4) << VALUE_BITS,
+                rng.random_range(0u64..256) | rng.random_range(0u64..2) << 9,
+            ]
+        })
+        .collect();
+    (table, probes)
+}
+
 proptest! {
     /// Prefix covers are exact and disjoint for arbitrary ranges.
     #[test]
@@ -262,10 +323,11 @@ proptest! {
 
     /// The compiled match index resolves every lookup exactly as the
     /// linear reference scan does — over random table contents (all three
-    /// match kinds, 0..90 entries straddling the ternary prefilter
-    /// threshold), random priorities **including ties** (lowest install
-    /// index must win), wildcards, overlapping and degenerate ranges, and
-    /// random key streams.
+    /// match kinds, 0..90 entries), random priorities **including ties**
+    /// (lowest install index must win), wildcards, overlapping and
+    /// degenerate ranges, random key streams, and (a fourth arm) the
+    /// table shape the compiler emits, which the ternary index
+    /// specialises on: see `compiler_shaped_ternary`.
     #[test]
     fn indexed_lookup_equals_linear(seed in 0u64..600) {
         use rand::rngs::SmallRng;
@@ -279,61 +341,70 @@ proptest! {
         let key: Vec<_> =
             (0..n_fields).map(|i| layout.add_field(format!("k{i}"), 16)).collect();
         let n_entries = rng.random_range(0usize..90);
-        let kind = rng.random_range(0u8..3);
-        let spec = match kind {
-            0 => TableSpec::exact("t", key, n_entries + 1),
-            1 => TableSpec::ternary("t", key, n_entries + 1),
-            _ => TableSpec::range("t", key, n_entries + 1),
-        };
-        let mut table = Table::new(spec);
-        for _ in 0..n_entries {
-            // Few distinct priorities → plenty of ties.
-            let priority = rng.random_range(0u32..4);
-            let entry = match kind {
-                0 => EntryKey::Exact(
-                    (0..n_fields).map(|_| rng.random_range(0u64..32)).collect(),
-                ),
-                1 => EntryKey::Ternary {
-                    fields: (0..n_fields)
-                        .map(|_| match rng.random_range(0u8..3) {
-                            0 => Ternary::ANY,
-                            1 => Ternary::exact(rng.random_range(0u64..32), 16),
-                            _ => Ternary::new(
-                                rng.random_range(0u64..65536),
-                                rng.random_range(0u64..65536),
-                            ),
-                        })
-                        .collect(),
-                    priority,
-                },
-                _ => EntryKey::Range {
-                    fields: (0..n_fields)
-                        .map(|_| {
-                            let lo = rng.random_range(0u64..40);
-                            // Degenerate single-point ranges included.
-                            (lo, lo + rng.random_range(0u64..12))
-                        })
-                        .collect(),
-                    priority,
-                },
+        let kind = rng.random_range(0u8..4);
+        let (table, probes) = if kind == 3 {
+            compiler_shaped_ternary(&mut rng)
+        } else {
+            let spec = match kind {
+                0 => TableSpec::exact("t", key, n_entries + 1),
+                1 => TableSpec::ternary("t", key, n_entries + 1),
+                _ => TableSpec::range("t", key, n_entries + 1),
             };
-            // Exact duplicates are rejected by install — skip those draws.
-            let _ = table.install(entry, Action::new("e"));
-        }
-        let index = MatchIndex::build(&table);
-        let mut scratch = Vec::new();
-        for _ in 0..60 {
+            let mut table = Table::new(spec);
+            for _ in 0..n_entries {
+                // Few distinct priorities → plenty of ties.
+                let priority = rng.random_range(0u32..4);
+                let entry = match kind {
+                    0 => EntryKey::Exact(
+                        (0..n_fields).map(|_| rng.random_range(0u64..32)).collect(),
+                    ),
+                    1 => EntryKey::Ternary {
+                        fields: (0..n_fields)
+                            .map(|_| match rng.random_range(0u8..3) {
+                                0 => Ternary::ANY,
+                                1 => Ternary::exact(rng.random_range(0u64..32), 16),
+                                _ => Ternary::new(
+                                    rng.random_range(0u64..65536),
+                                    rng.random_range(0u64..65536),
+                                ),
+                            })
+                            .collect(),
+                        priority,
+                    },
+                    _ => EntryKey::Range {
+                        fields: (0..n_fields)
+                            .map(|_| {
+                                let lo = rng.random_range(0u64..40);
+                                // Degenerate single-point ranges included.
+                                (lo, lo + rng.random_range(0u64..12))
+                            })
+                            .collect(),
+                        priority,
+                    },
+                };
+                // Exact duplicates are rejected by install — skip those draws.
+                let _ = table.install(entry, Action::new("e"));
+            }
             // Mix uniform probes with probes snapped near installed
             // values so hits are common.
-            let probe: Vec<u64> = (0..n_fields)
+            let probes = (0..60)
                 .map(|_| {
-                    if rng.random::<bool>() {
-                        rng.random_range(0u64..64)
-                    } else {
-                        rng.random_range(0u64..65536)
-                    }
+                    (0..n_fields)
+                        .map(|_| {
+                            if rng.random::<bool>() {
+                                rng.random_range(0u64..64)
+                            } else {
+                                rng.random_range(0u64..65536)
+                            }
+                        })
+                        .collect()
                 })
                 .collect();
+            (table, probes)
+        };
+        let index = MatchIndex::build(&table);
+        let mut scratch = Vec::new();
+        for probe in probes {
             prop_assert_eq!(
                 index.lookup(&probe, &mut scratch),
                 table.lookup_linear_key(&probe),
