@@ -1,13 +1,12 @@
-//! Hot-path microbenchmarks: the compiled-plan batch path against the
-//! per-packet compatibility path and the entry-walking reference
+//! Hot-path microbenchmarks: the production wave path against
+//! one-packet-at-a-time ingest and the entry-walking reference
 //! interpreter, on the same fixed-seed traffic.
 //!
 //! | id | path measured |
 //! |---|---|
-//! | `hotpath/plan_batch` | `Engine::ingest_batch` → `Pipeline::process_frame` (zero-alloc) |
-//! | `hotpath/per_packet_ingest` | `Engine::ingest` → `process_packet` (allocates a PHV per frame) |
-//! | `hotpath/plan_process_frame` | raw pipeline, plan-driven, reused PHV |
-//! | `hotpath/entrywalk_reference` | raw pipeline, original interpreter (clones per lookup) |
+//! | `hotpath/plan_batch` | `Engine::ingest_batch` → `Pipeline::wave_push` at the default burst (zero-alloc) |
+//! | `hotpath/single_packet_ingest` | `Engine::ingest` → `process_packet`: a singleton wave and a returned PHV per frame |
+//! | `hotpath/entrywalk_reference` | raw pipeline, the oracle interpreter (linear lookup, clones per table visit) |
 //!
 //! Run with `cargo bench --bench hotpath`. With the real criterion crate
 //! installed, `cargo bench --bench hotpath -- --save-baseline main` saves
@@ -27,7 +26,7 @@ fn bench_hotpath(c: &mut Criterion) {
     let mut group = c.benchmark_group("hotpath");
     group.throughput(Throughput::Elements(total_packets));
 
-    // Engine level: batch vs per-packet dispatch.
+    // Engine level: waves vs one packet at a time.
     let mut engine = engine_for(&model);
     group.bench_function("plan_batch", |b| {
         b.iter(|| {
@@ -36,7 +35,7 @@ fn bench_hotpath(c: &mut Criterion) {
         })
     });
     let mut engine = engine_for(&model);
-    group.bench_function("per_packet_ingest", |b| {
+    group.bench_function("single_packet_ingest", |b| {
         b.iter(|| {
             engine.reset();
             for (frame, ts) in &frames {
@@ -45,18 +44,9 @@ fn bench_hotpath(c: &mut Criterion) {
         })
     });
 
-    // Pipeline level: compiled plan vs the entry-walking reference.
+    // Pipeline level: the entry-walking reference.
     let compiled = compile(&model, 1 << 16).expect("compiles");
     let fields = compiled.io.fields;
-    let mut pipe = Pipeline::new(compiled.program.clone());
-    group.bench_function("plan_process_frame", |b| {
-        b.iter(|| {
-            pipe.reset_state();
-            for (frame, ts) in &frames {
-                pipe.process_frame(frame, *ts, &fields).expect("parses");
-            }
-        })
-    });
     let mut pipe = Pipeline::new(compiled.program);
     group.bench_function("entrywalk_reference", |b| {
         b.iter(|| {

@@ -8,7 +8,7 @@
 //!    frame consumed) and ≥ `classified_floor` distinct flows classify
 //!    (the churn criterion, now end-to-end across the wire);
 //! 2. **zero heap allocations** per packet on the ring-consumer hot
-//!    path (push → peek → process_frame → digest drain → advance);
+//!    path (push → peek → wave_push → flush + digest drain → advance);
 //! 3. received packets/sec within `--max-drop-pct` of the committed
 //!    baseline (generous by default: the replay is paced, so pps tracks
 //!    the schedule, and loopback scheduling is noisy on small runners).

@@ -30,10 +30,11 @@
 //! fixed frame serialization.
 
 use crate::alloc_count::allocation_count;
-use splidt_core::engine::{Engine, EngineBuilder};
+use splidt_core::engine::{Engine, EngineBuilder, DEFAULT_BURST};
 use splidt_core::runtime::{LifecycleStats, PRESSURE_HIST_BUCKETS};
 use splidt_core::{train_partitioned, LifecyclePolicy, PartitionedTree, SplidtConfig};
-use splidt_dataplane::pipeline::Pipeline;
+use splidt_dataplane::parser::StandardFields;
+use splidt_dataplane::pipeline::{Pipeline, WaveStats};
 use splidt_flow::{
     catalog, churn, generate, select_flows, stratified_split, windowed_dataset, ChurnConfig,
     DatasetId,
@@ -212,35 +213,44 @@ pub fn measure_churn_throughput(
     stats.allocs_per_packet = allocs as f64 / packets as f64;
 }
 
+/// Drives `frames` through the wave path the way a shard consumer does:
+/// 1024-frame batches, the wave flushed and the digest ring cleared per
+/// batch (the drain-per-batch regime).
+pub(crate) fn drive_batches(
+    pipe: &mut Pipeline,
+    fields: &StandardFields,
+    frames: &[(Vec<u8>, u64)],
+) {
+    let mut stats = WaveStats::default();
+    for chunk in frames.chunks(1024) {
+        for (frame, ts) in chunk {
+            pipe.wave_push(frame, *ts, fields, &mut stats).expect("parses");
+        }
+        pipe.wave_flush(fields, &mut stats);
+        pipe.clear_digests();
+    }
+}
+
 /// The strict zero-allocation probe: drives the whole churn schedule
-/// through `Pipeline::process_frame` (clearing the digest ring per
-/// 1024-packet batch, the drain-per-batch regime) after a full warm-up
-/// round. Claims, idle takeovers, decided takeovers, live-collision
-/// suppression and decide resubmissions all execute in the measured
-/// region. Returns total heap allocations observed: **must be zero**.
+/// through the production wave path ([`DEFAULT_BURST`], the program's own
+/// `flow_slots` as conflict domain) after a full warm-up round. Claims,
+/// idle takeovers, decided takeovers, live-collision suppression and
+/// decide resubmissions all execute in the measured region. Returns total
+/// heap allocations observed: **must be zero**.
 pub fn probe_churn_allocs(model: &PartitionedTree, frames: &[(Vec<u8>, u64)]) -> (u64, u64) {
     let engine = engine_for(model);
     let mut pipe = Pipeline::new(engine.program().clone());
+    pipe.set_burst(DEFAULT_BURST, engine.flow_slots());
     let fields = engine.io().fields;
 
-    // Warm-up: one full round grows every scratch capacity (keys, PHV,
-    // digest ring) to steady state; reset_state is allocation-free.
-    for (frame, ts) in frames {
-        pipe.process_frame(frame, *ts, &fields).expect("parses");
-    }
-    pipe.clear_digests();
+    // Warm-up: one full round grows every scratch capacity (keys, digest
+    // ring) to steady state; reset_state is allocation-free.
+    drive_batches(&mut pipe, &fields, frames);
     pipe.reset_state();
 
     let before = allocation_count();
-    let mut n = 0u64;
-    for chunk in frames.chunks(1024) {
-        for (frame, ts) in chunk {
-            pipe.process_frame(frame, *ts, &fields).expect("parses");
-            n += 1;
-        }
-        pipe.clear_digests();
-    }
-    (allocation_count() - before, n)
+    drive_batches(&mut pipe, &fields, frames);
+    (allocation_count() - before, frames.len() as u64)
 }
 
 /// Writes stats as the flat JSON the CI artifact and `bench_diff.sh`

@@ -29,7 +29,8 @@
 //! programs mid-stream.
 
 use crate::alloc_count::allocation_count;
-use splidt_core::engine::{Engine, EngineBuilder};
+use crate::churn::drive_batches;
+use splidt_core::engine::{Engine, EngineBuilder, DEFAULT_BURST};
 use splidt_core::runtime::canonical_flow_fp;
 use splidt_core::stream::{DigestTap, StreamingTrainer, StreamingTrainerParams};
 use splidt_core::{train_partitioned, PartitionedTree, SplidtConfig};
@@ -264,11 +265,13 @@ pub fn run_drift(
 }
 
 /// The strict zero-allocation probe: drives the pre-drift slice through
-/// `Pipeline::process_frame` (clearing digests per 1024-packet batch),
-/// swaps the program to the retrained model **mid-stream** (the swap
-/// itself is control-plane and excluded from the count), then drives the
-/// post-drift slice. After a warm-up round over both programs, the
-/// measured packet loop must allocate **zero** times.
+/// the production wave path ([`DEFAULT_BURST`], the program's own
+/// `flow_slots` as conflict domain; digests cleared per 1024-packet
+/// batch), swaps the program to the retrained model **mid-stream** (the
+/// swap itself is control-plane and excluded from the count), then drives
+/// the post-drift slice. After a warm-up round over both programs, the
+/// measured packet loop must allocate **zero** times — the first packets
+/// through the arena the swap rebuilt included.
 pub fn probe_drift_allocs(
     model: &PartitionedTree,
     retrained: &PartitionedTree,
@@ -279,43 +282,24 @@ pub fn probe_drift_allocs(
     let e2 = engine_for(retrained);
     let fields = e1.io().fields;
     let mut pipe = Pipeline::new(e1.program().clone());
+    pipe.set_burst(DEFAULT_BURST, e1.flow_slots());
 
-    // Warm-up: a full round under each program grows every scratch
-    // capacity (keys, PHV, digest ring) to steady state.
-    for (frame, ts) in pre {
-        pipe.process_frame(frame, *ts, &fields).expect("parses");
-    }
-    pipe.clear_digests();
+    // Warm-up: a full round under each program grows the pipeline-owned
+    // scratch (keys, digest ring) to steady state.
+    drive_batches(&mut pipe, &fields, pre);
     pipe.swap_program(e2.program().clone(), &[]);
-    for (frame, ts) in post {
-        pipe.process_frame(frame, *ts, &fields).expect("parses");
-    }
-    pipe.clear_digests();
+    drive_batches(&mut pipe, &fields, post);
     pipe.swap_program(e1.program().clone(), &[]);
     pipe.reset_state();
 
-    let mut n = 0u64;
-    let mut allocs = 0u64;
     let before = allocation_count();
-    for chunk in pre.chunks(1024) {
-        for (frame, ts) in chunk {
-            pipe.process_frame(frame, *ts, &fields).expect("parses");
-            n += 1;
-        }
-        pipe.clear_digests();
-    }
-    allocs += allocation_count() - before;
+    drive_batches(&mut pipe, &fields, pre);
+    let mut allocs = allocation_count() - before;
     pipe.swap_program(e2.program().clone(), &[]);
     let before = allocation_count();
-    for chunk in post.chunks(1024) {
-        for (frame, ts) in chunk {
-            pipe.process_frame(frame, *ts, &fields).expect("parses");
-            n += 1;
-        }
-        pipe.clear_digests();
-    }
+    drive_batches(&mut pipe, &fields, post);
     allocs += allocation_count() - before;
-    (allocs, n)
+    (allocs, (pre.len() + post.len()) as u64)
 }
 
 /// Writes stats as the flat JSON the CI artifact and `bench_diff.sh`

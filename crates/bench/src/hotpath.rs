@@ -10,10 +10,10 @@
 //!    job gates on (>15% drop vs `bench/baseline.json` fails the build).
 //! 2. **Allocations per packet**, measured with the
 //!    [`CountingAlloc`](crate::CountingAlloc) global allocator. The
-//!    steady-state pipeline path must perform **zero** heap allocations
-//!    per packet; [`probe_hot_loop_allocs`] drives a digest-free program
-//!    so even boundary-event allocations are excluded and the assertion
-//!    is exact.
+//!    steady-state pipeline path — the wave, at [`DEFAULT_BURST`] — must
+//!    perform **zero** heap allocations per packet;
+//!    [`probe_hot_loop_allocs`] drives a digest-free program so even
+//!    boundary-event allocations are excluded and the assertion is exact.
 //!
 //! Everything is deterministic: fixed dataset seed, fixed flow schedule,
 //! fixed frame serialization — so two runs differ only by machine speed.
@@ -26,10 +26,11 @@
 //! memory-bound regime the vectorization gate is about.
 
 use crate::alloc_count::allocation_count;
-use splidt_core::engine::{Engine, EngineBuilder};
+use splidt_core::engine::{Engine, EngineBuilder, DEFAULT_BURST};
 use splidt_core::{train_partitioned, PartitionedTree, SplidtConfig};
 use splidt_dataplane::action::{Action, AluOp, Primitive, Source};
 use splidt_dataplane::packet::PacketBuilder;
+use splidt_dataplane::parser::StandardFields;
 use splidt_dataplane::pipeline::{Pipeline, WaveStats};
 use splidt_dataplane::program::ProgramBuilder;
 use splidt_dataplane::register::RegisterSpec;
@@ -80,8 +81,9 @@ pub struct HotpathStats {
     /// (boundary packets emitting digests may allocate; steady-state
     /// packets must not). Zero unless the counting allocator is installed.
     pub allocs_per_packet: f64,
-    /// Heap allocations per packet over the digest-free probe program —
-    /// the strict zero-allocation criterion.
+    /// Heap allocations per packet over the digest-free probe program
+    /// (`wave_push`/`wave_flush` at [`DEFAULT_BURST`]) — the strict
+    /// zero-allocation criterion.
     pub hot_loop_allocs_per_packet: f64,
     /// Heap allocations per packet over the digest-emitting probe
     /// program (every packet pushes a record into the flat digest ring,
@@ -113,10 +115,6 @@ pub struct HotpathStats {
     /// driven through the wave path at burst 32) — the bank's strict
     /// zero-allocation criterion.
     pub bank_allocs_per_packet: f64,
-    /// Heap allocations per packet over the wave-API probe (digest-free
-    /// program via `wave_push`/`wave_flush` at burst 32) — the burst
-    /// path's strict zero-allocation criterion.
-    pub burst_allocs_per_packet: f64,
     /// Heap allocations per packet over the worker-data-path probe (SPSC
     /// ring push → peek → burst execution → advance, single-threaded) —
     /// the persistent-worker hand-off's zero-allocation criterion.
@@ -252,7 +250,6 @@ pub fn measure_engine_throughput(
         pps_scaled_split: 0.0,
         bank_speedup: 0.0,
         bank_allocs_per_packet: 0.0,
-        burst_allocs_per_packet: 0.0,
         worker_allocs_per_packet: 0.0,
         sweep_frames: 0,
         sweep_slots: 0,
@@ -273,11 +270,10 @@ pub struct BurstSweep {
 /// Measures throughput at every [`BURST_SWEEP`] size over the
 /// scaled-traffic frames ([`scaled_fixture`]), one fresh engine per size
 /// at the [`SCALED_FLOW_SLOTS`] budget — only the burst knob differs.
-/// Burst 1 *is* the scalar path driven through the wave machinery, so
-/// the sweep isolates the vectorization win from any other engine
-/// change. A **split-layout** engine at burst 32 rides in the same
-/// rotation, so the banked/split ratio isolates the flow-bank win the
-/// same way.
+/// Burst 1 is the packet-at-a-time walk (singleton waves), so the
+/// sweep isolates the vectorization win from any other engine change. A
+/// **split-layout** engine at burst 32 rides in the same rotation, so the
+/// banked/split ratio isolates the flow-bank win the same way.
 ///
 /// The configurations are measured **interleaved**, one fixture pass per
 /// configuration per round, and each configuration reports its **best
@@ -354,31 +350,41 @@ pub fn measure_burst_sweep(
     out
 }
 
-/// Builds a digest-free probe program — flow hash, one stateful
-/// accumulator, an exact table and a default action — and drives
-/// `n_packets` through [`Pipeline::process_frame`] after a warm-up round.
-/// Returns total heap allocations observed in the steady-state region:
-/// **must be zero** (and is asserted to be by `hotpath_smoke`) when the
-/// counting allocator is installed.
-pub fn probe_hot_loop_allocs(n_packets: u64) -> u64 {
-    let (mut pipe, fields, frames, _slots) = probe_program();
-
-    // Warm-up: scratch buffers reach steady capacity.
-    for (i, f) in frames.iter().enumerate() {
-        pipe.process_frame(f, i as u64, &fields).expect("parses");
+/// Pushes `n` packets (cycling `frames`, timestamps `0..n`) through the
+/// wave path and flushes.
+fn wave_round(pipe: &mut Pipeline, fields: &StandardFields, frames: &[Vec<u8>], n: u64) {
+    let mut stats = WaveStats::default();
+    for i in 0..n {
+        let f = &frames[(i % frames.len() as u64) as usize];
+        pipe.wave_push(f, i, fields, &mut stats).expect("parses");
     }
+    pipe.wave_flush(fields, &mut stats);
+}
+
+/// Warm-up length of the wave probes: two passes over the 16-flow frame
+/// set, so cut-triggered waves and the final flush both exercise every
+/// scratch buffer once.
+const PROBE_WARMUP: u64 = 32;
+
+/// The strict zero-allocation probe of the hot loop: a digest-free
+/// program — flow hash, one stateful accumulator, an exact table and a
+/// default action — driven through `wave_push`/`wave_flush` at
+/// [`DEFAULT_BURST`] after a warm-up. Returns total heap allocations
+/// observed in the steady-state region: **must be zero** (and is asserted
+/// to be by `hotpath_smoke`) when the counting allocator is installed.
+pub fn probe_hot_loop_allocs(n_packets: u64) -> u64 {
+    let (mut pipe, fields, frames, slots) = probe_program();
+    pipe.set_burst(DEFAULT_BURST, slots);
+    wave_round(&mut pipe, &fields, &frames, PROBE_WARMUP);
 
     let before = allocation_count();
-    for i in 0..n_packets {
-        let f = &frames[(i % frames.len() as u64) as usize];
-        pipe.process_frame(f, i, &fields).expect("parses");
-    }
+    wave_round(&mut pipe, &fields, &frames, n_packets);
     allocation_count() - before
 }
 
 /// Builds a digest-emitting probe program — every TCP packet sets a
-/// verdict class and pushes a digest — and drives `n_packets` through
-/// [`Pipeline::process_frame`] in batches of [`DIGEST_PROBE_BATCH`],
+/// verdict class and pushes a digest — and drives `n_packets` through the
+/// wave path at [`DEFAULT_BURST`] in batches of [`DIGEST_PROBE_BATCH`],
 /// disposing the pending ring between batches (the drain-per-batch
 /// steady-state regime). Returns total heap allocations observed in the
 /// measured region: **must be zero** now that digests land in the flat
@@ -398,33 +404,20 @@ pub fn probe_digest_ring_allocs(n_packets: u64) -> u64 {
     .expect("installs");
     let program = b.build().expect("builds");
     let mut pipe = Pipeline::new(program);
-
-    let frames: Vec<Vec<u8>> = (0u32..16)
-        .map(|i| {
-            PacketBuilder::tcp(0x0a00_0000 + i, 0x0b00_0000 + (i % 5), 40_000 + i as u16, 443)
-                .payload(64 + (i as u16 % 7) * 100)
-                .flow_size(64)
-                .build()
-                .to_vec()
-        })
-        .collect();
+    // The program keeps no per-flow state: any conflict domain is safe.
+    pipe.set_burst(DEFAULT_BURST, 1 << 10);
+    let frames = probe_frames();
 
     // Warm-up: one full batch grows the ring to its steady capacity;
     // clearing keeps that capacity.
-    for i in 0..DIGEST_PROBE_BATCH {
-        pipe.process_frame(&frames[(i % frames.len() as u64) as usize], i, &fields)
-            .expect("parses");
-    }
+    wave_round(&mut pipe, &fields, &frames, DIGEST_PROBE_BATCH);
     pipe.clear_digests();
 
     let before = allocation_count();
     let mut emitted = 0u64;
     for batch_start in (0..n_packets).step_by(DIGEST_PROBE_BATCH as usize) {
-        let batch_end = (batch_start + DIGEST_PROBE_BATCH).min(n_packets);
-        for i in batch_start..batch_end {
-            pipe.process_frame(&frames[(i % frames.len() as u64) as usize], i, &fields)
-                .expect("parses");
-        }
+        let batch = DIGEST_PROBE_BATCH.min(n_packets - batch_start);
+        wave_round(&mut pipe, &fields, &frames, batch);
         emitted += pipe.digests().len() as u64;
         pipe.clear_digests();
     }
@@ -436,9 +429,22 @@ pub fn probe_digest_ring_allocs(n_packets: u64) -> u64 {
 /// Packets per disposal batch in [`probe_digest_ring_allocs`].
 pub const DIGEST_PROBE_BATCH: u64 = 1024;
 
-/// The digest-free probe program shared by the scalar, burst, and worker
-/// allocation probes, plus its 16-flow frame set.
-fn probe_program() -> (Pipeline, splidt_dataplane::parser::StandardFields, Vec<Vec<u8>>, usize) {
+/// The 16-flow frame set every allocation probe cycles through.
+fn probe_frames() -> Vec<Vec<u8>> {
+    (0u32..16)
+        .map(|i| {
+            PacketBuilder::tcp(0x0a00_0000 + i, 0x0b00_0000 + (i % 5), 40_000 + i as u16, 443)
+                .payload(64 + (i as u16 % 7) * 100)
+                .flow_size(64)
+                .build()
+                .to_vec()
+        })
+        .collect()
+}
+
+/// The digest-free probe program shared by the hot-loop and worker
+/// allocation probes, plus its frame set and slot count.
+fn probe_program() -> (Pipeline, StandardFields, Vec<Vec<u8>>, usize) {
     let slots: usize = 1 << 10;
     let mut b = ProgramBuilder::new();
     let fields = b.standard_fields();
@@ -460,44 +466,7 @@ fn probe_program() -> (Pipeline, splidt_dataplane::parser::StandardFields, Vec<V
     )
     .expect("installs");
     let pipe = Pipeline::new(b.build().expect("builds"));
-    let frames: Vec<Vec<u8>> = (0u32..16)
-        .map(|i| {
-            PacketBuilder::tcp(0x0a00_0000 + i, 0x0b00_0000 + (i % 5), 40_000 + i as u16, 443)
-                .payload(64 + (i as u16 % 7) * 100)
-                .flow_size(64)
-                .build()
-                .to_vec()
-        })
-        .collect();
-    (pipe, fields, frames, slots)
-}
-
-/// The strict zero-allocation probe for the **burst path**: the
-/// digest-free probe program driven through `wave_push`/`wave_flush` at
-/// burst 32 after a warm-up round (the wave arena, lookup scratch, and
-/// key buffers reach steady capacity). Returns total heap allocations in
-/// the measured region — must be zero.
-pub fn probe_burst_allocs(n_packets: u64) -> u64 {
-    let (mut pipe, fields, frames, slots) = probe_program();
-    pipe.set_burst(32, slots);
-    let mut stats = WaveStats::default();
-
-    // Warm-up: two rounds so cut-triggered waves and the final flush both
-    // exercise every scratch buffer once.
-    for round in 0..2u64 {
-        for (i, f) in frames.iter().enumerate() {
-            pipe.wave_push(f, round * 16 + i as u64, &fields, &mut stats).expect("parses");
-        }
-    }
-    pipe.wave_flush(&fields, &mut stats);
-
-    let before = allocation_count();
-    for i in 0..n_packets {
-        let f = &frames[(i % frames.len() as u64) as usize];
-        pipe.wave_push(f, i, &fields, &mut stats).expect("parses");
-    }
-    pipe.wave_flush(&fields, &mut stats);
-    allocation_count() - before
+    (pipe, fields, probe_frames(), slots)
 }
 
 /// The strict zero-allocation probe for the **banked register path**:
@@ -556,33 +525,12 @@ pub fn probe_bank_allocs(n_packets: u64) -> u64 {
             && pipe.registers().layout().banks()[0].members.len() == 3,
         "probe registers must coalesce into one flow bank"
     );
-    pipe.set_burst(32, slots);
-    let frames: Vec<Vec<u8>> = (0u32..16)
-        .map(|i| {
-            PacketBuilder::tcp(0x0a00_0000 + i, 0x0b00_0000 + (i % 5), 40_000 + i as u16, 443)
-                .payload(64 + (i as u16 % 7) * 100)
-                .flow_size(64)
-                .build()
-                .to_vec()
-        })
-        .collect();
-    let mut stats = WaveStats::default();
-
-    // Warm-up: two rounds so cut-triggered waves and the final flush both
-    // exercise every scratch buffer once.
-    for round in 0..2u64 {
-        for (i, f) in frames.iter().enumerate() {
-            pipe.wave_push(f, round * 16 + i as u64, &fields, &mut stats).expect("parses");
-        }
-    }
-    pipe.wave_flush(&fields, &mut stats);
+    pipe.set_burst(DEFAULT_BURST, slots);
+    let frames = probe_frames();
+    wave_round(&mut pipe, &fields, &frames, PROBE_WARMUP);
 
     let before = allocation_count();
-    for i in 0..n_packets {
-        let f = &frames[(i % frames.len() as u64) as usize];
-        pipe.wave_push(f, i, &fields, &mut stats).expect("parses");
-    }
-    pipe.wave_flush(&fields, &mut stats);
+    wave_round(&mut pipe, &fields, &frames, n_packets);
     allocation_count() - before
 }
 
@@ -643,7 +591,6 @@ pub fn write_json(path: &str, stats: &HotpathStats) -> std::io::Result<()> {
          \"allocs_per_packet\": {:.6},\n  \
          \"hot_loop_allocs_per_packet\": {:.6},\n  \
          \"digest_ring_allocs_per_packet\": {:.6},\n  \
-         \"burst_allocs_per_packet\": {:.6},\n  \
          \"bank_allocs_per_packet\": {:.6},\n  \
          \"worker_allocs_per_packet\": {:.6}\n}}",
         stats.packets,
@@ -658,7 +605,6 @@ pub fn write_json(path: &str, stats: &HotpathStats) -> std::io::Result<()> {
         stats.allocs_per_packet,
         stats.hot_loop_allocs_per_packet,
         stats.digest_ring_allocs_per_packet,
-        stats.burst_allocs_per_packet,
         stats.bank_allocs_per_packet,
         stats.worker_allocs_per_packet,
     )

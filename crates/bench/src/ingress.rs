@@ -17,9 +17,9 @@ use crate::churn::{
     CHURN_CLASSIFIED_FLOOR, CHURN_IDLE_TIMEOUT_US, CHURN_PINNED_CLASS, CHURN_PINNED_TIMEOUT_US,
     CHURN_SLOTS,
 };
-use splidt_core::engine::{EngineBuilder, ShardedEngine};
+use splidt_core::engine::{EngineBuilder, ShardedEngine, DEFAULT_BURST};
 use splidt_core::{LifecyclePolicy, PartitionedTree};
-use splidt_dataplane::pipeline::Pipeline;
+use splidt_dataplane::pipeline::{Pipeline, WaveStats};
 use splidt_flow::ChurnSchedule;
 use splidt_net::gen::{replay_udp, GenConfig, GenReport};
 use splidt_net::ring::ring;
@@ -58,7 +58,7 @@ pub struct IngressBenchStats {
     /// Whether the ingress accounting reconciled exactly.
     pub reconciled: bool,
     /// Heap allocations per packet over the ring-consumer hot path
-    /// (push → peek → process_frame → clear_digests → advance): the
+    /// (push → peek → wave_push → flush → clear_digests → advance): the
     /// strict zero-allocation criterion for the ingress data path.
     pub ingress_allocs_per_packet: f64,
 }
@@ -86,14 +86,16 @@ pub fn sharded_engine_for(
 
 /// The strict zero-allocation probe for the ingress data path: drives the
 /// churn frames through a real SPSC ring — push, borrow via `peek`,
-/// `Pipeline::process_frame`, digest drain, `advance` — after one full
-/// warm-up round. Returns `(heap allocations observed, packets)`:
-/// **must be zero** allocations.
+/// `Pipeline::wave_push` at [`DEFAULT_BURST`], flush + digest drain,
+/// `advance` — after one full warm-up round. Returns `(heap allocations
+/// observed, packets)`: **must be zero** allocations.
 pub fn probe_ingress_allocs(model: &PartitionedTree, frames: &[(Vec<u8>, u64)]) -> (u64, u64) {
     let engine = sharded_engine_for(model, 1, 1.0);
     let mut pipe = Pipeline::new(engine.engines()[0].program().clone());
+    pipe.set_burst(DEFAULT_BURST, engine.flow_slots());
     let fields = engine.engines()[0].io().fields;
     let (mut tx, mut rx) = ring(1024, 2048);
+    let mut stats = WaveStats::default();
 
     let mut round = |pipe: &mut Pipeline| {
         for chunk in frames.chunks(1024) {
@@ -102,15 +104,18 @@ pub fn probe_ingress_allocs(model: &PartitionedTree, frames: &[(Vec<u8>, u64)]) 
             }
             for i in 0..chunk.len() {
                 let (frame, ts) = rx.peek(i);
-                pipe.process_frame(frame, ts, &fields).expect("fixture frames parse");
+                pipe.wave_push(frame, ts, &fields, &mut stats).expect("fixture frames parse");
             }
+            // Flush before releasing the slots, as the `ingest_batch`
+            // inside `run_ingress` does.
+            pipe.wave_flush(&fields, &mut stats);
             pipe.clear_digests();
             rx.advance(chunk.len());
         }
     };
 
     // Warm-up: one full round grows every scratch capacity (ring slots
-    // are preallocated; the pipeline's keys/PHV/digest ring reach steady
+    // are preallocated; the pipeline's keys/digest ring reach steady
     // state); reset_state is allocation-free.
     round(&mut pipe);
     pipe.reset_state();

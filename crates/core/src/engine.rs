@@ -441,8 +441,8 @@ pub struct Engine {
     pipeline: Pipeline,
     stagger_us: u64,
     admitted: Vec<AdmittedFlow>,
-    /// How many admitted flows [`Engine::ingest_admitted`] has already fed
-    /// (so repeated calls feed only newly admitted flows, never replay).
+    /// How many admitted flows [`Engine::run`] has already fed (so
+    /// repeated calls feed only newly admitted flows, never replay).
     fed: usize,
     slot_owner: HashMap<usize, usize>,
     collisions_skipped: usize,
@@ -464,8 +464,8 @@ pub struct Engine {
     /// Staging generation: total models ever staged (swapped or not).
     generation: u64,
     /// Wave outcomes of engine-initiated flushes ([`Engine::swap_staged`]
-    /// quiescing an open wave) — merged into the next
-    /// [`Engine::stream_report`] so no packet's disposition is lost.
+    /// or [`Engine::ingest`] quiescing an open wave) — merged into the
+    /// next [`Engine::stream_report`] so no packet's disposition is lost.
     carry_stats: WaveStats,
 }
 
@@ -587,12 +587,22 @@ impl Engine {
         splidt_flow::wire::frame_for_into(flow, j, out);
     }
 
-    /// Pushes one frame through the pipeline at `ts_us`. Malformed frames
-    /// are recoverable errors, not panics. Allocates the returned PHV;
-    /// throughput loops use [`Engine::ingest_batch`].
+    /// Pushes one frame through the pipeline at `ts_us` as a singleton
+    /// wave and returns its outcome; a wave [`Engine::stream_push`] left
+    /// open runs first, so a mixed feed executes in arrival order.
+    /// Malformed frames are recoverable errors, not panics. Allocates the
+    /// returned PHV; throughput loops use [`Engine::ingest_batch`].
     pub fn ingest(&mut self, frame: &[u8], ts_us: u64) -> Result<ProcessOutcome, SplidtError> {
+        self.quiesce();
         let fields = self.io.fields;
         Ok(self.pipeline.process_packet(frame, ts_us, &fields)?)
+    }
+
+    /// Runs whatever wave the caller left open to completion, parking its
+    /// dispositions in `carry_stats` for the next [`Engine::stream_report`].
+    fn quiesce(&mut self) {
+        let fields = self.io.fields;
+        self.pipeline.wave_flush(&fields, &mut self.carry_stats);
     }
 
     /// Reconfigures the wave capacity of the batch hot path: up to
@@ -648,8 +658,9 @@ impl Engine {
     }
 
     /// Finishes a streamed batch: flushes the open wave, folds in any
-    /// engine-initiated flushes ([`Engine::swap_staged`] mid-stream),
-    /// drains + collates digests, and assembles the [`BatchReport`].
+    /// engine-initiated flushes ([`Engine::swap_staged`] or
+    /// [`Engine::ingest`] mid-stream), drains + collates digests, and
+    /// assembles the [`BatchReport`].
     /// `malformed` is the caller's count of [`Engine::stream_push`]
     /// rejects for this batch.
     pub fn stream_report(&mut self, mut stats: WaveStats, malformed: u64) -> BatchReport {
@@ -689,33 +700,6 @@ impl Engine {
             }
         }
         Ok(self.stream_report(stats, malformed))
-    }
-
-    /// Feeds every packet of every admitted-but-not-yet-fed flow, merged
-    /// into one time-ordered timeline (so many flows are in flight
-    /// concurrently and register-state separation is genuinely exercised).
-    /// Incremental: calling again after further [`Engine::admit`]s feeds
-    /// only the new flows — already-fed packets are never replayed.
-    ///
-    /// Runs on the batch hot path: one reusable frame buffer, the
-    /// pipeline's reusable PHV, digests collated once at the end.
-    pub fn ingest_admitted(&mut self) -> Result<(), SplidtError> {
-        let mut events: Vec<(u64, usize, usize)> = Vec::new();
-        for (i, a) in self.admitted.iter().enumerate().skip(self.fed) {
-            for (j, p) in a.flow.packets.iter().enumerate() {
-                events.push((a.base_us + p.ts_us, i, j));
-            }
-        }
-        self.fed = self.admitted.len();
-        events.sort_unstable();
-        let fields = self.io.fields;
-        let mut frame = Vec::new();
-        for (ts, i, j) in events {
-            Self::frame_for_into(&self.admitted[i].flow, j, &mut frame);
-            self.pipeline.process_frame(&frame, ts, &fields)?;
-        }
-        self.drain_digests();
-        Ok(())
     }
 
     /// Drains digests off the pipeline, collating them by canonical
@@ -810,13 +794,10 @@ impl Engine {
             .handle
             .join()
             .map_err(|_| SplidtError::Config("staged model compile thread panicked".into()))??;
-        // Quiesce the burst path (drain-then-flip): any wave the caller
-        // left open via `stream_push` executes to completion under the
-        // OLD program, its dispositions parked in `carry_stats` for the
-        // next `stream_report`. The swap below then starts from an empty
-        // arena — no packet ever straddles two programs.
-        let fields = self.io.fields;
-        self.pipeline.wave_flush(&fields, &mut self.carry_stats);
+        // Drain-then-flip: any wave the caller left open via
+        // `stream_push` executes to completion under the OLD program —
+        // no packet ever straddles two programs.
+        self.quiesce();
         let carry = [(self.io.lifecycle_table, compiled.io.lifecycle_table)];
         self.pipeline.swap_program(compiled.program, &carry);
         self.model = staged.model;
@@ -1025,14 +1006,40 @@ impl Engine {
         }
     }
 
-    /// Convenience batch driver: admit, feed, score — the one-shot
-    /// equivalent of the old `run_flows`, minus the per-call recompile.
+    /// Convenience batch driver: admit, feed (incrementally: a second
+    /// `run` feeds only the newly admitted flows), score — on the same
+    /// wave path as [`Engine::ingest_batch`].
     pub fn run(&mut self, flows: &[FlowTrace]) -> Result<RuntimeReport, SplidtError> {
         for f in flows {
             self.admit(f);
         }
-        self.ingest_admitted()?;
+        self.feed_admitted()?;
         Ok(self.report())
+    }
+
+    /// Streams every packet of every admitted-but-not-yet-fed flow through
+    /// the wave path, merged into one time-ordered timeline (so many flows
+    /// are in flight concurrently and register-state separation is
+    /// genuinely exercised). A parse reject means serializer and parser
+    /// disagree: the frames already pushed still run, then it surfaces.
+    fn feed_admitted(&mut self) -> Result<(), SplidtError> {
+        let mut events: Vec<(u64, usize, usize)> = Vec::new();
+        for (i, a) in self.admitted.iter().enumerate().skip(self.fed) {
+            for (j, p) in a.flow.packets.iter().enumerate() {
+                events.push((a.base_us + p.ts_us, i, j));
+            }
+        }
+        self.fed = self.admitted.len();
+        events.sort_unstable();
+        let fields = self.io.fields;
+        let mut stats = WaveStats::default();
+        let mut frame = Vec::new();
+        let fed = events.into_iter().try_for_each(|(ts, i, j)| {
+            Self::frame_for_into(&self.admitted[i].flow, j, &mut frame);
+            self.pipeline.wave_push(&frame, ts, &fields, &mut stats)
+        });
+        self.stream_report(stats, 0);
+        Ok(fed?)
     }
 
     /// Clears session state in place (registers — ownership lanes
@@ -1043,13 +1050,10 @@ impl Engine {
     /// attached tap (observations *and* registrations) — a reset engine
     /// must behave bit-for-bit like a fresh one.
     pub fn reset(&mut self) {
-        // Quiesce the burst path first: an open wave executes to
-        // completion (drain-then-flip), then the wipe below discards its
-        // outcomes with the rest of the session — so reset never leaves
-        // half-executed packets parked in the arena.
-        let fields = self.io.fields;
-        let mut discard = WaveStats::default();
-        self.pipeline.wave_flush(&fields, &mut discard);
+        // An open wave executes to completion first, then the wipe below
+        // discards its outcomes with the rest of the session — so reset
+        // never leaves half-executed packets parked in the arena.
+        self.quiesce();
         self.carry_stats = WaveStats::default();
         self.pipeline.reset_state();
         self.admitted.clear();
@@ -1300,7 +1304,7 @@ impl ShardedEngine {
             let mut handles = Vec::new();
             for (idx, shard) in self.shards.iter_mut().enumerate() {
                 handles.push(s.spawn(move || {
-                    let fed = shard.ingest_admitted();
+                    let fed = shard.feed_admitted();
                     (idx, fed.map(|()| shard.report()))
                 }));
             }

@@ -10,9 +10,9 @@
 //!
 //! [`run_flows`] compiles per call; hot paths should hold an
 //! [`Engine`] and reuse it (`compile once, run
-//! many` — see `docs/engine.md`). Feeding runs on the engine's batch path
-//! (`ingest_admitted` → `Pipeline::process_frame`), which executes the
-//! compiled [`ExecPlan`](splidt_dataplane::plan::ExecPlan) with zero heap
+//! many` — see `docs/engine.md`). Feeding streams the timeline through the
+//! same wave path as [`Engine::ingest_batch`], which executes the compiled
+//! [`ExecPlan`](splidt_dataplane::plan::ExecPlan) with zero heap
 //! allocations per steady-state packet.
 
 use crate::compile::CompiledModel;

@@ -67,7 +67,7 @@ pub use index::MatchIndex;
 pub use packet::{PacketBuilder, TcpFlags, FLOW_SHIM_ETHERTYPE};
 pub use parser::{parse, parse_into, peek_flow_tuple, FlowTupleView, ParseError, StandardFields};
 pub use phv::{FieldId, Phv, PhvLayout};
-pub use pipeline::{Digest, DigestBuf, Disposition, FrameOutcome, Meters, Pipeline};
+pub use pipeline::{Digest, DigestBuf, Disposition, Meters, Pipeline};
 pub use plan::{ActionId, ExecPlan};
 pub use program::{Program, ProgramBuilder, ProgramError};
 pub use register::{BankLayout, FlowBank, RegisterArray, RegisterFile};

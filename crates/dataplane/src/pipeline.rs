@@ -12,15 +12,17 @@
 //!
 //! At instantiation the pipeline compiles its program's fixed schedule into
 //! an [`ExecPlan`] — a flat slab of table indices and interned action ids —
-//! and the steady-state packet path ([`Pipeline::process_frame`], which
-//! [`Pipeline::process_packet`] and [`Pipeline::process_phv`] share) walks
-//! that slab with **zero heap allocations per packet**: lookups fill a
-//! reusable key scratch buffer, parsed headers land in a reusable PHV, and
-//! actions execute by [`ActionId`](crate::plan::ActionId) reference with
-//! split borrows for hit/miss counters instead of cloning an [`Action`]
-//! per table visit. The original entry-walking interpreter survives as
-//! [`Pipeline::process_phv_entrywalk`], the reference implementation the
-//! differential proptests compare the plan against.
+//! and **one executor** walks it: the wave ([`Pipeline::wave_push`] /
+//! [`Pipeline::wave_flush`]), stage-major over up to `burst` parked
+//! packets, with **zero heap allocations per packet** (lookups fill a
+//! reusable key scratch buffer, parsed headers land in the arena's reusable
+//! PHVs, actions execute by [`ActionId`](crate::plan::ActionId) reference).
+//! A singleton wave is the packet-at-a-time walk, which is how the
+//! single-packet inspection calls ([`Pipeline::process_packet`],
+//! [`Pipeline::process_phv`]) run. **One oracle** stands beside it: the
+//! original entry-walking interpreter with linear table scans
+//! ([`Pipeline::process_phv_entrywalk`]), the reference every equivalence
+//! test compares the wave against.
 
 use crate::action::{Action, AluOut, Primitive, Source};
 use crate::parser::{parse, parse_into, ParseError, StandardFields};
@@ -131,6 +133,15 @@ impl DigestBuf {
             .collect()
     }
 
+    /// An empty buffer with room for `records` records up front.
+    fn with_capacity(stride: usize, records: usize) -> Self {
+        Self {
+            stride,
+            ts: Vec::with_capacity(records),
+            values: Vec::with_capacity(records * stride),
+        }
+    }
+
     /// Appends one record. Allocation-free once capacity is warm.
     pub(crate) fn push(&mut self, ts_us: u64, values: impl IntoIterator<Item = u64>) {
         self.ts.push(ts_us);
@@ -199,22 +210,10 @@ pub struct ProcessOutcome {
     pub passes: u32,
 }
 
-/// Result of processing one frame on the allocation-free batch path, which
-/// recycles the PHV instead of returning it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FrameOutcome {
-    /// Final disposition.
-    pub disposition: Disposition,
-    /// Number of passes the packet took (1 = no resubmission).
-    pub passes: u32,
-}
-
 /// Aggregate outcomes of burst (wave) execution, accumulated across
 /// [`Pipeline::wave_push`] / [`Pipeline::wave_flush`] calls. The wave
-/// path reports dispositions in aggregate (it retires whole waves, not
-/// single packets), so the per-packet [`FrameOutcome`] has no burst
-/// analogue — callers that need per-packet dispositions use the scalar
-/// path.
+/// path reports dispositions in aggregate: it retires whole waves, not
+/// single packets.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct WaveStats {
     /// Parsed frames whose wave has completed (malformed frames never
@@ -317,10 +316,27 @@ fn new_wave(
 ) -> WaveScratch {
     let burst = if plan.hash_flow().is_some() { burst.max(1) } else { 1 };
     let stride = program.digest_fields().len();
+    // The most records one packet can stage: per pass, each plan slot runs
+    // one action of its table; a packet takes at most `resubmit_limit + 1`
+    // passes. Sized here — arena construction is control-plane — so the
+    // first digest through a slot after a build or a live swap allocates
+    // nothing.
+    let digest_prims =
+        |a: &Action| a.prims.iter().filter(|p| matches!(p, Primitive::Digest)).count();
+    let staged_max = (program.resubmit_limit() + 1)
+        * plan
+            .slots()
+            .iter()
+            .map(|s| {
+                let t = &program.tables()[s.table as usize];
+                let actions = t.entries().iter().map(|e| &e.action).chain([t.default_action()]);
+                actions.map(digest_prims).max().unwrap_or(0)
+            })
+            .sum::<usize>();
     let pkts = (0..burst + 1)
         .map(|_| WavePacket {
             phv: program.layout().new_phv(),
-            digests: DigestBuf::with_stride(stride),
+            digests: DigestBuf::with_capacity(stride, staged_max),
             ts_us: 0,
             key: 0,
             passes: 0,
@@ -389,16 +405,6 @@ fn new_wave(
     }
 }
 
-/// Which interpreter executes a pass (plan-driven vs the reference).
-#[derive(Debug, Clone, Copy)]
-enum ExecMode {
-    /// The compiled [`ExecPlan`] slab (steady-state, allocation-free).
-    Plan,
-    /// The original entry-walking interpreter (clones per lookup) — kept as
-    /// the reference implementation for differential testing.
-    EntryWalk,
-}
-
 /// An executing pipeline: a program, its compiled execution plan, and live
 /// register state.
 #[derive(Debug)]
@@ -413,8 +419,6 @@ pub struct Pipeline {
     /// Reusable candidate-bitmask buffer for the compiled match indexes
     /// (sized to the widest intersection any index needs).
     mask_scratch: Vec<u64>,
-    /// Reusable PHV for the frame batch path.
-    phv_scratch: Phv,
     /// Preallocated wave arena for burst (stage-major) execution.
     wave: WaveScratch,
 }
@@ -444,7 +448,6 @@ impl Pipeline {
         let plan = ExecPlan::build(&program);
         let key_scratch = Vec::with_capacity(plan.max_key_fields());
         let mask_scratch = Vec::with_capacity(plan.max_mask_words());
-        let phv_scratch = program.layout().new_phv();
         let digests = DigestBuf::with_stride(program.digest_fields().len());
         let wave = new_wave(&program, &plan, &regs, 1, 1);
         Self {
@@ -455,7 +458,6 @@ impl Pipeline {
             meters: Meters::default(),
             key_scratch,
             mask_scratch,
-            phv_scratch,
             wave,
         }
     }
@@ -476,7 +478,14 @@ impl Pipeline {
         self.plan = ExecPlan::build(&self.program);
         self.key_scratch = Vec::with_capacity(self.plan.max_key_fields());
         self.mask_scratch = Vec::with_capacity(self.plan.max_mask_words());
+        // The new entry may stage digests its table never did.
+        self.rebuild_wave(self.wave.burst, self.wave.conflict_slots);
         Ok(())
+    }
+
+    /// Rebuilds the (empty) wave arena for the current program and plan.
+    fn rebuild_wave(&mut self, burst: usize, conflict_slots: usize) {
+        self.wave = new_wave(&self.program, &self.plan, &self.regs, burst, conflict_slots);
     }
 
     /// Atomically replaces the running program — the pForest-style live
@@ -525,16 +534,9 @@ impl Pipeline {
         self.plan = ExecPlan::build(&self.program);
         self.key_scratch = Vec::with_capacity(self.plan.max_key_fields());
         self.mask_scratch = Vec::with_capacity(self.plan.max_mask_words());
-        self.phv_scratch = self.program.layout().new_phv();
         // The arena's PHVs follow the new program's layout; the burst
         // configuration survives the flip.
-        self.wave = new_wave(
-            &self.program,
-            &self.plan,
-            &self.regs,
-            self.wave.burst,
-            self.wave.conflict_slots,
-        );
+        self.rebuild_wave(self.wave.burst, self.wave.conflict_slots);
     }
 
     /// The program being executed.
@@ -610,15 +612,32 @@ impl Pipeline {
         }
     }
 
-    /// Parses a frame and processes it at time `ts_us`, returning the final
-    /// PHV. Allocates the returned PHV; batch loops that do not need the
-    /// PHV back should use [`Pipeline::process_frame`] instead.
+    /// Parses a frame and processes it to completion at time `ts_us` as a
+    /// singleton wave, returning the final PHV, disposition and pass
+    /// count — the single-packet inspection call. Allocates the returned
+    /// PHV; throughput loops use [`Pipeline::wave_push`].
+    ///
+    /// Panics if a wave is in flight: the packet would execute ahead of
+    /// the parked ones ([`Pipeline::wave_flush`] first).
     pub fn process_packet(
         &mut self,
         frame: &[u8],
         ts_us: u64,
         fields: &StandardFields,
     ) -> Result<ProcessOutcome, ParseError> {
+        assert_eq!(self.wave.len, 0, "process_packet with a wave in flight; wave_flush first");
+        let phv = self.parse_metered(frame, ts_us, fields)?;
+        Ok(self.run_single(phv, ts_us, Some(fields)))
+    }
+
+    /// Parses `frame` into a fresh PHV stamped `ts_us`, metering it as
+    /// submitted (or as malformed on a parse reject).
+    fn parse_metered(
+        &mut self,
+        frame: &[u8],
+        ts_us: u64,
+        fields: &StandardFields,
+    ) -> Result<Phv, ParseError> {
         let mut phv = match parse(frame, self.program.layout(), fields) {
             Ok(phv) => phv,
             Err(e) => {
@@ -629,38 +648,34 @@ impl Pipeline {
         phv.set(fields.ts_us, ts_us);
         self.meters.packets += 1;
         self.meters.bytes += frame.len() as u64;
-        let (disposition, passes) = self.run_inplace(&mut phv, ts_us, Some(fields), ExecMode::Plan);
-        Ok(ProcessOutcome { phv, disposition, passes })
+        Ok(phv)
     }
 
-    /// Parses a frame into the pipeline's reusable PHV and processes it at
-    /// time `ts_us` — the steady-state batch entry point: **zero heap
-    /// allocations per packet** once scratch capacities are warm,
-    /// including boundary packets that emit digests (records land in the
-    /// flat [`DigestBuf`] ring, whose capacity survives per-batch
-    /// drains).
-    pub fn process_frame(
+    /// Runs `phv` as a singleton wave: swapped into arena slot 0 (a
+    /// pointer swap — the arena keeps its own PHV), executed by
+    /// [`Pipeline::run_wave`], swapped back out with its outcome.
+    fn run_single(
         &mut self,
-        frame: &[u8],
+        mut phv: Phv,
         ts_us: u64,
-        fields: &StandardFields,
-    ) -> Result<FrameOutcome, ParseError> {
-        // Take the scratch PHV out of `self` (a pointer swap, no
-        // allocation) so it can be threaded through `run_inplace` while
-        // `self` stays mutably borrowable.
-        let mut phv = std::mem::take(&mut self.phv_scratch);
-        let parsed = parse_into(frame, self.program.layout(), fields, &mut phv);
-        if let Err(e) = parsed {
-            self.phv_scratch = phv;
-            self.meters.malformed += 1;
-            return Err(e);
-        }
-        phv.set(fields.ts_us, ts_us);
-        self.meters.packets += 1;
-        self.meters.bytes += frame.len() as u64;
-        let (disposition, passes) = self.run_inplace(&mut phv, ts_us, Some(fields), ExecMode::Plan);
-        self.phv_scratch = phv;
-        Ok(FrameOutcome { disposition, passes })
+        fields: Option<&StandardFields>,
+    ) -> ProcessOutcome {
+        let pkt = &mut self.wave.pkts[0];
+        std::mem::swap(&mut pkt.phv, &mut phv);
+        pkt.ts_us = ts_us;
+        self.wave.len = 1;
+        let mut stats = WaveStats::default();
+        self.run_wave(fields, &mut stats);
+        let pkt = &mut self.wave.pkts[0];
+        std::mem::swap(&mut pkt.phv, &mut phv);
+        let disposition = if stats.drops != 0 {
+            Disposition::Drop
+        } else if stats.resubmit_limited != 0 {
+            Disposition::ResubmitLimit
+        } else {
+            Disposition::Forward
+        };
+        ProcessOutcome { phv, disposition, passes: pkt.passes }
     }
 
     /// Configures burst (wave) execution for the frame path: up to
@@ -695,7 +710,7 @@ impl Pipeline {
     /// first).
     pub fn set_burst(&mut self, burst: usize, conflict_slots: usize) {
         assert_eq!(self.wave.len, 0, "set_burst with a wave in flight; wave_flush first");
-        self.wave = new_wave(&self.program, &self.plan, &self.regs, burst, conflict_slots);
+        self.rebuild_wave(burst, conflict_slots);
     }
 
     /// The configured wave capacity (1 = scalar).
@@ -785,7 +800,7 @@ impl Pipeline {
         }
         let cut = slot == self.wave.burst || self.wave.pkts[..slot].iter().any(|p| p.key == key);
         if cut {
-            self.run_wave(fields, stats);
+            self.run_wave(Some(fields), stats);
             self.wave.pkts.swap(0, slot);
             self.wave.len = 1;
         } else {
@@ -798,7 +813,7 @@ impl Pipeline {
     /// the pipeline quiesced: every pushed packet fully executed, its
     /// digests in the ring, meters and register state final.
     pub fn wave_flush(&mut self, fields: &StandardFields, stats: &mut WaveStats) {
-        self.run_wave(fields, stats);
+        self.run_wave(Some(fields), stats);
     }
 
     /// Executes the accumulated wave to completion — all passes,
@@ -812,8 +827,10 @@ impl Pipeline {
     /// *execute phase* runs the interned actions in arrival order.
     /// Per-packet digests are staged in per-slot buffers and flushed to
     /// the pipeline ring in arrival order at wave end, so the global
-    /// digest stream is bit-identical to scalar execution.
-    fn run_wave(&mut self, fields: &StandardFields, stats: &mut WaveStats) {
+    /// digest stream is the arrival-order one. `fields` is `None` only for
+    /// a pre-built PHV ([`Pipeline::process_phv`]), which has no wire
+    /// length to meter and no `is_resubmit` field to flag.
+    fn run_wave(&mut self, fields: Option<&StandardFields>, stats: &mut WaveStats) {
         let n = self.wave.len;
         if n == 0 {
             return;
@@ -903,8 +920,12 @@ impl Pipeline {
                         live -= 1;
                     } else {
                         meters.resubmissions += 1;
-                        meters.resubmit_bytes += pkt.phv.get(fields.frame_len).max(64);
-                        pkt.phv.set(fields.is_resubmit, 1);
+                        // The Ethernet-minimum floor applies to the wire
+                        // length a parsed frame supplied.
+                        if let Some(f) = fields {
+                            meters.resubmit_bytes += pkt.phv.get(f.frame_len).max(64);
+                            pkt.phv.set(f.is_resubmit, 1);
+                        }
                     }
                 } else {
                     pkt.live = false;
@@ -920,21 +941,23 @@ impl Pipeline {
     }
 
     /// Processes a pre-built PHV (no parsing; useful for unit tests and
-    /// synthetic control packets).
-    pub fn process_phv(&mut self, mut phv: Phv, ts_us: u64) -> ProcessOutcome {
+    /// synthetic control packets) as a singleton wave. Panics if a wave is
+    /// in flight, like [`Pipeline::process_packet`].
+    pub fn process_phv(&mut self, phv: Phv, ts_us: u64) -> ProcessOutcome {
+        assert_eq!(self.wave.len, 0, "process_phv with a wave in flight; wave_flush first");
         self.meters.packets += 1;
-        let (disposition, passes) = self.run_inplace(&mut phv, ts_us, None, ExecMode::Plan);
-        ProcessOutcome { phv, disposition, passes }
+        self.run_single(phv, ts_us, None)
     }
 
     /// Processes a pre-built PHV with the original **entry-walking
-    /// interpreter** (re-reads the stage schedule and clones the matched
-    /// action on every table visit). Kept as the reference implementation:
-    /// the equivalence proptests assert it is observationally identical —
-    /// dispositions, digests, meters, registers — to the plan-driven path.
+    /// interpreter** (re-reads the stage schedule, resolves lookups by
+    /// linear scan and clones the matched action on every table visit).
+    /// Kept as the reference implementation: the equivalence tests assert
+    /// the wave is observationally identical to it — per-packet PHV and
+    /// disposition, digests, meters, registers, table statistics.
     pub fn process_phv_entrywalk(&mut self, mut phv: Phv, ts_us: u64) -> ProcessOutcome {
         self.meters.packets += 1;
-        let (disposition, passes) = self.run_inplace(&mut phv, ts_us, None, ExecMode::EntryWalk);
+        let (disposition, passes) = self.run_inplace(&mut phv, ts_us, None);
         ProcessOutcome { phv, disposition, passes }
     }
 
@@ -946,38 +969,25 @@ impl Pipeline {
         ts_us: u64,
         fields: &StandardFields,
     ) -> Result<ProcessOutcome, ParseError> {
-        let mut phv = match parse(frame, self.program.layout(), fields) {
-            Ok(phv) => phv,
-            Err(e) => {
-                self.meters.malformed += 1;
-                return Err(e);
-            }
-        };
-        phv.set(fields.ts_us, ts_us);
-        self.meters.packets += 1;
-        self.meters.bytes += frame.len() as u64;
-        let (disposition, passes) =
-            self.run_inplace(&mut phv, ts_us, Some(fields), ExecMode::EntryWalk);
+        let mut phv = self.parse_metered(frame, ts_us, fields)?;
+        let (disposition, passes) = self.run_inplace(&mut phv, ts_us, Some(fields));
         Ok(ProcessOutcome { phv, disposition, passes })
     }
 
-    /// Runs the resubmission loop on `phv` in place.
+    /// The reference interpreter's resubmission loop on `phv`, in place.
     fn run_inplace(
         &mut self,
         phv: &mut Phv,
         ts_us: u64,
         fields: Option<&StandardFields>,
-        mode: ExecMode,
     ) -> (Disposition, u32) {
+        assert_eq!(self.wave.len, 0, "entry walk with a wave in flight; wave_flush first");
         let limit = self.program.resubmit_limit();
         let mut passes = 0u32;
         loop {
             passes += 1;
             self.meters.passes += 1;
-            let effects = match mode {
-                ExecMode::Plan => self.one_pass(phv, ts_us),
-                ExecMode::EntryWalk => self.one_pass_entrywalk(phv, ts_us),
-            };
+            let effects = self.one_pass_entrywalk(phv, ts_us);
             if effects.drop {
                 self.meters.drops += 1;
                 return (Disposition::Drop, passes);
@@ -999,48 +1009,6 @@ impl Pipeline {
             }
             return (Disposition::Forward, passes);
         }
-    }
-
-    /// One pass over the compiled plan: iterate slots by index,
-    /// materialize the key into the reusable key buffer, resolve the hit
-    /// through the table's compiled [`MatchIndex`](crate::index::MatchIndex)
-    /// (binary search / packed hash / bitmask intersection — never a scan
-    /// over installed entries), bump counters via split borrows, and
-    /// execute the interned action by reference. No heap allocation.
-    fn one_pass(&mut self, phv: &mut Phv, ts_us: u64) -> PassEffects {
-        let mut effects = PassEffects::default();
-        for si in 0..self.plan.slots().len() {
-            let slot = self.plan.slots()[si];
-            let ti = slot.table as usize;
-            self.key_scratch.clear();
-            for &f in &self.program.tables()[ti].spec().key {
-                self.key_scratch.push(phv.get(f));
-            }
-            let hit = self.plan.match_index(ti).lookup(&self.key_scratch, &mut self.mask_scratch);
-            let aid = match hit {
-                Some(i) => {
-                    self.program.tables_mut()[ti].record_hit(i);
-                    self.plan.entry_action(&slot, i)
-                }
-                None => {
-                    self.program.tables_mut()[ti].record_miss();
-                    slot.default_action
-                }
-            };
-            exec_action(
-                self.plan.action(aid),
-                &self.plan,
-                self.program.layout(),
-                self.program.digest_fields(),
-                &mut self.regs,
-                &mut self.digests,
-                &mut self.meters,
-                phv,
-                ts_us,
-                &mut effects,
-            );
-        }
-        effects
     }
 
     /// One pass with the original interpreter: re-reads each stage's table
@@ -1162,7 +1130,7 @@ fn exec_action(
     }
 }
 
-/// `HashFlow` body, shared by the scalar and wave executors.
+/// `HashFlow` body.
 #[inline]
 fn prim_hash_flow(p: &Primitive, plan: &ExecPlan, layout: &PhvLayout, phv: &mut Phv) {
     let Primitive::HashFlow { dst, mask, salt } = p else { unreachable!() };
@@ -1184,7 +1152,7 @@ fn prim_hash_flow(p: &Primitive, plan: &ExecPlan, layout: &PhvLayout, phv: &mut 
     phv.set_masked(*dst, idx, layout);
 }
 
-/// `OwnerUpdate` body, shared by the scalar and wave executors.
+/// `OwnerUpdate` body.
 #[inline]
 fn prim_owner_update(p: &Primitive, regs: &mut RegisterFile, layout: &PhvLayout, phv: &mut Phv) {
     let Primitive::OwnerUpdate {
@@ -1579,53 +1547,6 @@ mod tests {
     }
 
     #[test]
-    fn process_frame_matches_process_packet() {
-        let mut b = ProgramBuilder::new();
-        let fields = b.standard_fields();
-        let idx = b.add_meta("idx", 16);
-        let r = b.add_register(RegisterSpec::new("cnt", 32, 16), 0);
-        let t = b.add_table(TableSpec::exact("count", vec![fields.ip_proto], 4), 0);
-        b.add_exact_entry(
-            t,
-            vec![6],
-            Action::new("bump").with(Primitive::RegRmw {
-                reg: r,
-                index: Source::Field(idx),
-                op: AluOp::Add,
-                operand: Source::Const(1),
-                out: None,
-            }),
-        )
-        .unwrap();
-        let p = b.build().unwrap();
-        let mut a = Pipeline::new(p.clone());
-        let mut bpipe = Pipeline::new(p);
-        let frame = PacketBuilder::tcp(1, 2, 3, 4).payload(32).build();
-        for i in 0..6 {
-            let oa = a.process_packet(&frame, i, &fields).unwrap();
-            let ob = bpipe.process_frame(&frame, i, &fields).unwrap();
-            assert_eq!(oa.disposition, ob.disposition);
-            assert_eq!(oa.passes, ob.passes);
-        }
-        assert_eq!(a.meters(), bpipe.meters());
-        assert_eq!(a.registers().read(0, 0), bpipe.registers().read(0, 0));
-    }
-
-    #[test]
-    fn process_frame_recovers_from_parse_errors() {
-        let mut b = ProgramBuilder::new();
-        let fields = b.standard_fields();
-        let p = b.build().unwrap();
-        let mut pipe = Pipeline::new(p);
-        assert!(pipe.process_frame(&[0u8; 5], 0, &fields).is_err());
-        // the scratch PHV survives the error and the next frame processes
-        let frame = PacketBuilder::tcp(1, 2, 3, 4).build();
-        assert!(pipe.process_frame(&frame, 1, &fields).is_ok());
-        assert_eq!(pipe.meters().packets, 1);
-        assert_eq!(pipe.meters().malformed, 1);
-    }
-
-    #[test]
     fn entrywalk_reference_matches_plan() {
         let mut b = ProgramBuilder::new();
         let a = b.add_meta("a", 16);
@@ -1772,11 +1693,13 @@ mod tests {
         (b.build().unwrap(), fields)
     }
 
-    /// Burst execution must be observationally identical to the scalar
-    /// path — meters, registers, table stats, wave dispositions, and the
+    /// Wave execution must be observationally identical to the entry-walk
+    /// oracle — meters, registers, table stats, wave dispositions, and the
     /// **exact digest stream** — across plain, resubmit-heavy, and
     /// dropping programs at several burst sizes (flows repeat across
-    /// rounds, so wave cuts fire constantly).
+    /// rounds, so wave cuts fire constantly). A third pipeline takes the
+    /// same frames through the single-packet call, whose per-packet PHV,
+    /// disposition and pass count must equal the oracle's.
     #[test]
     fn wave_execution_matches_scalar() {
         const SLOTS: usize = 8;
@@ -1784,7 +1707,8 @@ mod tests {
             &[(false, false, 4), (true, false, 8), (true, true, 32), (true, true, 1)]
         {
             let (p, fields) = wave_program(SLOTS, resubmit, drop0);
-            let mut scalar = Pipeline::new(p.clone());
+            let mut oracle = Pipeline::new(p.clone());
+            let mut single = Pipeline::new(p.clone());
             let mut wave = Pipeline::new(p);
             wave.set_burst(burst, SLOTS);
             assert_eq!(wave.burst(), burst);
@@ -1800,10 +1724,13 @@ mod tests {
             for round in 0..3u64 {
                 for (i, f) in frames.iter().enumerate() {
                     let ts = round * 100 + i as u64;
-                    let s = scalar.process_frame(f, ts, &fields).unwrap();
+                    let want = oracle.process_packet_entrywalk(f, ts, &fields).unwrap();
+                    let got = single.process_packet(f, ts, &fields).unwrap();
+                    assert_eq!(got.phv, want.phv);
+                    assert_eq!((got.disposition, got.passes), (want.disposition, want.passes));
                     wave.wave_push(f, ts, &fields, &mut stats).unwrap();
                     expected.packets += 1;
-                    match s.disposition {
+                    match want.disposition {
                         Disposition::Drop => expected.drops += 1,
                         Disposition::ResubmitLimit => expected.resubmit_limited += 1,
                         Disposition::Forward => {}
@@ -1813,36 +1740,61 @@ mod tests {
             wave.wave_flush(&fields, &mut stats);
             assert_eq!(wave.wave_len(), 0);
             assert_eq!(stats, expected);
-            assert_eq!(scalar.meters(), wave.meters());
-            for s in 0..SLOTS {
-                assert_eq!(scalar.registers().read(0, s), wave.registers().read(0, s));
-            }
-            assert_eq!(scalar.take_digests(), wave.take_digests(), "digest streams must match");
-            for (ts, tw) in scalar.program().tables().iter().zip(wave.program().tables()) {
-                assert_eq!(ts.misses(), tw.misses());
-                for (es, ew) in ts.entries().iter().zip(tw.entries()) {
-                    assert_eq!(es.hits, ew.hits);
+            let want_digests = oracle.take_digests();
+            for mut pipe in [wave, single] {
+                assert_eq!(oracle.meters(), pipe.meters());
+                for s in 0..SLOTS {
+                    assert_eq!(oracle.registers().read(0, s), pipe.registers().read(0, s));
+                }
+                assert_eq!(want_digests, pipe.take_digests(), "digest streams must match");
+                for (to, tp) in oracle.program().tables().iter().zip(pipe.program().tables()) {
+                    assert_eq!(to.misses(), tp.misses());
+                    for (eo, ep) in to.entries().iter().zip(tp.entries()) {
+                        assert_eq!(eo.hits, ep.hits);
+                    }
                 }
             }
         }
     }
 
-    /// A malformed frame mid-wave is metered and rejected without
-    /// disturbing the packets already parked in the arena.
+    /// A malformed frame is metered and rejected without disturbing the
+    /// arena: on an empty wave the half-parsed slot is simply reused by
+    /// the next frame, mid-wave the parked packets survive.
     #[test]
     fn wave_push_rejects_malformed_without_losing_wave() {
         let (p, fields) = wave_program(8, false, false);
         let mut pipe = Pipeline::new(p);
         pipe.set_burst(16, 8);
         let mut stats = WaveStats::default();
+        assert!(pipe.wave_push(&[0u8; 5], 0, &fields, &mut stats).is_err());
+        assert_eq!(pipe.wave_len(), 0);
         let frame = PacketBuilder::tcp(1, 2, 3, 4).build();
-        pipe.wave_push(&frame, 0, &fields, &mut stats).unwrap();
-        assert!(pipe.wave_push(&[0u8; 5], 1, &fields, &mut stats).is_err());
+        pipe.wave_push(&frame, 1, &fields, &mut stats).unwrap();
+        assert!(pipe.wave_push(&[0u8; 5], 2, &fields, &mut stats).is_err());
         assert_eq!(pipe.wave_len(), 1, "parked packet must survive the reject");
         pipe.wave_flush(&fields, &mut stats);
         assert_eq!(stats.packets, 1);
-        assert_eq!(pipe.meters().malformed, 1);
+        assert_eq!(pipe.meters().malformed, 2);
         assert_eq!(pipe.meters().packets, 1);
+        // The single-packet call meters rejects the same way and recovers.
+        assert!(pipe.process_packet(&[0u8; 5], 3, &fields).is_err());
+        assert!(pipe.process_packet(&frame, 4, &fields).is_ok());
+        assert_eq!((pipe.meters().malformed, pipe.meters().packets), (3, 2));
+    }
+
+    /// The single-packet call refuses to jump the queue: with packets
+    /// parked in the arena it would execute ahead of them.
+    #[test]
+    #[should_panic(expected = "wave in flight; wave_flush first")]
+    fn process_packet_refuses_open_wave() {
+        let (p, fields) = wave_program(8, false, false);
+        let mut pipe = Pipeline::new(p);
+        pipe.set_burst(16, 8);
+        let mut stats = WaveStats::default();
+        let frame = PacketBuilder::tcp(1, 2, 3, 4).build();
+        pipe.wave_push(&frame, 0, &fields, &mut stats).unwrap();
+        assert_ne!(pipe.wave_len(), 0);
+        let _ = pipe.process_packet(&frame, 1, &fields);
     }
 
     /// Programs without the standard flow fields cannot form conflict

@@ -8,9 +8,10 @@
 //! caps, digests, resubmits, drops) plus random packet schedules, runs
 //! them through a banked and a split pipeline, and checks the two agree
 //! on everything: dispositions, meters, every register slot, per-entry
-//! table hits and misses, and the exact digest stream. A third, banked
-//! **wave** pipeline runs on top, so "wave ≡ scalar" is re-asserted
-//! through the bank's prefetch/addressing path too.
+//! table hits and misses, and the exact digest stream. The banked and
+//! split pipelines take one packet at a time (singleton waves, so
+//! outcomes compare per packet); a third, banked pipeline runs the same
+//! schedule as full waves, through the bank's prefetch path too.
 //!
 //! Width diversity matters here: 8/16/24/32/64-bit registers exercise
 //! every physical cell size (1/2/4/8 bytes) the bank packs, and capped
@@ -140,8 +141,8 @@ fn frame_for(flow: u32, pay: u16, dsel: u8) -> Vec<u8> {
     .to_vec()
 }
 
-/// Runs one schedule through banked-scalar, split-scalar, and
-/// banked-wave pipelines and asserts full-state equality.
+/// Runs one schedule through banked and split pipelines packet by
+/// packet and a banked pipeline in waves, and asserts full-state equality.
 fn assert_equivalent(shape: &Shape, burst: usize, packets: &[(u32, u16, u8)]) {
     let (p, fields) = build(shape);
     let mut banked = Pipeline::new(p.clone());
@@ -166,9 +167,14 @@ fn assert_equivalent(shape: &Shape, burst: usize, packets: &[(u32, u16, u8)]) {
     for (i, &(flow, pay, dsel)) in packets.iter().enumerate() {
         let frame = frame_for(flow, pay, dsel);
         let ts = i as u64 * 17;
-        let a = banked.process_frame(&frame, ts, &fields).unwrap();
-        let b = split.process_frame(&frame, ts, &fields).unwrap();
-        assert_eq!(a, b, "packet {i}: banked and split dispositions diverged");
+        let a = banked.process_packet(&frame, ts, &fields).unwrap();
+        let b = split.process_packet(&frame, ts, &fields).unwrap();
+        assert_eq!(a.phv, b.phv, "packet {i}: banked and split PHVs diverged");
+        assert_eq!(
+            (a.disposition, a.passes),
+            (b.disposition, b.passes),
+            "packet {i}: banked and split dispositions diverged"
+        );
         wave.wave_push(&frame, ts, &fields, &mut stats).unwrap();
     }
     wave.wave_flush(&fields, &mut stats);

@@ -1,16 +1,20 @@
-//! Property test: **burst (wave) execution ≡ scalar execution.**
+//! Property test: **wave execution ≡ the entry-walk oracle.**
 //!
 //! The wave executor (`Pipeline::wave_push`/`wave_flush`) claims
-//! observational equivalence with the packet-at-a-time path for any
+//! observational equivalence with packet-at-a-time execution for any
 //! program that follows the engine discipline — every packet-dependent
 //! register index derives from the canonical salt-0 flow hash. This test
 //! generates random programs under that discipline (per-flow counters
 //! with mixed ALU ops and hit/miss diversity, optional ownership-lane
 //! churn with idle-eviction timeouts, single and storm resubmits, mid-wave
 //! drops, digest emission) plus random packet schedules with heavy
-//! same-flow adjacency, and checks the two paths agree on *everything*:
+//! same-flow adjacency, and checks the wave against the reference
+//! interpreter (`Pipeline::process_packet_entrywalk`) on *everything*:
 //! wave dispositions, meters, every register slot, per-entry table hits
-//! and misses, and the exact digest stream (order included).
+//! and misses, and the exact digest stream (order included). A third
+//! pipeline takes the schedule through the single-packet call (a
+//! singleton wave per packet), whose PHV, disposition and pass count are
+//! compared with the oracle's packet by packet.
 
 use proptest::prelude::*;
 use splidt_dataplane::action::{Action, AluOp, AluOut, OwnerMode, Primitive, Source};
@@ -135,10 +139,12 @@ fn build(shape: &Shape) -> (Program, StandardFields) {
     (b.build().unwrap(), fields)
 }
 
-/// Runs one schedule through both paths and asserts full-state equality.
+/// Runs one schedule through the oracle, the wave and the single-packet
+/// call and asserts full-state equality.
 fn assert_equivalent(shape: &Shape, burst: usize, packets: &[(u32, u16, u8)]) {
     let (p, fields) = build(shape);
-    let mut scalar = Pipeline::new(p.clone());
+    let mut oracle = Pipeline::new(p.clone());
+    let mut single = Pipeline::new(p.clone());
     let mut wave = Pipeline::new(p);
     wave.set_burst(burst, shape.slots);
     let mut stats = WaveStats::default();
@@ -154,10 +160,17 @@ fn assert_equivalent(shape: &Shape, burst: usize, packets: &[(u32, u16, u8)]) {
         .flow_size(1 + pay)
         .build();
         let ts = i as u64 * 17;
-        let out = scalar.process_frame(&frame, ts, &fields).unwrap();
+        let want = oracle.process_packet_entrywalk(&frame, ts, &fields).unwrap();
+        let got = single.process_packet(&frame, ts, &fields).unwrap();
+        assert_eq!(got.phv, want.phv, "packet {i}: final PHV diverged");
+        assert_eq!(
+            (got.disposition, got.passes),
+            (want.disposition, want.passes),
+            "packet {i}: outcome diverged"
+        );
         wave.wave_push(&frame, ts, &fields, &mut stats).unwrap();
         expected.packets += 1;
-        match out.disposition {
+        match want.disposition {
             Disposition::Drop => expected.drops += 1,
             Disposition::ResubmitLimit => expected.resubmit_limited += 1,
             Disposition::Forward => {}
@@ -165,26 +178,29 @@ fn assert_equivalent(shape: &Shape, burst: usize, packets: &[(u32, u16, u8)]) {
     }
     wave.wave_flush(&fields, &mut stats);
     assert_eq!(wave.wave_len(), 0, "flush must empty the arena");
-    assert_eq!(stats, expected, "wave dispositions must match scalar outcomes");
-    assert_eq!(scalar.meters(), wave.meters(), "meters must match");
-    for r in 0..scalar.registers().len() {
-        for s in 0..shape.slots {
-            assert_eq!(
-                scalar.registers().read(r, s),
-                wave.registers().read(r, s),
-                "register {r} slot {s} diverged"
-            );
+    assert_eq!(stats, expected, "wave dispositions must match the oracle's outcomes");
+    let want_digests = oracle.take_digests();
+    for (name, mut pipe) in [("wave", wave), ("single", single)] {
+        assert_eq!(oracle.meters(), pipe.meters(), "{name}: meters must match");
+        for r in 0..oracle.registers().len() {
+            for s in 0..shape.slots {
+                assert_eq!(
+                    oracle.registers().read(r, s),
+                    pipe.registers().read(r, s),
+                    "{name}: register {r} slot {s} diverged"
+                );
+            }
         }
-    }
-    assert_eq!(
-        scalar.take_digests(),
-        wave.take_digests(),
-        "digest streams must be identical, order included"
-    );
-    for (ts, tw) in scalar.program().tables().iter().zip(wave.program().tables()) {
-        assert_eq!(ts.misses(), tw.misses(), "table miss counts diverged");
-        for (es, ew) in ts.entries().iter().zip(tw.entries()) {
-            assert_eq!(es.hits, ew.hits, "table entry hit counts diverged");
+        assert_eq!(
+            want_digests,
+            pipe.take_digests(),
+            "{name}: digest streams must be identical, order included"
+        );
+        for (to, tp) in oracle.program().tables().iter().zip(pipe.program().tables()) {
+            assert_eq!(to.misses(), tp.misses(), "{name}: table miss counts diverged");
+            for (eo, ep) in to.entries().iter().zip(tp.entries()) {
+                assert_eq!(eo.hits, ep.hits, "{name}: table entry hit counts diverged");
+            }
         }
     }
 }
@@ -211,13 +227,13 @@ proptest! {
 
 /// Deterministic digest-order check: a resubmit-heavy multi-flow wave
 /// must flush its digests **in arrival order**, packet by packet — not
-/// grouped by plan slot or pass — bit-identical to the scalar stream.
+/// grouped by plan slot or pass — bit-identical to the oracle's stream.
 #[test]
 fn wave_digests_flush_in_arrival_order() {
     const SLOTS: usize = 16;
     let shape = Shape { slots: SLOTS, owner: true, resubmit: 1, drop_slot: None, ops: vec![0, 1] };
     let (p, fields) = build(&shape);
-    let mut scalar = Pipeline::new(p.clone());
+    let mut oracle = Pipeline::new(p.clone());
     let mut wave = Pipeline::new(p);
     wave.set_burst(8, SLOTS);
     let mut stats = WaveStats::default();
@@ -233,16 +249,16 @@ fn wave_digests_flush_in_arrival_order() {
         )
         .payload(pay * 37)
         .build();
-        let out = scalar.process_frame(&frame, i as u64, &fields).unwrap();
+        let out = oracle.process_packet_entrywalk(&frame, i as u64, &fields).unwrap();
         assert_eq!(out.disposition, Disposition::Forward);
         wave.wave_push(&frame, i as u64, &fields, &mut stats).unwrap();
-        arrival_idx.push(scalar.take_digests());
+        arrival_idx.push(oracle.take_digests());
     }
     wave.wave_flush(&fields, &mut stats);
-    // Scalar digests, re-concatenated in arrival order, are the spec.
+    // The oracle's digests, re-concatenated in arrival order, are the spec.
     let expect: Vec<_> = arrival_idx.into_iter().flatten().collect();
     let got = wave.take_digests();
-    assert_eq!(got, expect, "wave digest stream must equal the arrival-order scalar stream");
+    assert_eq!(got, expect, "wave digest stream must equal the arrival-order oracle stream");
     // Both count-table passes emit per packet per pass (first + resubmit).
     assert_eq!(got.len(), packets.len() * 2 * 2);
 }

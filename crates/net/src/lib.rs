@@ -20,9 +20,13 @@
 
 pub mod gen;
 pub mod pcap;
-pub mod ring;
 pub mod service;
 pub mod source;
+
+/// The SPSC frame ring lives in `splidt-core` (the engine's shard workers
+/// and this crate's ingress service share it); `splidt_net::ring::*` paths
+/// resolve through this re-export.
+pub use splidt_core::ring;
 
 pub use gen::{replay_udp, GenConfig, GenReport};
 pub use pcap::{write_pcap, PcapSource};

@@ -75,8 +75,7 @@ for key in pps pps_burst1 pps_burst8 pps_burst32 pps_burst64 \
            allocs_per_packet hot_loop_allocs_per_packet \
            digest_ring_allocs_per_packet churn_allocs_per_packet \
            ingress_allocs_per_packet drift_allocs_per_packet \
-           burst_allocs_per_packet worker_allocs_per_packet \
-           bank_allocs_per_packet \
+           worker_allocs_per_packet bank_allocs_per_packet \
            sent received steered dropped_ring_full dropped_malformed \
            consumed socket_loss classified_floor \
            classified_flows flow_slots distinct_flows \
@@ -110,8 +109,8 @@ fi
 
 for key in hot_loop_allocs_per_packet digest_ring_allocs_per_packet \
            churn_allocs_per_packet ingress_allocs_per_packet \
-           drift_allocs_per_packet burst_allocs_per_packet \
-           worker_allocs_per_packet bank_allocs_per_packet; do
+           drift_allocs_per_packet worker_allocs_per_packet \
+           bank_allocs_per_packet; do
     v=$(metric "$candidate" "$key")
     [ -n "$v" ] || continue
     ok=$(awk -v h="$v" 'BEGIN { print (h == 0) ? 1 : 0 }')

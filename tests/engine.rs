@@ -2,6 +2,7 @@
 //! equivalence, shard-count invariance, streaming ingestion, and the
 //! backend-agnostic `Classifier` contract across all five model types.
 
+use splidt::dataplane::pipeline::WaveStats;
 use splidt::engine::DEFAULT_STAGGER_US;
 use splidt::prelude::*;
 
@@ -114,21 +115,25 @@ fn streaming_ingest_equals_batch_run() {
 
 /// `ingest_batch` is observationally identical to per-frame `ingest` —
 /// same meters, same collated digests, same final report — while draining
-/// digests once per batch on the allocation-free pipeline path.
+/// digests once per batch on the allocation-free pipeline path. So is a
+/// mixed feed: `ingest` landing on a wave `stream_push` left open runs the
+/// parked packets first, never ahead of them.
 #[test]
 fn ingest_batch_equals_per_frame_ingest() {
     let (model, test_flows) = model_and_flows(210, 45);
     let build = || EngineBuilder::new(&model).stagger_us(2_000).build().unwrap();
 
-    // Schedule identically on both engines.
+    // Schedule identically on all engines.
     let mut per_frame = build();
     let mut batched = build();
+    let mut mixed = build();
     let mut events: Vec<(u64, usize, usize)> = Vec::new();
     let mut kept: Vec<&FlowTrace> = Vec::new();
     for f in &test_flows {
         let a = per_frame.admit(f);
         let b = batched.admit(f);
         assert_eq!(a, b);
+        assert_eq!(a, mixed.admit(f));
         if let Some(a) = a {
             kept.push(f);
             let idx = kept.len() - 1;
@@ -150,6 +155,22 @@ fn ingest_batch_equals_per_frame_ingest() {
     assert_eq!(batch.digests.len() as u64, batched.meters().digests);
     assert_eq!(per_frame.meters(), batched.meters());
     assert_eq!(per_frame.report().flows, batched.report().flows);
+
+    // Three frames parked by `stream_push`, the fourth through `ingest`.
+    let mut stats = WaveStats::default();
+    for (n, (frame, ts)) in frames.iter().enumerate() {
+        if n % 4 == 3 {
+            mixed.ingest(frame, *ts).unwrap();
+        } else {
+            assert!(mixed.stream_push(frame, *ts, &mut stats));
+        }
+    }
+    let streamed = mixed.stream_report(stats, 0);
+    assert_eq!(streamed.packets as usize, frames.len() - frames.len() / 4);
+    assert_eq!(streamed.digests.len(), batch.digests.len());
+    assert_eq!(mixed.meters(), batched.meters());
+    assert_eq!(mixed.lifecycle(), batched.lifecycle());
+    assert_eq!(mixed.report().flows, batched.report().flows);
 }
 
 /// Sharded batch ingest routes every frame to the shard its flow hashes
