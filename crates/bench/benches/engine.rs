@@ -18,10 +18,11 @@
 //! Run with: `cargo bench --bench engine`
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use splidt_bench::hotpath::serialize_schedule;
-use splidt_core::engine::EngineBuilder;
+use splidt_core::engine::{Engine, EngineBuilder};
 use splidt_core::{train_partitioned, SplidtConfig};
-use splidt_flow::{catalog, generate, select_flows, stratified_split, windowed_dataset, DatasetId};
+use splidt_flow::{
+    catalog, generate, select_flows, stratified_split, windowed_dataset, DatasetId, FlowTrace,
+};
 
 fn bench_engine(c: &mut Criterion) {
     let flows = generate(DatasetId::D2, 600, 5);
@@ -32,28 +33,34 @@ fn bench_engine(c: &mut Criterion) {
     let wd = windowed_dataset(&train_flows, 3, 4);
     let model = train_partitioned(&wd, &cfg, &catalog().hardware_eligible());
     let total_packets: u64 = traffic.iter().map(|f| f.size_pkts() as u64).sum();
-    let frames = serialize_schedule(&model, &traffic);
+    let builder = || EngineBuilder::new(&model).flow_slots(1 << 16).stagger_us(1_000);
+    // `traffic` as `run` would feed it: admitted with collision filtering
+    // at the engines' slot budget, staggered, merged into one timeline.
+    let mut admitter = builder().build().expect("compiles");
+    let mut events: Vec<(u64, &FlowTrace, usize)> = Vec::new();
+    for f in &traffic {
+        if let Some(a) = admitter.admit(f) {
+            events.extend(f.packets.iter().enumerate().map(|(j, p)| (a.base_us + p.ts_us, f, j)));
+        }
+    }
+    events.sort_by_key(|&(ts, _, _)| ts);
+    let frames: Vec<(Vec<u8>, u64)> =
+        events.into_iter().map(|(ts, f, j)| (Engine::frame_for(f, j), ts)).collect();
 
     let mut group = c.benchmark_group("engine");
     group.throughput(Throughput::Elements(total_packets));
     for shards in [1usize, 2, 4, 8] {
         // Compile once per shard count; the measured loop only resets
         // register state and streams packets.
-        let builder = || {
-            EngineBuilder::new(&model)
-                .flow_slots(1 << 16)
-                .stagger_us(1_000)
-                .build_sharded(shards)
-                .expect("compiles")
-        };
-        let mut engine = builder();
+        let sharded = || builder().build_sharded(shards).expect("compiles");
+        let mut engine = sharded();
         group.bench_with_input(BenchmarkId::new("packets", shards), &shards, |b, _| {
             b.iter(|| {
                 engine.reset();
                 engine.run(&traffic).expect("runs")
             })
         });
-        let mut engine = builder();
+        let mut engine = sharded();
         group.bench_with_input(BenchmarkId::new("batch", shards), &shards, |b, _| {
             b.iter(|| {
                 engine.reset();

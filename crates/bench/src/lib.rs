@@ -7,15 +7,6 @@
 //! (default 1.0) scales flow counts and search budgets so the whole suite
 //! can run quickly on small machines.
 
-pub mod alloc_count;
-pub mod churn;
-pub mod drift;
-pub mod hotpath;
-pub mod ingress;
-pub mod lookup;
-
-pub use alloc_count::{allocation_count, CountingAlloc};
-
 use parking_lot::Mutex;
 use splidt_core::baselines::{Ideal, Leo, LeoParams, NetBeacon, NetBeaconParams, PerPacket};
 use splidt_core::engine::{Classifier, Trainable};

@@ -626,20 +626,6 @@ impl Engine {
         self.pipeline.burst()
     }
 
-    /// Rebuilds the pipeline with the legacy **split** per-stage register
-    /// arrays instead of the cache-line-coalesced flow bank — the
-    /// differential baseline the bench harness measures the banking win
-    /// against (`pps_scaled` vs `pps_scaled_split`). Semantics are
-    /// identical (held by the `banked_equals_split` property); only the
-    /// memory layout and prefetch behaviour differ. Call before any
-    /// traffic: live register state is discarded, session counters stay.
-    pub fn use_split_registers(&mut self) {
-        let burst = self.pipeline.burst();
-        let program = self.pipeline.program().clone();
-        self.pipeline = Pipeline::new_split(program);
-        self.pipeline.set_burst(burst, self.io.flow_slots);
-    }
-
     /// Streams one frame into the open wave (parse + conflict check;
     /// execution happens when the wave fills, cuts, or flushes). Returns
     /// `false` for malformed frames, which are metered and skipped.

@@ -19,8 +19,8 @@
 //!    afterwards.
 //! 3. **All slot memory is allocated up front.** Each slot owns a
 //!    fixed-size frame buffer (`max_frame` bytes), so the steady state
-//!    performs no heap allocation on either side — verified by the
-//!    `ingress_smoke` counting-allocator probe.
+//!    performs no heap allocation on either side — verified by the ring
+//!    rows of `tests/zero_alloc.rs`.
 //!
 //! The SPSC discipline is enforced by ownership: [`ring`] returns exactly
 //! one [`Producer`] and one [`Consumer`], neither of which is cloneable.

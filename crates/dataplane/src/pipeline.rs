@@ -72,7 +72,7 @@ pub struct DigestRef<'a> {
 /// allocation-free once its capacity is warm, and the warm capacity
 /// survives [`DigestBuf::clear`] — so a drain-per-batch regime reaches a
 /// zero-allocation steady state, digests included (asserted by the
-/// `hotpath_smoke` digest probe).
+/// digest-per-packet rows of `tests/zero_alloc.rs`).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct DigestBuf {
     /// Values per record (the digest-field count; may be 0).
@@ -433,8 +433,7 @@ impl Pipeline {
 
     /// Instantiates with the **split** (one-array-per-register) state
     /// layout — the pre-banking representation, kept as the reference
-    /// the `banked_equals_split` differential proptest (and the bench's
-    /// banked-vs-split comparison) runs against.
+    /// the `banked_equals_split` differential proptest runs against.
     pub fn new_split(program: Program) -> Self {
         Self::with_layout(program, false)
     }
@@ -732,8 +731,8 @@ impl Pipeline {
     /// digests, or table stats — packets may be parked here un-executed.
     ///
     /// Zero heap allocations per packet once arena and scratch
-    /// capacities are warm (asserted by the `hotpath_smoke` burst
-    /// probe).
+    /// capacities are warm (asserted by every row of
+    /// `tests/zero_alloc.rs`).
     pub fn wave_push(
         &mut self,
         frame: &[u8],

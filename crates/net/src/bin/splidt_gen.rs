@@ -11,9 +11,9 @@
 //! ```
 //!
 //! The schedule knobs (arrival gaps, lifetime scale, SYN/RST fractions)
-//! are fixed to the churn-fixture values used by `churn_smoke`, so a
-//! loopback run exercises exactly the workload the lifecycle gates were
-//! calibrated against.
+//! are fixed to the values of `perf_ledger`'s `ingress` workload, so a
+//! loopback run exercises exactly the schedule whose classified count
+//! that workload pins.
 
 use splidt_flow::{churn, frame_for, ChurnConfig, DatasetId};
 use splidt_net::gen::{replay_udp, GenConfig};

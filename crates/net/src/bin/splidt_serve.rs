@@ -76,7 +76,7 @@ fn parse_args() -> Args {
 fn main() -> ExitCode {
     let args = parse_args();
 
-    // Standard fixture model (same recipe as the churn/hot-path smokes).
+    // Standard fixture model (the recipe of `perf_ledger`'s workloads).
     let train = generate(DatasetId::D2, 220, 7);
     let (tr, _) = stratified_split(&train, 0.6, 2);
     let cfg = SplidtConfig { partitions: vec![2, 2, 2], k: 4, ..Default::default() };

@@ -859,7 +859,7 @@ impl<'a> Emitter<'a> {
         w!(o, "/* {name} -- generated by {} from the compiled SpliDT pipeline.", prov.emitter);
         w!(o, " *");
         w!(o, " * GENERATED FILE -- DO NOT EDIT. Regenerate with:");
-        w!(o, " *   cargo run --release -p splidt-bench --bin p4_smoke -- --bless");
+        w!(o, " *   SPLIDT_P4_BLESS=1 cargo test -p splidt-p4 --test golden");
         w!(o, " *");
         w!(
             o,

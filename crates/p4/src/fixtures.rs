@@ -4,8 +4,7 @@
 //! fixed dataset seed, fixed config — so the emitted P4 and manifest
 //! are byte-stable across runs and machines. The golden tests compare
 //! the live emission against the committed files under
-//! `crates/p4/golden/`; `--bless` (or `SPLIDT_P4_BLESS=1`) rewrites
-//! them.
+//! `crates/p4/golden/`; `SPLIDT_P4_BLESS=1` rewrites them.
 //!
 //! | fixture | what it exercises |
 //! |---|---|

@@ -34,7 +34,7 @@
 //! [`fixtures`] builds the three golden programs committed under
 //! `crates/p4/golden/` (default engine, TCP lifecycle policy, chained
 //! multi-partition model); the golden tests compare byte-for-byte and
-//! `--bless` regenerates.
+//! `SPLIDT_P4_BLESS=1` regenerates.
 //!
 //! ```
 //! use splidt_core::engine::Trainable;
@@ -68,8 +68,8 @@ use splidt_core::lower::Lowering;
 
 /// Emits P4 + manifest for a [`Lowering`], deriving the provenance
 /// block from the compiled engine's I/O parameters and flow-bank
-/// geometry — the convenience entry point fixtures and the smoke
-/// benchmark use. See the crate-level example.
+/// geometry — the convenience entry point the fixtures use. See the
+/// crate-level example.
 pub fn emit_lowering(
     lowering: &Lowering<'_>,
     program_name: &str,

@@ -8,12 +8,10 @@
 //! bf-runtime-style loader needs to replay the compiled model onto a
 //! switch running the emitted program. Serialization is a hand-rolled,
 //! deterministic JSON writer (the build environment has no registry
-//! access, so there is no serde_json; the bench smokes write their flat
-//! JSON the same way).
+//! access, so there is no serde_json).
 
-/// Provenance block: where a regenerated manifest came from, following
-/// the self-describing convention of `bench/baseline.json`
-/// (`sweep_frames`/`sweep_slots`). Carries `staged_generation` (the live
+/// Provenance block: where a regenerated manifest came from, so the
+/// artifact describes itself. Carries `staged_generation` (the live
 /// engine generation the program was captured at; 0 for a fresh compile)
 /// and the physical `bank_*` layout so a manifest alone answers "what
 /// hardware state does this install assume".

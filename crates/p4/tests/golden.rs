@@ -3,11 +3,10 @@
 //! `crates/p4/golden/`, pass the structural validator, and recount to
 //! exactly the resource counts the analytic model predicts.
 //!
-//! Regenerate after an intentional emitter change with either:
+//! Regenerate after an intentional emitter change with:
 //!
 //! ```text
 //! SPLIDT_P4_BLESS=1 cargo test -p splidt-p4 --test golden
-//! cargo run --release -p splidt-bench --bin p4_smoke -- --bless
 //! ```
 
 use std::fs;

@@ -1,12 +1,14 @@
 //! Network-ingress subsystem tests: ring backpressure (drop-and-count,
 //! never block), graceful shutdown (close → drain → report, no digest
-//! loss), exact accounting reconciliation against malformed input, and
-//! the sharded engine's pre-dispatch malformed counting.
+//! loss), exact accounting reconciliation against malformed input and
+//! across a real loopback socket, and the sharded engine's pre-dispatch
+//! malformed counting.
 
-use splidt::flow::{churn, frame_for, ChurnConfig};
+use splidt::flow::{churn, frame_for, ChurnConfig, ChurnSchedule};
 use splidt::net::{ring, run_ingress, IngressConfig, PushError, ReplaySource};
 use splidt::prelude::*;
 use std::sync::OnceLock;
+use std::time::Duration;
 
 /// The shared small model (training dominates test time).
 fn model() -> &'static PartitionedTree {
@@ -27,9 +29,9 @@ fn sharded(n: usize) -> ShardedEngine {
         .expect("compiles")
 }
 
-/// A modest churn schedule serialized to wire frames in timeline order.
-fn wire_frames(flows: usize, seed: u64) -> Vec<(Vec<u8>, u64)> {
-    let schedule = churn(
+/// A modest churn schedule.
+fn schedule(flows: usize, seed: u64) -> ChurnSchedule {
+    churn(
         DatasetId::D2,
         &ChurnConfig {
             flows,
@@ -40,7 +42,12 @@ fn wire_frames(flows: usize, seed: u64) -> Vec<(Vec<u8>, u64)> {
             seed,
             ..Default::default()
         },
-    );
+    )
+}
+
+/// [`schedule`] serialized to wire frames in timeline order.
+fn wire_frames(flows: usize, seed: u64) -> Vec<(Vec<u8>, u64)> {
+    let schedule = schedule(flows, seed);
     schedule.events().into_iter().map(|(ts, i, j)| (frame_for(&schedule.flows[i], j), ts)).collect()
 }
 
@@ -172,4 +179,41 @@ fn sharded_ingest_counts_predispatch_malformed_frames() {
     let report = engine.ingest_batch(&frames).unwrap();
     assert_eq!(report.malformed, 2, "pre-dispatch rejects are counted");
     assert_eq!(report.packets, total - 2);
+}
+
+/// The whole service across a real socket, in process: `replay_udp` on a
+/// scoped thread → loopback UDP → `UdpSource` → `run_ingress` → one
+/// shard, through the stop-sentinel shutdown. Only the accounting is
+/// held exactly: the kernel may drop datagrams a slow receiver leaves
+/// queued — loss outside the subsystem's boundary, and every lost packet
+/// costs a classified flow — so beyond "some flow classifies" the count
+/// is not this test's. The floor is `splidt-serve --expect-classified`'s,
+/// the paced lossless count `perf_ledger`'s `ingress` workload's.
+#[test]
+fn udp_loopback_session_reconciles() {
+    let schedule = schedule(96, 29);
+    let source =
+        UdpSource::bind("127.0.0.1:0").expect("loopback bind").idle_exit(Duration::from_secs(5));
+    let addr = source.local_addr().expect("bound socket has an addr");
+    let mut engine = sharded(1);
+    let cfg = IngressConfig { ring_capacity: 4096, ..IngressConfig::default() };
+
+    let (outcome, sent) = std::thread::scope(|s| {
+        let sender = s.spawn(|| {
+            // ~3.5K pps: slow enough that a debug-build consumer sharing two
+            // cores with sibling tests keeps up, so whole flows survive.
+            let paced = GenConfig { time_scale: 16.0, ..GenConfig::default() };
+            replay_udp(&schedule, addr, &paced).expect("loopback replay").sent
+        });
+        let outcome = run_ingress(&mut engine, source, &cfg).expect("ingress session");
+        (outcome, sender.join().expect("sender panicked"))
+    });
+
+    let stats = &outcome.stats;
+    assert!(stats.reconciles(), "ingress accounting: {stats:?}");
+    let consumed: u64 = stats.shards.iter().map(|sh| sh.consumed).sum();
+    assert_eq!(consumed, stats.steered, "every steered frame drained before the report");
+    assert!(sent >= stats.received, "sent {sent}, received {}", stats.received);
+    assert!(outcome.report.lifecycle.reconciles(), "{:?}", outcome.report.lifecycle);
+    assert!(!outcome.batch.digests.is_empty(), "the session must classify flows");
 }

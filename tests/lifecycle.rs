@@ -323,13 +323,14 @@ fn decided_slot_is_recycled_in_band() {
 /// Acceptance (scaled to debug-test budget): an engine with bounded
 /// register memory classifies ≥ 8× `flow_slots` distinct flows in one
 /// run, with counters that reconcile exactly. The full-size version
-/// (256 slots, 4096 flows) is gated in CI by `churn_smoke`.
+/// (256 slots, 4096 flows) is pinned at an exact classified count by
+/// `perf_ledger`'s `ingress` workload.
 #[test]
 fn bounded_slots_classify_8x_distinct_flows() {
     let slots = 64usize;
-    // Same slot load factor as the full-size churn_smoke fixture (~0.1
-    // concurrent flows per slot): 64 slots get 4x the arrival gap that
-    // 256 slots run with.
+    // Same slot load factor as that full-size schedule (~0.1 concurrent
+    // flows per slot): 64 slots get 4x the arrival gap that 256 slots
+    // run with.
     let schedule = churn(
         DatasetId::D2,
         &ChurnConfig {

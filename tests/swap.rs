@@ -10,6 +10,7 @@ use splidt::dataplane::pipeline::{Digest, Disposition};
 use splidt::dataplane::register::owner_lane;
 use splidt::flow::{churn, ChurnConfig, DriftProfile};
 use splidt::prelude::*;
+use std::collections::HashMap;
 use std::sync::OnceLock;
 
 /// The live model (shared; training dominates test time).
@@ -403,4 +404,109 @@ fn reset_quiesces_open_wave() {
     da.sort();
     db.sort();
     assert_eq!(da, db, "a reset engine must replay like a fresh one");
+}
+
+/// Drift recovery across a live swap — the whole online-training loop on
+/// one deterministic 4,096-flow churn schedule over 256 slots: a
+/// batch-trained model serves the first half; at flow 2,048 class
+/// behaviour rotates (flows keep their labels, act like the next class)
+/// and accuracy under the stale model collapses; the digest tap, reset at
+/// the drift alarm so it sees post-drift traffic only, retrains a
+/// replacement; `stage_model` compiles it off-thread while live churn
+/// keeps flowing; `swap_staged` flips the pipeline and the rest of the
+/// schedule measures recovery. The floor is calibrated against the
+/// fixture's own pre-drift reference (~0.50 — quantized data-plane
+/// inference): the stale model degrades to ~0.15, the retrained one
+/// recovers to ~0.43, and the run is deterministic, so 0.35 only needs
+/// cross-platform float margin.
+#[test]
+fn retrained_model_recovers_accuracy_across_live_swap() {
+    const FLOWS: usize = 4096;
+    const DRIFT_AT: usize = 2048;
+    const STAGE_AT: usize = 3072;
+    const SWAP_AT: usize = 3328;
+    const RECOVERY_FLOOR: f64 = 0.35;
+
+    let train = generate(DatasetId::D2, 220, 7);
+    let (tr, _) = stratified_split(&train, 0.6, 2);
+    let cfg = SplidtConfig { partitions: vec![2, 2, 2], k: 4, ..Default::default() };
+    let wd = windowed_dataset(&select_flows(&train, &tr), 3, 4);
+    let model = train_partitioned(&wd, &cfg, &catalog().hardware_eligible());
+    let schedule = churn(
+        DatasetId::D2,
+        &ChurnConfig {
+            flows: FLOWS,
+            mean_arrival_gap_us: 500,
+            lifetime_scale: 0.05,
+            drift_at: Some(DRIFT_AT),
+            drift_profile: DriftProfile::default(),
+            seed: 13,
+            ..Default::default()
+        },
+    );
+
+    let mut engine =
+        EngineBuilder::new(&model).flow_slots(256).idle_timeout_us(100_000).build().unwrap();
+    let trainer = StreamingTrainer::new(
+        model.config.clone(),
+        model.n_classes,
+        &StreamingTrainerParams::default(),
+    );
+    let mut tap = DigestTap::new(trainer);
+    for f in &schedule.flows {
+        tap.register_flow(f);
+    }
+    engine.attach_tap(tap);
+
+    // Feeds the schedule slice covering flows `lo..hi` through the batch
+    // path and scores its verdict digests: `(hits, verdicts)`.
+    let labels: HashMap<u64, u16> =
+        schedule.flows.iter().map(|f| (canonical_flow_fp(f), f.label)).collect();
+    let events = schedule.events();
+    let phase = |engine: &mut Engine, lo: usize, hi: usize| {
+        let frames: Vec<(Vec<u8>, u64)> = events
+            .iter()
+            .filter(|&&(_, i, _)| lo <= i && i < hi)
+            .map(|&(ts, i, j)| (Engine::frame_for(&schedule.flows[i], j), ts))
+            .collect();
+        let io = engine.io().clone();
+        let report =
+            engine.ingest_batch(frames.iter().map(|(f, ts)| (f.as_slice(), *ts))).expect("ingests");
+        let (mut hits, mut verdicts) = (0u64, 0u64);
+        for d in &report.digests {
+            if let Some(&label) = labels.get(&d.values[io.digest_fp]) {
+                verdicts += 1;
+                hits += u64::from(d.values[io.digest_class] as u16 == label);
+            }
+        }
+        (hits, verdicts)
+    };
+    let accuracy = |(hits, verdicts): (u64, u64)| hits as f64 / verdicts.max(1) as f64;
+
+    let pre = phase(&mut engine, 0, DRIFT_AT);
+    engine.tap_mut().unwrap().reset_observations();
+    let stale = phase(&mut engine, DRIFT_AT, STAGE_AT);
+
+    let tap_fed = engine.tap().unwrap().stats().fed;
+    let retrained = engine.tap_mut().unwrap().train().expect("stream retrain");
+    engine.stage_model(retrained).expect("stages");
+    let staging = phase(&mut engine, STAGE_AT, SWAP_AT);
+
+    // Flow state is carried across the flip, not rebuilt.
+    let before = (engine.lifecycle(), engine.slot_pressure().total, engine.meters().packets);
+    engine.swap_staged().expect("swaps");
+    let after = (engine.lifecycle(), engine.slot_pressure().total, engine.meters().packets);
+    assert_eq!(before, after, "lifecycle, pressure and meters must carry across the swap instant");
+
+    let recovered = accuracy(phase(&mut engine, SWAP_AT, FLOWS));
+    let degraded = accuracy((stale.0 + staging.0, stale.1 + staging.1));
+    println!(
+        "accuracy: pre-drift {:.3}, degraded {degraded:.3}, recovered {recovered:.3}",
+        accuracy(pre)
+    );
+    assert!(recovered >= RECOVERY_FLOOR, "recovered {recovered:.3} under {RECOVERY_FLOOR}");
+    assert!(recovered > degraded, "recovered {recovered:.3} vs degraded {degraded:.3}");
+    assert_eq!(engine.swaps(), 1);
+    assert!(tap_fed > 0, "the tap must have fed post-drift flows to the trainer");
+    assert!(engine.lifecycle().reconciles(), "{:?}", engine.lifecycle());
 }
