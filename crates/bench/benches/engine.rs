@@ -11,9 +11,9 @@
 //!   steady-state zero-allocation hot path with digests drained once per
 //!   batch. The gap between the two is the session-bookkeeping overhead.
 //!
-//! Shards are driven on OS threads, so the scaling curve tracks the
-//! machine: on a single-core runner all counts report ~equal throughput;
-//! speedup appears as cores do.
+//! Both fan out on one scoped thread per shard, so the scaling curve
+//! tracks the machine: on a single-core runner all counts report ~equal
+//! throughput; speedup appears as cores do.
 //!
 //! Run with: `cargo bench --bench engine`
 

@@ -7,6 +7,8 @@
 //! (default 1.0) scales flow counts and search budgets so the whole suite
 //! can run quickly on small machines.
 
+#![deny(unsafe_code)]
+
 use parking_lot::Mutex;
 use splidt_core::baselines::{Ideal, Leo, LeoParams, NetBeacon, NetBeaconParams, PerPacket};
 use splidt_core::engine::{Classifier, Trainable};

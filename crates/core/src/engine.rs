@@ -14,8 +14,9 @@
 //!    pipeline, [`Engine::report`] scores against ground truth (the
 //!    MoonGen → Tofino → digest-collector loop of the testbed).
 //! 3. [`ShardedEngine`] — N independent pipeline shards addressed by
-//!    canonical flow hash, driven on OS threads: the throughput-scaling
-//!    knob (one shard ≙ one hardware pipe; Tofino1 has 4).
+//!    canonical flow hash, fanned out on one scoped thread per shard: the
+//!    throughput-scaling knob (one shard ≙ one hardware pipe; Tofino1
+//!    has 4).
 //!
 //! Digest collation is keyed by the flow's **canonical register slot**
 //! (the same index the data plane's `HashFlow` primitive computes), not by
@@ -30,12 +31,10 @@ use crate::error::SplidtError;
 use crate::model::PartitionedTree;
 use crate::resources::{splidt_footprint, ModelFootprint};
 use crate::runtime::{
-    canonical_flow_index, FlowOutcome, LifecycleStats, RuntimeReport, SlotPressure, PRESSURE_TOP_K,
+    canonical_flow_index, shard_of_frame, FlowOutcome, LifecycleStats, RuntimeReport, SlotPressure,
+    PRESSURE_TOP_K,
 };
 use crate::stream::DigestTap;
-use crate::workers::{PinHook, WorkerPool};
-use splidt_dataplane::hash::flow_index;
-use splidt_dataplane::parser::peek_flow_tuple;
 use splidt_dataplane::pipeline::{Digest, Meters, Pipeline, ProcessOutcome, WaveStats};
 use splidt_dataplane::program::Program;
 use splidt_dataplane::register::owner_lane;
@@ -369,8 +368,6 @@ impl<'m> EngineBuilder<'m> {
             collisions_skipped: 0,
             slot_owner: HashMap::new(),
             placement: Vec::new(),
-            pool: None,
-            pin_hook: None,
         })
     }
 }
@@ -463,10 +460,6 @@ pub struct Engine {
     swaps: u64,
     /// Staging generation: total models ever staged (swapped or not).
     generation: u64,
-    /// Wave outcomes of engine-initiated flushes ([`Engine::swap_staged`]
-    /// or [`Engine::ingest`] quiescing an open wave) — merged into the
-    /// next [`Engine::stream_report`] so no packet's disposition is lost.
-    carry_stats: WaveStats,
 }
 
 impl Engine {
@@ -499,7 +492,6 @@ impl Engine {
             tap: None,
             swaps: 0,
             generation: 0,
-            carry_stats: WaveStats::default(),
         }
     }
 
@@ -588,21 +580,13 @@ impl Engine {
     }
 
     /// Pushes one frame through the pipeline at `ts_us` as a singleton
-    /// wave and returns its outcome; a wave [`Engine::stream_push`] left
-    /// open runs first, so a mixed feed executes in arrival order.
-    /// Malformed frames are recoverable errors, not panics. Allocates the
-    /// returned PHV; throughput loops use [`Engine::ingest_batch`].
+    /// wave and returns its outcome. No public call returns with a wave
+    /// open, so the frame runs after every frame fed before it. Malformed
+    /// frames are recoverable errors, not panics. Allocates the returned
+    /// PHV; throughput loops use [`Engine::ingest_batch`].
     pub fn ingest(&mut self, frame: &[u8], ts_us: u64) -> Result<ProcessOutcome, SplidtError> {
-        self.quiesce();
         let fields = self.io.fields;
         Ok(self.pipeline.process_packet(frame, ts_us, &fields)?)
-    }
-
-    /// Runs whatever wave the caller left open to completion, parking its
-    /// dispositions in `carry_stats` for the next [`Engine::stream_report`].
-    fn quiesce(&mut self) {
-        let fields = self.io.fields;
-        self.pipeline.wave_flush(&fields, &mut self.carry_stats);
     }
 
     /// Reconfigures the wave capacity of the batch hot path: up to
@@ -626,32 +610,14 @@ impl Engine {
         self.pipeline.burst()
     }
 
-    /// Streams one frame into the open wave (parse + conflict check;
-    /// execution happens when the wave fills, cuts, or flushes). Returns
-    /// `false` for malformed frames, which are metered and skipped.
-    /// Dispositions accumulate into `stats` as waves retire; callers
-    /// finish with [`Engine::stream_report`] (or at least
-    /// [`Engine::stream_flush`]) before reading session state.
-    pub fn stream_push(&mut self, frame: &[u8], ts_us: u64, stats: &mut WaveStats) -> bool {
+    /// Closes a batch: runs the open wave, drains + collates digests and
+    /// tallies the batch's dispositions (`stats`, plus the caller's
+    /// `malformed` count) into a [`BatchReport`]. The one tail of
+    /// [`Engine::ingest_batch`] and `feed_admitted`, which is why no
+    /// public call returns with a wave open.
+    fn finish_batch(&mut self, mut stats: WaveStats, malformed: u64) -> BatchReport {
         let fields = self.io.fields;
-        self.pipeline.wave_push(frame, ts_us, &fields, stats).is_ok()
-    }
-
-    /// Runs whatever the open wave holds, leaving the pipeline quiesced.
-    pub fn stream_flush(&mut self, stats: &mut WaveStats) {
-        let fields = self.io.fields;
-        self.pipeline.wave_flush(&fields, stats);
-    }
-
-    /// Finishes a streamed batch: flushes the open wave, folds in any
-    /// engine-initiated flushes ([`Engine::swap_staged`] or
-    /// [`Engine::ingest`] mid-stream), drains + collates digests, and
-    /// assembles the [`BatchReport`].
-    /// `malformed` is the caller's count of [`Engine::stream_push`]
-    /// rejects for this batch.
-    pub fn stream_report(&mut self, mut stats: WaveStats, malformed: u64) -> BatchReport {
-        self.stream_flush(&mut stats);
-        stats.merge(&std::mem::take(&mut self.carry_stats));
+        self.pipeline.wave_flush(&fields, &mut stats);
         BatchReport {
             packets: stats.packets,
             drops: stats.drops,
@@ -685,7 +651,7 @@ impl Engine {
                 malformed += 1;
             }
         }
-        Ok(self.stream_report(stats, malformed))
+        Ok(self.finish_batch(stats, malformed))
     }
 
     /// Drains digests off the pipeline, collating them by canonical
@@ -780,10 +746,8 @@ impl Engine {
             .handle
             .join()
             .map_err(|_| SplidtError::Config("staged model compile thread panicked".into()))??;
-        // Drain-then-flip: any wave the caller left open via
-        // `stream_push` executes to completion under the OLD program —
-        // no packet ever straddles two programs.
-        self.quiesce();
+        // No public call returns with a wave open, so no packet straddles
+        // two programs; `swap_program` asserts it.
         let carry = [(self.io.lifecycle_table, compiled.io.lifecycle_table)];
         self.pipeline.swap_program(compiled.program, &carry);
         self.model = staged.model;
@@ -1024,7 +988,7 @@ impl Engine {
             Self::frame_for_into(&self.admitted[i].flow, j, &mut frame);
             self.pipeline.wave_push(&frame, ts, &fields, &mut stats)
         });
-        self.stream_report(stats, 0);
+        self.finish_batch(stats, 0);
         Ok(fed?)
     }
 
@@ -1036,11 +1000,6 @@ impl Engine {
     /// attached tap (observations *and* registrations) — a reset engine
     /// must behave bit-for-bit like a fresh one.
     pub fn reset(&mut self) {
-        // An open wave executes to completion first, then the wipe below
-        // discards its outcomes with the rest of the session — so reset
-        // never leaves half-executed packets parked in the arena.
-        self.quiesce();
-        self.carry_stats = WaveStats::default();
         self.pipeline.reset_state();
         self.admitted.clear();
         self.fed = 0;
@@ -1060,10 +1019,36 @@ impl Engine {
 
 // ---------------------------------------------------------------- sharding
 
+/// Runs `f(w, &mut items[w])` for every item on its own scoped thread and
+/// returns the results in item order. Every thread is joined before the
+/// first error is returned, and a thread that panicked comes back as
+/// `SplidtError::Config("shard {w} panicked")` — an error, never a hang.
+fn fan_out<T, R, F>(items: &mut [T], f: F) -> Result<Vec<R>, SplidtError>
+where
+    T: Send,
+    R: Send,
+    F: Fn(usize, &mut T) -> Result<R, SplidtError> + Sync,
+{
+    let f = &f;
+    let joined: Vec<Result<R, SplidtError>> = std::thread::scope(|s| {
+        let handles: Vec<_> =
+            items.iter_mut().enumerate().map(|(w, item)| s.spawn(move || f(w, item))).collect();
+        handles
+            .into_iter()
+            .enumerate()
+            .map(|(w, h)| {
+                h.join().unwrap_or_else(|_| Err(SplidtError::Config(format!("shard {w} panicked"))))
+            })
+            .collect()
+    });
+    joined.into_iter().collect()
+}
+
 /// N independent pipeline shards addressed by canonical flow hash and
-/// driven on OS threads — the first real throughput-scaling knob. Flows
-/// never share registers across shards (each shard owns a full register
-/// file), so per-flow verdicts are identical to a single-shard engine.
+/// fanned out on one scoped thread per shard — the throughput-scaling
+/// knob. Flows never share registers across shards (each shard owns a
+/// full register file), so per-flow verdicts are identical to a
+/// single-shard engine.
 pub struct ShardedEngine {
     shards: Vec<Engine>,
     flow_slots: usize,
@@ -1074,14 +1059,6 @@ pub struct ShardedEngine {
     /// Shard of each admitted flow, in global admission order — persistent
     /// so repeated `run` calls merge cumulative shard reports correctly.
     placement: Vec<usize>,
-    /// Persistent shard workers (one thread per shard), built lazily by
-    /// the first [`ShardedEngine::ingest_batch`] and kept alive across
-    /// batches — no per-batch thread spawn. Rebuilt if a batch carries a
-    /// frame longer than the pool's ring slots; dropped by `reset`.
-    pool: Option<WorkerPool>,
-    /// Optional core-pinning hook applied to each worker thread at
-    /// startup (takes effect when the pool is next (re)built).
-    pin_hook: Option<PinHook>,
 }
 
 impl ShardedEngine {
@@ -1121,57 +1098,26 @@ impl ShardedEngine {
     }
 
     /// The shard a raw frame hashes to, read straight off the wire bytes
-    /// (same canonical ordering and hash as the data plane's `HashFlow`),
-    /// so batch dispatch agrees with [`ShardedEngine::shard_of`].
+    /// by [`runtime::shard_of_frame`](crate::runtime::shard_of_frame) —
+    /// the steering `run_ingress` uses too — so batch dispatch agrees
+    /// with [`ShardedEngine::shard_of`].
     pub fn shard_of_frame(&self, frame: &[u8]) -> Result<usize, SplidtError> {
-        let t = peek_flow_tuple(frame)?;
-        let (sip, dip, sp, dp) =
-            splidt_dataplane::hash::canonical_order(t.src_ip, t.dst_ip, t.sport, t.dport);
-        Ok(flow_index(sip, dip, sp, dp, t.proto, self.flow_slots) % self.shards.len())
+        Ok(shard_of_frame(frame, self.flow_slots, self.shards.len())?)
     }
 
-    /// Installs a core-pinning hook: invoked with the worker (shard)
-    /// index on each worker thread at startup. Takes effect when the
-    /// worker pool is next (re)built — call before the first
-    /// [`ShardedEngine::ingest_batch`] (or after a `reset`, which drops
-    /// the pool) to pin the whole fleet.
-    pub fn set_pin_hook(&mut self, hook: PinHook) {
-        self.pin_hook = Some(hook);
-        // Force a rebuild so the hook applies to the next batch's workers.
-        self.pool = None;
-    }
-
-    /// The persistent worker pool sized for this batch: built on first
-    /// use, kept across batches, rebuilt only if the shard count changed
-    /// (it cannot today) or a frame outgrows the ring slots.
-    fn ensure_pool(&mut self, max_frame: usize) -> &mut WorkerPool {
-        let rebuild = match &self.pool {
-            Some(p) => p.len() != self.shards.len() || p.max_frame() < max_frame,
-            None => true,
-        };
-        if rebuild {
-            // Headroom so a slightly longer frame next batch doesn't force
-            // another teardown; floor keeps tiny test frames from building
-            // toy rings.
-            let slot = max_frame.max(2048).next_power_of_two();
-            self.pool = Some(WorkerPool::new(self.shards.len(), slot, self.pin_hook.as_ref()));
-        }
-        self.pool.as_mut().expect("pool just ensured")
-    }
-
-    /// Batch ingest across shards: frames are routed by canonical flow
+    /// Batch ingest across shards: frames are bucketed by canonical flow
     /// hash (agreeing with the single-shard engine flow-for-flow), each
-    /// shard's sub-batch is streamed over an SPSC ring to that shard's
-    /// **persistent worker thread** (spawned once, reused every batch),
-    /// and the per-shard [`BatchReport`]s are merged in shard order.
-    /// Digests are drained once per shard per batch — not once per
-    /// packet — and each shard runs the burst-mode wave executor.
+    /// shard's [`Engine::ingest_batch`] runs over its bucket on its own
+    /// scoped thread, borrowing the caller's frames (no copy), and the
+    /// per-shard [`BatchReport`]s are merged in shard order. Digests are
+    /// drained once per shard per batch — not once per packet — and each
+    /// shard runs the burst-mode wave executor. A panicking shard `w`
+    /// surfaces as `Err(SplidtError::Config("shard {w} panicked"))`.
     ///
     /// Frames the steering peek rejects are counted into the merged
-    /// report's `malformed` **at dispatch** and never enqueued — the
+    /// report's `malformed` **at dispatch** and never reach a shard — the
     /// shard-side parser therefore rejects nothing, which the merge
-    /// asserts (reconciliation: dispatcher rejects + shard rejects must
-    /// equal total rejects, and the latter term is structurally zero).
+    /// asserts.
     ///
     /// Frames are **borrowed** (`F: AsRef<[u8]>`), so callers batch
     /// `&[u8]` slices, `Vec<u8>`s or `Bytes` alike without allocating an
@@ -1183,50 +1129,24 @@ impl ShardedEngine {
         let n = self.shards.len();
         let mut buckets: Vec<Vec<usize>> = vec![Vec::new(); n];
         let mut merged = BatchReport::default();
-        let mut max_frame = 0usize;
         for (i, (frame, _)) in frames.iter().enumerate() {
-            match self.shard_of_frame(frame.as_ref()) {
-                Ok(shard) => {
-                    max_frame = max_frame.max(frame.as_ref().len());
-                    buckets[shard].push(i);
-                }
+            match shard_of_frame(frame.as_ref(), self.flow_slots, n) {
+                Ok(shard) => buckets[shard].push(i),
                 // The steering peek walks the same headers as the shard
-                // parser, so a reject here is exactly a parse reject:
-                // count it at dispatch instead of burning a shard slot
-                // (the old path routed these to shard 0 just to have its
-                // parser re-reject them).
+                // parser, so a reject here is exactly a parse reject.
                 Err(_) => merged.malformed += 1,
             }
         }
-        self.ensure_pool(max_frame);
-        // Borrow-split: lift the pool out of its Option for the batch so
-        // the worker channels and the shard engines are borrowed from
-        // disjoint places (it goes back before we return).
-        let mut pool = self.pool.take().expect("ensure_pool populated it");
-        // Open a batch on every worker, then feed the buckets. The rings
-        // are deep enough that the fan-out loop rarely waits; workers
-        // drain concurrently while we are still pushing.
-        for (w, shard) in self.shards.iter_mut().enumerate() {
-            pool.begin_batch(w, shard as *mut Engine);
-        }
-        for (w, bucket) in buckets.iter().enumerate() {
-            for &i in bucket {
-                pool.push(w, frames[i].0.as_ref(), frames[i].1);
-            }
-            pool.end_batch(w);
-        }
-        // Blocking on every report before returning is what makes the
-        // raw-pointer hand-off sound (see `crate::workers`): no engine
-        // borrow survives this method.
-        for w in 0..n {
-            let report = pool.collect(w);
+        let reports = fan_out(&mut self.shards, |w, shard| {
+            shard.ingest_batch(buckets[w].iter().map(|&i| (frames[i].0.as_ref(), frames[i].1)))
+        })?;
+        for (w, report) in reports.into_iter().enumerate() {
             debug_assert_eq!(
                 report.malformed, 0,
                 "dispatcher pre-filters malformed frames; shard {w} re-rejected some"
             );
             merged.merge(report);
         }
-        self.pool = Some(pool);
         Ok(merged)
     }
 
@@ -1258,9 +1178,10 @@ impl ShardedEngine {
 
     /// Batch driver: globally schedule flows (identical collision
     /// filtering and stagger bases to a single-shard engine), partition
-    /// them by flow hash, feed every shard on its own thread, then merge
-    /// the per-shard reports back into one [`RuntimeReport`] whose
-    /// per-flow outcomes are in global admission order.
+    /// them by flow hash, feed every shard on its own scoped thread, then
+    /// merge the per-shard reports back into one [`RuntimeReport`] whose
+    /// per-flow outcomes are in global admission order. A panicking shard
+    /// is an `Err`, as in [`ShardedEngine::ingest_batch`].
     ///
     /// Cumulative like [`Engine::run`]: a second `run` without
     /// [`ShardedEngine::reset`] admits only new flows (repeats are counted
@@ -1283,26 +1204,10 @@ impl ShardedEngine {
             self.shards[shard].admit_at(f, base);
             self.placement.push(shard);
         }
-        // Feed shards in parallel and collect their reports.
-        let mut results: Vec<Option<Result<RuntimeReport, SplidtError>>> =
-            (0..n).map(|_| None).collect();
-        std::thread::scope(|s| {
-            let mut handles = Vec::new();
-            for (idx, shard) in self.shards.iter_mut().enumerate() {
-                handles.push(s.spawn(move || {
-                    let fed = shard.feed_admitted();
-                    (idx, fed.map(|()| shard.report()))
-                }));
-            }
-            for h in handles {
-                let (idx, r) = h.join().expect("shard worker panicked");
-                results[idx] = Some(r);
-            }
-        });
-        let mut reports = Vec::with_capacity(n);
-        for r in results {
-            reports.push(r.expect("all shards joined")?);
-        }
+        let reports = fan_out(&mut self.shards, |_, shard| {
+            shard.feed_admitted()?;
+            Ok(shard.report())
+        })?;
 
         // Merge: outcomes back into global admission order.
         let mut cursors = vec![0usize; n];
@@ -1352,16 +1257,39 @@ impl ShardedEngine {
         })
     }
 
-    /// Resets every shard (keeps compiled programs). Also shuts down the
-    /// persistent worker threads (drained and joined — no batch can be in
-    /// flight under `&mut self`); the next `ingest_batch` rebuilds them.
+    /// Resets every shard (keeps compiled programs).
     pub fn reset(&mut self) {
-        self.pool = None;
         for s in &mut self.shards {
             s.reset();
         }
         self.collisions_skipped = 0;
         self.slot_owner.clear();
         self.placement.clear();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A shard that panics mid-fan-out is a typed error naming it: the
+    /// call returns (no hang) after its siblings ran to completion.
+    #[test]
+    fn panicking_shard_is_a_typed_error() {
+        let mut counters = [0u64; 3];
+        let out = fan_out(&mut counters, |w, c| {
+            if w == 1 {
+                panic!("injected shard failure");
+            }
+            for _ in 0..10_000 {
+                *c += 1;
+            }
+            Ok(w)
+        });
+        match out {
+            Err(SplidtError::Config(m)) => assert!(m.contains("shard 1"), "{m}"),
+            other => panic!("expected a Config error naming shard 1, got {other:?}"),
+        }
+        assert_eq!(counters, [10_000, 0, 10_000], "shards 0 and 2 run to completion");
     }
 }

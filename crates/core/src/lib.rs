@@ -11,7 +11,8 @@
 //!   MAT, register allocation, resubmission protocol);
 //! * [`engine`] — the session-oriented streaming engine: the [`Classifier`]
 //!   contract shared by SpliDT and every baseline, compile-once
-//!   [`Engine`]s, and thread-per-shard [`ShardedEngine`]s;
+//!   [`Engine`]s, and [`ShardedEngine`]s fanning each batch out on one
+//!   scoped thread per shard;
 //! * [`error`] — the crate-level [`SplidtError`];
 //! * [`runtime`] — batch wrappers over the engine with
 //!   digest-vs-software equivalence checking;
@@ -24,6 +25,8 @@
 //!   analyses (Tables 1/5, Figure 10);
 //! * [`baselines`] — NetBeacon, Leo, per-packet and ideal comparators.
 
+#![deny(unsafe_code)]
+
 pub mod baselines;
 pub mod compile;
 pub mod config;
@@ -33,12 +36,12 @@ pub mod lower;
 pub mod model;
 pub mod recirc;
 pub mod resources;
+#[allow(unsafe_code)] // the SPSC slot hand-off; see the module's SAFETY notes
 pub mod ring;
 pub mod runtime;
 pub mod stream;
 pub mod train;
 pub mod ttd;
-pub mod workers;
 
 /// Default feature precision (bits) — re-exported for configs.
 pub const FEATURE_BITS_DEFAULT: u8 = splidt_flow::FEATURE_BITS;
@@ -64,4 +67,3 @@ pub use runtime::{
 };
 pub use stream::{DigestTap, DigestTapStats, StreamingTrainer, StreamingTrainerParams};
 pub use train::{evaluate_partitioned, train_partitioned};
-pub use workers::PinHook;

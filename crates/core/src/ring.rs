@@ -1,9 +1,9 @@
 //! Bounded single-producer / single-consumer frame rings — the hand-off
 //! between a frame dispatcher and one shard's run-to-completion
-//! consumer. Two subsystems share this implementation: the `splidt-net`
-//! ingress service (receiver thread → shard consumer threads) and the
-//! engine's persistent shard workers ([`crate::workers`], dispatcher →
-//! worker batches).
+//! consumer. Its one user is the `splidt-net` ingress service (receiver
+//! thread → shard consumer threads); a batch already in memory needs no
+//! ring, so `ShardedEngine::ingest_batch` lends its frames to the shards
+//! directly.
 //!
 //! Design constraints, in order:
 //!

@@ -20,6 +20,7 @@ use crate::engine::{Engine, EngineBuilder};
 use crate::error::SplidtError;
 use crate::model::PartitionedTree;
 use splidt_dataplane::hash::{canonical_order, flow_index, owner_fingerprint};
+use splidt_dataplane::parser::{peek_flow_tuple, ParseError};
 use splidt_dataplane::pipeline::Meters;
 use splidt_flow::FlowTrace;
 
@@ -261,6 +262,21 @@ pub fn canonical_flow_index(f: &FlowTrace, slots: usize) -> usize {
     let t = f.tuple;
     let (sip, dip, sp, dp) = canonical_order(t.src_ip, t.dst_ip, t.src_port, t.dst_port);
     flow_index(sip, dip, sp, dp, t.proto, slots)
+}
+
+/// The shard a raw frame steers to: its canonically ordered 5-tuple,
+/// read off the wire bytes, hashed exactly as [`canonical_flow_index`]
+/// (`flow_index(…, flow_slots)`), then `% n_shards`. The one steering
+/// rule of `ShardedEngine::ingest_batch` and `splidt_net::run_ingress`.
+#[inline]
+pub fn shard_of_frame(
+    frame: &[u8],
+    flow_slots: usize,
+    n_shards: usize,
+) -> Result<usize, ParseError> {
+    let t = peek_flow_tuple(frame)?;
+    let (sip, dip, sp, dp) = canonical_order(t.src_ip, t.dst_ip, t.sport, t.dport);
+    Ok(flow_index(sip, dip, sp, dp, t.proto, flow_slots) % n_shards)
 }
 
 /// The ownership-lane fingerprint of a flow (must match the pipeline's

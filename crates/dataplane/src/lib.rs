@@ -47,6 +47,8 @@
 //! assert_eq!(out_phv.get(out), 7);
 //! ```
 
+#![deny(unsafe_code)]
+
 pub mod action;
 pub mod hash;
 pub mod index;
@@ -56,6 +58,7 @@ pub mod phv;
 pub mod pipeline;
 pub mod plan;
 pub mod program;
+#[allow(unsafe_code)] // unchecked bank addressing + madvise; see the module's SAFETY notes
 pub mod register;
 pub mod resources;
 pub mod table;

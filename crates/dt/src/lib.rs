@@ -36,6 +36,8 @@
 //! assert!((macro_f1(&labels, &preds, 2) - 1.0).abs() < 1e-9);
 //! ```
 
+#![deny(unsafe_code)]
+
 pub mod dataset;
 pub mod forest;
 pub mod importance;

@@ -14,6 +14,8 @@
 //! * [`dcn`] — the Webserver & Hadoop datacenter environments used for
 //!   recirculation-bandwidth and time-to-detection analyses.
 
+#![deny(unsafe_code)]
+
 pub mod dataset;
 pub mod dcn;
 pub mod features;

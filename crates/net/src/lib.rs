@@ -18,14 +18,16 @@
 //! every steered frame is consumed before the final report — graceful
 //! shutdown drains, it does not discard.
 
+#![deny(unsafe_code)]
+
 pub mod gen;
 pub mod pcap;
 pub mod service;
 pub mod source;
 
-/// The SPSC frame ring lives in `splidt-core` (the engine's shard workers
-/// and this crate's ingress service share it); `splidt_net::ring::*` paths
-/// resolve through this re-export.
+/// The SPSC frame ring lives in `splidt-core` beside the engine it feeds;
+/// this crate's ingress service is its one user, and `splidt_net::ring::*`
+/// paths resolve through this re-export.
 pub use splidt_core::ring;
 
 pub use gen::{replay_udp, GenConfig, GenReport};

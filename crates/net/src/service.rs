@@ -25,16 +25,15 @@
 //!   allocations (frames are borrowed from ring slots straight into
 //!   `Engine::ingest_batch`).
 //!
-//! Steering uses the same canonical-order flow hash as the data plane's
-//! `HashFlow` primitive and `ShardedEngine::shard_of_frame`, so a flow's
-//! packets always land on the shard that owns its register slot.
+//! Steering is `splidt_core::runtime::shard_of_frame` — the canonical-order
+//! flow hash of the data plane's `HashFlow` primitive, shared with
+//! `ShardedEngine::ingest_batch` — so a flow's packets always land on the
+//! shard that owns its register slot.
 
 use crate::ring::{ring, Consumer, Producer, PushError};
 use crate::source::{FrameBurst, FrameSource};
 use splidt_core::engine::{BatchReport, Engine, ShardedEngine};
-use splidt_core::runtime::{IngressShardStats, IngressStats, RuntimeReport};
-use splidt_dataplane::hash::{canonical_order, flow_index};
-use splidt_dataplane::peek_flow_tuple;
+use splidt_core::runtime::{shard_of_frame, IngressShardStats, IngressStats, RuntimeReport};
 use splidt_dataplane::pipeline::{Digest, Meters};
 use std::io;
 use std::time::Duration;
@@ -192,11 +191,8 @@ fn receiver_loop<S: FrameSource>(
         for i in 0..burst.len() {
             let (frame, ts_us) = burst.get(i);
             received += 1;
-            let shard = match peek_flow_tuple(frame) {
-                Ok(t) => {
-                    let (sip, dip, sp, dp) = canonical_order(t.src_ip, t.dst_ip, t.sport, t.dport);
-                    flow_index(sip, dip, sp, dp, t.proto, flow_slots) % n
-                }
+            let shard = match shard_of_frame(frame, flow_slots, n) {
+                Ok(shard) => shard,
                 Err(_) => {
                     dropped_malformed += 1;
                     continue;

@@ -55,6 +55,8 @@
 //! splidt_p4::recount::cross_check(&recount, &lowering.expectation().unwrap()).unwrap();
 //! ```
 
+#![deny(unsafe_code)]
+
 pub mod emit;
 pub mod fixtures;
 pub mod manifest;

@@ -13,6 +13,8 @@
 //! * [`rules`] — subtree → feature-table + model-table rule generation,
 //!   with a reference classifier proving rules ≡ tree.
 
+#![deny(unsafe_code)]
+
 pub mod marks;
 pub mod rules;
 pub mod ternary;

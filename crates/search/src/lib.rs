@@ -5,6 +5,8 @@
 //! filtering, random Chebyshev scalarization, parallel batch evaluation —
 //! producing the Pareto frontier of (F1, supported flows) configurations.
 
+#![deny(unsafe_code)]
+
 pub mod optimizer;
 pub mod pareto;
 pub mod space;

@@ -59,6 +59,8 @@
 //! flow hash and drives them on OS threads, with per-flow verdicts
 //! identical to the single-shard engine. See `docs/engine.md`.
 
+#![deny(unsafe_code)]
+
 pub use splidt_core as core;
 pub use splidt_core::engine;
 pub use splidt_dataplane as dataplane;

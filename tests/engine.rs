@@ -2,7 +2,7 @@
 //! equivalence, shard-count invariance, streaming ingestion, and the
 //! backend-agnostic `Classifier` contract across all five model types.
 
-use splidt::dataplane::pipeline::WaveStats;
+use splidt::core::runtime::shard_of_frame;
 use splidt::engine::DEFAULT_STAGGER_US;
 use splidt::prelude::*;
 
@@ -107,33 +107,29 @@ fn streaming_ingest_equals_batch_run() {
         }
     }
     drained += streaming.drain_digests().len();
-    let stream_report = streaming.report();
-    assert_eq!(drained as u64, stream_report.meters.digests);
-    assert_eq!(batch_report.flows, stream_report.flows);
-    assert_eq!(batch_report.meters, stream_report.meters);
+    let streamed = streaming.report();
+    assert_eq!(drained as u64, streamed.meters.digests);
+    assert_eq!(batch_report.flows, streamed.flows);
+    assert_eq!(batch_report.meters, streamed.meters);
 }
 
 /// `ingest_batch` is observationally identical to per-frame `ingest` —
 /// same meters, same collated digests, same final report — while draining
-/// digests once per batch on the allocation-free pipeline path. So is a
-/// mixed feed: `ingest` landing on a wave `stream_push` left open runs the
-/// parked packets first, never ahead of them.
+/// digests once per batch on the allocation-free pipeline path.
 #[test]
 fn ingest_batch_equals_per_frame_ingest() {
     let (model, test_flows) = model_and_flows(210, 45);
     let build = || EngineBuilder::new(&model).stagger_us(2_000).build().unwrap();
 
-    // Schedule identically on all engines.
+    // Schedule identically on both engines.
     let mut per_frame = build();
     let mut batched = build();
-    let mut mixed = build();
     let mut events: Vec<(u64, usize, usize)> = Vec::new();
     let mut kept: Vec<&FlowTrace> = Vec::new();
     for f in &test_flows {
         let a = per_frame.admit(f);
         let b = batched.admit(f);
         assert_eq!(a, b);
-        assert_eq!(a, mixed.admit(f));
         if let Some(a) = a {
             kept.push(f);
             let idx = kept.len() - 1;
@@ -155,22 +151,6 @@ fn ingest_batch_equals_per_frame_ingest() {
     assert_eq!(batch.digests.len() as u64, batched.meters().digests);
     assert_eq!(per_frame.meters(), batched.meters());
     assert_eq!(per_frame.report().flows, batched.report().flows);
-
-    // Three frames parked by `stream_push`, the fourth through `ingest`.
-    let mut stats = WaveStats::default();
-    for (n, (frame, ts)) in frames.iter().enumerate() {
-        if n % 4 == 3 {
-            mixed.ingest(frame, *ts).unwrap();
-        } else {
-            assert!(mixed.stream_push(frame, *ts, &mut stats));
-        }
-    }
-    let streamed = mixed.stream_report(stats, 0);
-    assert_eq!(streamed.packets as usize, frames.len() - frames.len() / 4);
-    assert_eq!(streamed.digests.len(), batch.digests.len());
-    assert_eq!(mixed.meters(), batched.meters());
-    assert_eq!(mixed.lifecycle(), batched.lifecycle());
-    assert_eq!(mixed.report().flows, batched.report().flows);
 }
 
 /// Sharded batch ingest routes every frame to the shard its flow hashes
@@ -210,6 +190,28 @@ fn sharded_ingest_batch_matches_single() {
         merged.merge(m);
     }
     assert_eq!(&merged, single.meters());
+}
+
+/// One steering rule: the shard `runtime::shard_of_frame` reads off each
+/// wire frame of a flow, in both directions (what `ingest_batch` and
+/// `run_ingress` steer by), is the shard `shard_of` assigns the flow.
+#[test]
+fn wire_steering_agrees_with_shard_of() {
+    let (model, _) = model_and_flows(200, 93);
+    let traffic = generate(DatasetId::D2, 200, 95);
+    for n in [1usize, 3, 4] {
+        let sharded = EngineBuilder::new(&model).build_sharded(n).unwrap();
+        let mut hit = vec![false; n];
+        for f in &traffic {
+            let shard = sharded.shard_of(f);
+            hit[shard] = true;
+            for j in 0..f.packets.len() {
+                let frame = Engine::frame_for(f, j);
+                assert_eq!(shard_of_frame(&frame, sharded.flow_slots(), n), Ok(shard));
+            }
+        }
+        assert!(hit.iter().all(|&h| h), "{n} shards: some shard steered no flow");
+    }
 }
 
 /// A reset engine reuses its compiled program and reproduces the run.

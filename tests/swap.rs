@@ -327,85 +327,6 @@ proptest! {
     }
 }
 
-/// `swap_staged` with a burst wave **in flight** (opened via
-/// `stream_push`, never flushed) must quiesce drain-then-flip: the
-/// parked packets execute to completion under the old program and their
-/// dispositions are carried into the next `stream_report` — identical to
-/// an engine that flushed explicitly before swapping.
-#[test]
-fn swap_quiesces_open_wave_and_carries_stats() {
-    use splidt::dataplane::pipeline::WaveStats;
-    let frames = schedule_frames(32, 9);
-    let split = frames.len() / 2;
-
-    // Reference: flush the wave explicitly, then swap.
-    let mut explicit = EngineBuilder::new(model()).flow_slots(64).build().unwrap();
-    // Under test: swap with the wave still open.
-    let mut implicit = EngineBuilder::new(model()).flow_slots(64).build().unwrap();
-
-    let mut stats_e = WaveStats::default();
-    let mut stats_i = WaveStats::default();
-    for (k, (frame, ts)) in frames.iter().enumerate() {
-        if k == split {
-            explicit.stream_flush(&mut stats_e);
-            explicit.stage_model(model2().clone()).expect("stages");
-            explicit.swap_staged().expect("swaps");
-            // No flush here — swap_staged must quiesce on its own.
-            implicit.stage_model(model2().clone()).expect("stages");
-            implicit.swap_staged().expect("swaps");
-        }
-        assert!(explicit.stream_push(frame, *ts, &mut stats_e));
-        assert!(implicit.stream_push(frame, *ts, &mut stats_i));
-    }
-    let re = explicit.stream_report(stats_e, 0);
-    let ri = implicit.stream_report(stats_i, 0);
-    assert_eq!(re.packets, ri.packets, "carried wave stats must surface in the report");
-    assert_eq!(re.drops, ri.drops);
-    assert_eq!(re.resubmit_limited, ri.resubmit_limited);
-    assert_eq!(re.malformed, ri.malformed);
-    assert_eq!(explicit.meters(), implicit.meters());
-    let mut de: Vec<_> = re.digests.iter().map(sort_key).collect();
-    let mut di: Vec<_> = ri.digests.iter().map(sort_key).collect();
-    de.sort();
-    di.sort();
-    assert_eq!(de, di, "digest streams diverged across the implicit quiesce");
-}
-
-/// `reset` with an open wave must drain it and discard the outcomes with
-/// the rest of the session: no parked packets survive, no carried stats
-/// leak into the next report, and the engine replays a schedule exactly
-/// like a fresh one.
-#[test]
-fn reset_quiesces_open_wave() {
-    use splidt::dataplane::pipeline::WaveStats;
-    let frames = schedule_frames(24, 13);
-    let mut engine = EngineBuilder::new(model()).flow_slots(64).build().unwrap();
-    let mut pre = WaveStats::default();
-    for (frame, ts) in &frames[..frames.len() / 2] {
-        engine.stream_push(frame, *ts, &mut pre);
-    }
-    engine.reset(); // wave still open here
-
-    let mut fresh = EngineBuilder::new(model()).flow_slots(64).build().unwrap();
-    let mut sa = WaveStats::default();
-    let mut sb = WaveStats::default();
-    for (frame, ts) in &frames {
-        engine.stream_push(frame, *ts, &mut sa);
-        fresh.stream_push(frame, *ts, &mut sb);
-    }
-    let ra = engine.stream_report(sa, 0);
-    let rb = fresh.stream_report(sb, 0);
-    assert_eq!(ra.packets, rb.packets, "reset must not carry pre-reset wave stats");
-    assert_eq!(ra.drops, rb.drops);
-    assert_eq!(ra.resubmit_limited, rb.resubmit_limited);
-    assert_eq!(engine.meters(), fresh.meters());
-    let mut da: Vec<_> = ra.digests.iter().map(sort_key).collect();
-    let mut db: Vec<_> = rb.digests.iter().map(sort_key).collect();
-    da.sort();
-    db.sort();
-    assert_eq!(da, db, "a reset engine must replay like a fresh one");
-}
-
 /// Drift recovery across a live swap — the whole online-training loop on
 /// one deterministic 4,096-flow churn schedule over 256 slots: a
 /// batch-trained model serves the first half; at flow 2,048 class

@@ -91,7 +91,7 @@ enum Feed {
     Direct,
     /// Frames through a real SPSC ring — `try_push` → `peek` →
     /// `wave_push` → `wave_flush` → `clear_digests` → `advance`, the
-    /// hand-off a shard worker and `run_ingress`'s consumers perform.
+    /// hand-off `run_ingress`'s shard consumers perform.
     Ring,
 }
 
