@@ -1,5 +1,5 @@
 //! Shared experiment harness for regenerating the paper's tables and
-//! figures (see DESIGN.md §3 for the experiment index).
+//! figures.
 //!
 //! Every binary in `src/bin/` builds on this: dataset bundles with cached
 //! per-partition feature matrices, the SpliDT BO evaluator, baseline

@@ -1445,9 +1445,9 @@ pub fn compile_with(
     // so all of them must share the `flow_slots` domain — that is what
     // lets the execution plan coalesce the ownership lane, the pressure
     // counter and every per-partition state register into one
-    // cache-line bank (one prefetch per packet). A register with a
-    // different depth would silently fall out of the bank and resurrect
-    // the split-array memory behaviour, so fail compilation instead.
+    // cache-line bank, the one thing the wave executor prefetches. A
+    // register with a different depth would silently fall out of the
+    // bank into an unprefetched split array, so fail compilation instead.
     if let Some(spec) = program.registers().iter().find(|s| s.len != flow_slots) {
         return Err(CompileError::Unsupported(format!(
             "register '{}' has depth {} but the flow-slot domain is {flow_slots}; \

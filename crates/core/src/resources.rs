@@ -115,8 +115,9 @@ pub fn slot_bits_for(feature_bits: u8) -> usize {
 /// logical register to its pipeline stage (the hardware has per-stage
 /// SRAM, not a coalesced arena), while this struct answers the software
 /// data-plane question — how many cache lines one flow's state occupies
-/// and how large the arena grows at a given slot count. One line per
-/// flow means the wave executor issues ONE prefetch per packet.
+/// and how large the arena grows at a given slot count. The wave
+/// executor issues one prefetch per line, so `lines_per_flow` is also
+/// its per-packet prefetch count.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BankPhysical {
     /// Packed state bytes per flow slot (cells padded to 1/2/4/8-byte

@@ -148,7 +148,7 @@ pub enum Primitive {
     ///
     /// Hardware realizes small-constant division with a multiply-shift in
     /// the ALU or a compact lookup table; SpliDT needs exactly one of these
-    /// — `window_len = flow_size / p` — per packet (see DESIGN.md).
+    /// — `window_len = flow_size / p` — per packet.
     DivConst {
         /// Destination field.
         dst: FieldId,

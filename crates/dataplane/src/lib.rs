@@ -12,9 +12,10 @@
 //!   [`parser`] from real packet bytes;
 //! * **match-action tables** ([`table::Table`]) with exact, ternary (TCAM)
 //!   and range matching, priorities and hit counters;
-//! * **stateful register arrays** ([`register::RegisterArray`]) with
-//!   single-visit read-modify-write ALU semantics (one RMW per packet per
-//!   array, as on Tofino's stateful ALUs);
+//! * a **register file** ([`register::RegisterFile`]) of stateful
+//!   registers with single-visit read-modify-write ALU semantics (one RMW
+//!   per packet per register, as on Tofino's stateful ALUs), each flow's
+//!   cells coalesced into a cache-line [`register::FlowBank`];
 //! * a staged [`pipeline::Pipeline`] with **packet resubmission**
 //!   (recirculation) metering — SpliDT's in-band control channel;
 //! * a **resource model** ([`resources::TargetSpec`]) with per-stage SRAM
@@ -58,7 +59,6 @@ pub mod phv;
 pub mod pipeline;
 pub mod plan;
 pub mod program;
-#[allow(unsafe_code)] // unchecked bank addressing + madvise; see the module's SAFETY notes
 pub mod register;
 pub mod resources;
 pub mod table;

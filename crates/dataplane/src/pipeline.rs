@@ -269,20 +269,6 @@ struct WaveLookup {
     aid: crate::plan::ActionId,
 }
 
-/// One push-time prefetch the wave executor issues per packet once its
-/// conflict key is known.
-#[derive(Debug, Clone, Copy)]
-enum PrefetchOp {
-    /// Line `line` of the slot's stride in flow bank `bank` — with
-    /// banking this is the whole per-flow prefetch plan: **one** op for
-    /// ≤64B of coalesced state, two when the bank spills a line.
-    BankLine { bank: u16, line: u8 },
-    /// A split [`crate::register::RegisterArray`] spanning the
-    /// conflict-key domain (programs whose flow state didn't coalesce),
-    /// identified by its logical register index.
-    Array { reg: u32 },
-}
-
 /// The preallocated wave arena: `burst + 1` packet slots (the extra slot
 /// lets [`Pipeline::wave_push`] parse the incoming frame before deciding
 /// whether it cuts the wave) plus the per-slot lookup scratch.
@@ -297,10 +283,10 @@ struct WaveScratch {
     conflict_slots: usize,
     /// Reusable per-slot lookup results (lookup phase → exec phase).
     lookups: Vec<WaveLookup>,
-    /// Push-time prefetches for per-flow state at a packet's conflict
-    /// key: bank lines first (each covers every coalesced register of
-    /// the slot), then any residual split arrays.
-    prefetch: Vec<PrefetchOp>,
+    /// The flow bank whose slot domain is the conflict-key domain, if
+    /// any: its lines at a packet's conflict key hold all of that flow's
+    /// coalesced state, and [`Pipeline::wave_push`] prefetches them.
+    prefetch_bank: Option<usize>,
 }
 
 /// Builds a wave arena for `program`/`plan`. Programs without the
@@ -345,63 +331,15 @@ fn new_wave(
             drop: false,
         })
         .collect();
-    // Prefetch candidates are the state cells at a packet's conflict key
-    // (the canonical flow slot), known at push time. With the banked
-    // register file all per-flow registers of the conflict-key domain
-    // share one arena, so the prefetch plan collapses to the bank's
-    // line(s) — one op covers the owner lane, pressure word, and every
-    // feature cell of the slot at once (two ops when the stride spills a
-    // line). Residual split arrays spanning the domain (programs whose
-    // flow state didn't coalesce, or the split reference layout) follow,
-    // ownership-path arrays first — every packet reads its owner lane in
-    // its first pass, so those lines are guaranteed useful. The list is
-    // capped: a wave's worth of prefetches already crowds the CPU's
-    // handful of line-fill buffers.
-    const PREFETCH_OPS: usize = 4;
-    let mut prefetch: Vec<PrefetchOp> = Vec::new();
-    for (bi, bank) in regs.banks().iter().enumerate() {
-        if bank.desc().slots == conflict_slots {
-            for line in 0..bank.desc().lines_per_slot().min(PREFETCH_OPS) {
-                prefetch.push(PrefetchOp::BankLine { bank: bi as u16, line: line as u8 });
-            }
-        }
-    }
-    let mut split_regs: Vec<u32> = plan
-        .actions()
-        .iter()
-        .flat_map(|a| a.prims.iter())
-        .filter_map(|p| match p {
-            Primitive::OwnerUpdate { reg, .. } => Some(reg.index() as u32),
-            _ => None,
-        })
-        .filter(|&r| program.registers()[r as usize].len == conflict_slots)
-        .fold(Vec::new(), |mut acc, r| {
-            if !acc.contains(&r) {
-                acc.push(r);
-            }
-            acc
-        });
-    for (i, spec) in program.registers().iter().enumerate() {
-        if prefetch.len() + split_regs.len() >= PREFETCH_OPS {
-            break;
-        }
-        if spec.len == conflict_slots && !split_regs.contains(&(i as u32)) {
-            split_regs.push(i as u32);
-        }
-    }
-    for r in split_regs {
-        if regs.split_array(r as usize).is_some() {
-            prefetch.push(PrefetchOp::Array { reg: r });
-        }
-    }
-    prefetch.truncate(PREFETCH_OPS);
+    // Slot domains are distinct across banks, so at most one matches.
+    let prefetch_bank = regs.banks().iter().position(|b| b.desc().slots == conflict_slots);
     WaveScratch {
         pkts,
         len: 0,
         burst,
         conflict_slots: conflict_slots.max(1),
         lookups: Vec::with_capacity(burst + 1),
-        prefetch,
+        prefetch_bank,
     }
 }
 
@@ -776,25 +714,15 @@ impl Pipeline {
             // have overlapped with the accumulation window.
             // Packet-at-a-time execution can't do this — it learns the
             // next packet's slot only after finishing the current one.
-            // With the banked register file this is ONE prefetch per
-            // packet (two if the bank spills a line): the slot's bank
-            // stride covers the owner lane, pressure word, and every
-            // feature cell at once, where the split layout needed one
-            // line per array. Spreading the prefetches one packet per
-            // push also keeps them inside the CPU's handful of line-fill
-            // buffers; a full wave's worth issued at once at execution
-            // start would mostly be dropped.
-            for op in &self.wave.prefetch {
-                match *op {
-                    PrefetchOp::BankLine { bank, line } => {
-                        self.regs.banks()[bank as usize].prefetch(key as usize, line as usize);
-                    }
-                    PrefetchOp::Array { reg } => {
-                        if let Some(arr) = self.regs.split_array(reg as usize) {
-                            arr.prefetch(key as usize);
-                        }
-                    }
-                }
+            // This is one prefetch per line of the slot's bank stride
+            // (one line for every compiled program so far), covering the
+            // owner lane, pressure word, and every feature cell at once.
+            // Spreading the prefetches one packet per push also keeps them
+            // inside the CPU's handful of line-fill buffers; a full wave's
+            // worth issued at once at execution start would mostly be
+            // dropped.
+            if let Some(bank) = self.wave.prefetch_bank {
+                self.regs.banks()[bank].prefetch(key as usize);
             }
         }
         let cut = slot == self.wave.burst || self.wave.pkts[..slot].iter().any(|p| p.key == key);

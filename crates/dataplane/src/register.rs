@@ -64,56 +64,6 @@ impl RegisterSpec {
     }
 }
 
-/// Best-effort `madvise(MADV_HUGEPAGE)` over a large array's backing
-/// storage. Flow-state arrays at realistic slot counts span hundreds of
-/// thousands of 4 KiB pages touched in hash order, so on kernels whose
-/// transparent-hugepage policy is `madvise` the TLB miss (and the page
-/// walk it forces, which also defeats software prefetch on most cores)
-/// dominates the access — opting the region into huge pages removes it.
-/// The hint is advisory: failures are ignored, small arrays are skipped,
-/// and off Linux/x86_64 this is a no-op. Issued via a raw syscall to
-/// keep the crate dependency-free.
-fn advise_hugepages(data: &[u64]) {
-    advise_hugepages_raw(data.as_ptr().cast(), std::mem::size_of_val(data));
-}
-
-/// Byte-range form of [`advise_hugepages`], shared with the flow-bank
-/// arena (whose backing storage is cache lines, not `u64`s).
-fn advise_hugepages_raw(ptr: *const u8, bytes: usize) {
-    const HUGE: usize = 1 << 21;
-    if bytes < HUGE {
-        return;
-    }
-    #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
-    {
-        const SYS_MADVISE: u64 = 28;
-        const MADV_HUGEPAGE: u64 = 14;
-        const PAGE: usize = 4096;
-        // madvise wants a page-aligned range; round inward so the hint
-        // never touches bytes outside the allocation.
-        let start = ptr as usize;
-        let end = start + bytes;
-        let lo = start.next_multiple_of(PAGE);
-        let hi = end & !(PAGE - 1);
-        if hi > lo {
-            unsafe {
-                std::arch::asm!(
-                    "syscall",
-                    inlateout("rax") SYS_MADVISE => _,
-                    in("rdi") lo,
-                    in("rsi") hi - lo,
-                    in("rdx") MADV_HUGEPAGE,
-                    lateout("rcx") _,
-                    lateout("r11") _,
-                    options(nostack)
-                );
-            }
-        }
-    }
-    #[cfg(not(all(target_os = "linux", target_arch = "x86_64")))]
-    let _ = ptr;
-}
-
 /// Runtime state of a register array.
 #[derive(Debug, Clone)]
 pub struct RegisterArray {
@@ -126,9 +76,7 @@ impl RegisterArray {
     pub fn new(spec: RegisterSpec) -> Self {
         assert!(spec.len.is_power_of_two(), "register '{}' len must be a power of two", spec.name);
         assert!((1..=64).contains(&spec.width_bits), "register '{}' width out of range", spec.name);
-        let data = vec![0u64; spec.len];
-        advise_hugepages(&data);
-        Self { spec, data }
+        Self { data: vec![0u64; spec.len], spec }
     }
 
     /// The array's declaration.
@@ -139,23 +87,6 @@ impl RegisterArray {
     /// Reads element `i` (no modify).
     pub fn read(&self, i: usize) -> u64 {
         self.data[i & (self.spec.len - 1)]
-    }
-
-    /// Hints the CPU to pull element `i`'s cache line toward L1. The wave
-    /// executor issues this for every packet of a burst before execution
-    /// starts, so the per-flow state misses of the whole wave resolve in
-    /// parallel instead of serializing one packet at a time. Index
-    /// wrapping matches [`RegisterArray::read`]; a no-op off x86_64.
-    #[inline]
-    pub fn prefetch(&self, i: usize) {
-        let idx = i & (self.spec.len - 1);
-        #[cfg(target_arch = "x86_64")]
-        unsafe {
-            use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
-            _mm_prefetch(self.data.as_ptr().add(idx).cast(), _MM_HINT_T0);
-        }
-        #[cfg(not(target_arch = "x86_64"))]
-        let _ = idx;
     }
 
     /// Writes element `i` (used by tests and controller-style resets).
@@ -338,6 +269,27 @@ struct CacheLine([u8; BANK_LINE_BYTES]);
 
 const ZERO_LINE: CacheLine = CacheLine([0; BANK_LINE_BYTES]);
 
+impl CacheLine {
+    /// The `N` bytes starting at byte `at`.
+    #[inline(always)]
+    fn get<const N: usize>(&self, at: usize) -> [u8; N] {
+        self.0[at..at + N].try_into().expect("an N-byte range is an [u8; N]")
+    }
+}
+
+/// Hints the CPU to pull `line` toward L1.
+#[cfg(target_arch = "x86_64")]
+#[allow(unsafe_code)]
+#[inline(always)]
+fn prefetch_line(line: &CacheLine) {
+    use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
+    // SAFETY: a prefetch is a hint that never faults, and a reference always points in bounds.
+    unsafe { _mm_prefetch(line.0.as_ptr().cast(), _MM_HINT_T0) }
+}
+
+#[cfg(not(target_arch = "x86_64"))]
+fn prefetch_line(_: &CacheLine) {}
+
 /// A flow bank: the cache-line-aligned arena holding every coalesced
 /// register cell of one slot domain, AoS by slot. Cell addressing is
 /// `slot * stride + offset`; cells are little-endian, power-of-two sized
@@ -351,9 +303,7 @@ pub struct FlowBank {
 impl FlowBank {
     fn new(desc: BankDesc) -> Self {
         assert!(desc.slots.is_power_of_two(), "bank slot domain must be a power of two");
-        let lines = vec![ZERO_LINE; desc.arena_bytes() / BANK_LINE_BYTES];
-        advise_hugepages_raw(lines.as_ptr().cast(), std::mem::size_of_val(&lines[..]));
-        Self { desc, lines }
+        Self { lines: vec![ZERO_LINE; desc.arena_bytes() / BANK_LINE_BYTES], desc }
     }
 
     /// The bank's descriptor (slot domain, stride, members).
@@ -361,72 +311,52 @@ impl FlowBank {
         &self.desc
     }
 
-    /// Raw arena view — test/introspection only (asserting e.g. that a
-    /// reset left no live byte behind, padding included).
-    pub fn as_bytes(&self) -> &[u8] {
-        // SAFETY: `CacheLine` is a plain `#[repr(C)]` byte array with no
-        // padding; viewing the contiguous line vec as bytes is always
-        // valid and the length is exactly the allocation's byte size.
-        unsafe {
-            std::slice::from_raw_parts(
-                self.lines.as_ptr().cast::<u8>(),
-                self.lines.len() * BANK_LINE_BYTES,
-            )
-        }
+    /// Every arena byte in address order, padding included — test and
+    /// introspection only (asserting e.g. that a reset left no live byte
+    /// behind).
+    pub fn bytes(&self) -> impl Iterator<Item = u8> + '_ {
+        self.lines.iter().flat_map(|l| l.0)
+    }
+
+    /// The line index holding byte `offset` of `slot`'s stride, and the
+    /// byte's position within that line.
+    #[inline(always)]
+    fn locate(&self, slot: usize, offset: u32) -> (usize, usize) {
+        let base = (slot & (self.desc.slots - 1)) * self.desc.stride_bytes + offset as usize;
+        (base / BANK_LINE_BYTES, base % BANK_LINE_BYTES)
     }
 
     #[inline(always)]
     fn cell(&self, slot: usize, offset: u32, cell_bytes: u8) -> u64 {
-        let base = (slot & (self.desc.slots - 1)) * self.desc.stride_bytes + offset as usize;
-        debug_assert!(base + cell_bytes as usize <= self.lines.len() * BANK_LINE_BYTES);
-        debug_assert_eq!(base % cell_bytes as usize, 0, "cells are naturally aligned");
-        // SAFETY: the masked slot is < `desc.slots`, `offset + cell_bytes
-        // <= stride` by `BankLayout::assign` construction, and the arena
-        // holds exactly `slots * stride` bytes — the access is in bounds
-        // and (being naturally aligned) never straddles the allocation.
-        // The unchecked reads keep three redundant bounds checks out of a
-        // path the interpreter hits ~10 times per packet.
-        unsafe {
-            let p = self.lines.as_ptr().cast::<u8>().add(base);
-            match cell_bytes {
-                1 => p.read() as u64,
-                2 => u16::from_le(p.cast::<u16>().read()) as u64,
-                4 => u32::from_le(p.cast::<u32>().read()) as u64,
-                _ => u64::from_le(p.cast::<u64>().read()),
-            }
+        let (line, at) = self.locate(slot, offset);
+        let l = &self.lines[line];
+        match cell_bytes {
+            1 => l.0[at] as u64,
+            2 => u16::from_le_bytes(l.get(at)) as u64,
+            4 => u32::from_le_bytes(l.get(at)) as u64,
+            _ => u64::from_le_bytes(l.get(at)),
         }
     }
 
     #[inline(always)]
     fn set_cell(&mut self, slot: usize, offset: u32, cell_bytes: u8, v: u64) {
-        let base = (slot & (self.desc.slots - 1)) * self.desc.stride_bytes + offset as usize;
-        debug_assert!(base + cell_bytes as usize <= self.lines.len() * BANK_LINE_BYTES);
-        debug_assert_eq!(base % cell_bytes as usize, 0, "cells are naturally aligned");
-        // SAFETY: same bounds/alignment argument as `cell` above.
-        unsafe {
-            let p = self.lines.as_mut_ptr().cast::<u8>().add(base);
-            match cell_bytes {
-                1 => p.write(v as u8),
-                2 => p.cast::<u16>().write((v as u16).to_le()),
-                4 => p.cast::<u32>().write((v as u32).to_le()),
-                _ => p.cast::<u64>().write(v.to_le()),
-            }
+        let (line, at) = self.locate(slot, offset);
+        let b = &mut self.lines[line].0;
+        match cell_bytes {
+            1 => b[at] = v as u8,
+            2 => b[at..at + 2].copy_from_slice(&(v as u16).to_le_bytes()),
+            4 => b[at..at + 4].copy_from_slice(&(v as u32).to_le_bytes()),
+            _ => b[at..at + 8].copy_from_slice(&v.to_le_bytes()),
         }
     }
 
-    /// Hints the CPU to pull line `line` of slot `slot`'s stride toward
-    /// L1 (the wave executor's push-time prefetch; one call per touched
-    /// line). A no-op off x86_64.
+    /// Hints the CPU to pull every line of `slot`'s stride toward L1 —
+    /// the wave executor's push-time prefetch. A no-op off x86_64.
     #[inline]
-    pub fn prefetch(&self, slot: usize, line: usize) {
-        let idx = (slot & (self.desc.slots - 1)) * self.desc.lines_per_slot() + line;
-        #[cfg(target_arch = "x86_64")]
-        unsafe {
-            use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
-            _mm_prefetch(self.lines.as_ptr().add(idx).cast(), _MM_HINT_T0);
-        }
-        #[cfg(not(target_arch = "x86_64"))]
-        let _ = idx;
+    pub(crate) fn prefetch(&self, slot: usize) {
+        let n = self.desc.lines_per_slot();
+        let first = (slot & (self.desc.slots - 1)) * n;
+        self.lines[first..first + n].iter().for_each(prefetch_line);
     }
 
     fn clear(&mut self) {
@@ -532,28 +462,13 @@ impl RegisterFile {
         &self.banks
     }
 
-    /// The standalone array backing register `i`, if it is split.
-    pub(crate) fn split_array(&self, i: usize) -> Option<&RegisterArray> {
-        match self.cells[i].loc {
-            CellLoc::Array { arr } => Some(&self.arrays[arr as usize]),
-            CellLoc::Bank { .. } => None,
-        }
-    }
-
     /// Reads register `i`, slot `slot` (no modify).
     #[inline(always)]
     pub fn read(&self, i: usize, slot: usize) -> u64 {
-        debug_assert!(i < self.cells.len());
-        // SAFETY: `i` is a register index of the program this file was
-        // built from (the plan validates every op's register at compile
-        // time), and a `Bank` loc's `bank` was assigned `< banks.len()`
-        // at construction. The unchecked lookups keep two redundant
-        // bounds checks off a path the interpreter hits ~10×/packet.
-        let cell = unsafe { self.cells.get_unchecked(i) };
-        match cell.loc {
-            CellLoc::Bank { bank, offset, cell_bytes } => unsafe {
-                self.banks.get_unchecked(bank as usize).cell(slot, offset, cell_bytes)
-            },
+        match self.cells[i].loc {
+            CellLoc::Bank { bank, offset, cell_bytes } => {
+                self.banks[bank as usize].cell(slot, offset, cell_bytes)
+            }
             CellLoc::Array { arr } => self.arrays[arr as usize].read(slot),
         }
     }
@@ -562,18 +477,11 @@ impl RegisterFile {
     /// register width like [`RegisterArray::write`]).
     #[inline(always)]
     pub fn write(&mut self, i: usize, slot: usize, v: u64) {
-        debug_assert!(i < self.cells.len());
-        // SAFETY: see `read`.
-        let cell = *unsafe { self.cells.get_unchecked(i) };
+        let cell = self.cells[i];
         match cell.loc {
-            CellLoc::Bank { bank, offset, cell_bytes } => unsafe {
-                self.banks.get_unchecked_mut(bank as usize).set_cell(
-                    slot,
-                    offset,
-                    cell_bytes,
-                    v & cell.mask,
-                );
-            },
+            CellLoc::Bank { bank, offset, cell_bytes } => {
+                self.banks[bank as usize].set_cell(slot, offset, cell_bytes, v & cell.mask)
+            }
             CellLoc::Array { arr } => self.arrays[arr as usize].write(slot, v),
         }
     }
@@ -582,12 +490,10 @@ impl RegisterFile {
     /// body, so both layouts saturate and mask identically).
     #[inline(always)]
     pub fn rmw(&mut self, i: usize, slot: usize, op: RegAluOp, operand: u64) -> (u64, u64) {
-        debug_assert!(i < self.cells.len());
-        // SAFETY: see `read`.
-        let cell = *unsafe { self.cells.get_unchecked(i) };
+        let cell = self.cells[i];
         match cell.loc {
             CellLoc::Bank { bank, offset, cell_bytes } => {
-                let b = unsafe { self.banks.get_unchecked_mut(bank as usize) };
+                let b = &mut self.banks[bank as usize];
                 let old = b.cell(slot, offset, cell_bytes);
                 let new = alu_apply(old, op, operand, cell.mask, cell.cap);
                 b.set_cell(slot, offset, cell_bytes, new);
@@ -864,17 +770,42 @@ mod tests {
 
     #[test]
     fn register_file_banked_matches_split_semantics() {
-        let specs = vec![
+        let mut specs = vec![
             RegisterSpec::new("a", 64, 16),
             RegisterSpec::capped("b", 32, 16, 100),
             RegisterSpec::new("c", 8, 16),
             RegisterSpec::new("lone", 24, 4),
         ];
+        // A second domain mixing every cell width: 7·8 + 2·4 + 2 + 1 = 67
+        // packed bytes, so each slot spills onto a second line.
+        specs.extend((0..7).map(|i| RegisterSpec::new(format!("q{i}"), 64, 8)));
+        specs.extend([
+            RegisterSpec::new("d", 32, 8),
+            RegisterSpec::capped("e", 32, 8, 1000),
+            RegisterSpec::new("h", 16, 8),
+            RegisterSpec::new("o", 8, 8),
+        ]);
         let mut banked = RegisterFile::new_banked(&specs);
         let mut split = RegisterFile::new_split(&specs);
         assert!(banked.is_banked() && !split.is_banked());
-        assert_eq!(banked.banks().len(), 1);
+        assert_eq!(banked.banks().len(), 2);
+        assert_eq!(banked.banks()[1].desc().lines_per_slot(), 2);
         assert!(split.banks().is_empty());
+        // The spilled bank's edges: its last slot (whose second line ends
+        // the arena) and an index past the domain, which wraps onto slot 3.
+        for r in 4..specs.len() {
+            for s in [7, 8 + 3] {
+                banked.write(r, s, u64::MAX - r as u64);
+                split.write(r, s, u64::MAX - r as u64);
+                let add = 0x0123_4567_89AB_CDEF;
+                assert_eq!(
+                    banked.rmw(r, s, RegAluOp::Add, add),
+                    split.rmw(r, s, RegAluOp::Add, add)
+                );
+                assert_eq!(banked.read(r, s), split.read(r, s), "reg {r} slot {s}");
+                assert_eq!(banked.read(r, s), banked.read(r, s % 8), "reg {r} slot {s} wraps");
+            }
+        }
         let ops = [
             (0, 3, RegAluOp::Write, u64::MAX),
             (1, 3, RegAluOp::Add, 95),
@@ -904,7 +835,7 @@ mod tests {
             f.write(1, s, u64::MAX);
         }
         f.clear();
-        assert!(f.banks()[0].as_bytes().iter().all(|&b| b == 0), "padding bytes included");
+        assert!(f.banks()[0].bytes().all(|b| b == 0), "padding bytes included");
     }
 
     #[test]
@@ -941,7 +872,7 @@ mod tests {
         }
         let mut new = RegisterFile::new_banked(&specs);
         new.carry_from(&old);
-        assert_eq!(new.banks()[0].as_bytes(), old.banks()[0].as_bytes());
+        assert!(new.banks()[0].bytes().eq(old.banks()[0].bytes()));
         // And across layouts (banked -> split) the logical values carry.
         let mut split = RegisterFile::new_split(&specs);
         split.carry_from(&old);

@@ -1,8 +1,8 @@
-//! Property test: **banked register file ≡ split per-stage arrays.**
+//! Property test: **banked register file ≡ split per-register arrays.**
 //!
 //! The flow bank changes only *where* register cells live (one
 //! cache-line-coalesced arena per slot domain instead of one array per
-//! stage) — never *what* a visit computes. This test generates random
+//! register) — never *what* a visit computes. This test generates random
 //! programs under the engine discipline (ownership-lane lifecycle with
 //! idle-eviction churn, per-flow counters with mixed widths, saturation
 //! caps, digests, resubmits, drops) plus random packet schedules, runs
@@ -11,7 +11,8 @@
 //! table hits and misses, and the exact digest stream. The banked and
 //! split pipelines take one packet at a time (singleton waves, so
 //! outcomes compare per packet); a third, banked pipeline runs the same
-//! schedule as full waves, through the bank's prefetch path too.
+//! schedule as full waves, so it also takes the push-time bank-line
+//! prefetch.
 //!
 //! Width diversity matters here: 8/16/24/32/64-bit registers exercise
 //! every physical cell size (1/2/4/8 bytes) the bank packs, and capped

@@ -8,8 +8,7 @@
 //!   for per-window extraction like the paper's §5 "Dataset Generation"),
 //!   where every deployable feature is a register **slot program** shared
 //!   verbatim with the data-plane compiler;
-//! * [`synthetic`] — the D1–D7 dataset analogs (see DESIGN.md for the
-//!   substitution rationale);
+//! * [`synthetic`] — the D1–D7 dataset analogs;
 //! * [`dataset`] — windowed / flow-level / prefix / packet-level matrices;
 //! * [`dcn`] — the Webserver & Hadoop datacenter environments used for
 //!   recirculation-bandwidth and time-to-detection analyses.

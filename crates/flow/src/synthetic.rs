@@ -3,7 +3,7 @@
 //! The paper evaluates on seven real traffic datasets (CIC-IoMT2024,
 //! CIC-IoT2023-a/b, ISCX-VPN2016, CampusTraffic, CIC-IDS2017/2018) that we
 //! cannot redistribute. These generators substitute synthetic analogs with
-//! the *properties the paper's results rest on* (see DESIGN.md §1):
+//! the *properties the paper's results rest on*:
 //!
 //! 1. the same class counts (19, 4, 13, 11, 32, 10, 10);
 //! 2. **phase-local signatures** — each class perturbs a sparse set of

@@ -65,7 +65,7 @@ fn quantized_16bit_model_still_exact() {
     let (tr, te) = stratified_split(&flows, 0.3, 5);
     let train_flows = select_flows(&flows, &tr);
     let test_flows = select_flows(&flows, &te);
-    let cfg = SplidtConfig { partitions: vec![2, 2], k: 3, feature_bits: 24, ..Default::default() };
+    let cfg = SplidtConfig { partitions: vec![2, 2], k: 3, feature_bits: 16, ..Default::default() };
     let wd = windowed_dataset(&train_flows, 2, n_classes);
     let model = train_partitioned(&wd, &cfg, &catalog().hardware_eligible());
     let report = run_flows(&model, &test_flows, 1 << 16, 2_000).unwrap();

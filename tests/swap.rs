@@ -231,7 +231,7 @@ fn swap_carries_bank_arena_bit_identically() {
         engine.ingest(&frame, ts).unwrap();
     }
     let banks: Vec<Vec<u8>> =
-        engine.pipeline_registers().banks().iter().map(|b| b.as_bytes().to_vec()).collect();
+        engine.pipeline_registers().banks().iter().map(|b| b.bytes().collect()).collect();
     assert!(!banks.is_empty(), "compiled registers must have banked");
     assert!(
         banks.iter().any(|b| b.iter().any(|&x| x != 0)),
@@ -242,7 +242,7 @@ fn swap_carries_bank_arena_bit_identically() {
     engine.swap_staged().expect("swaps");
 
     let after: Vec<Vec<u8>> =
-        engine.pipeline_registers().banks().iter().map(|b| b.as_bytes().to_vec()).collect();
+        engine.pipeline_registers().banks().iter().map(|b| b.bytes().collect()).collect();
     assert_eq!(banks, after, "the bank arena must carry bit-identically across the swap");
 }
 
@@ -257,7 +257,7 @@ fn reset_zeroes_whole_bank_arena() {
         engine.ingest(&frame, ts).unwrap();
     }
     assert!(
-        engine.pipeline_registers().banks().iter().any(|b| b.as_bytes().iter().any(|&x| x != 0)),
+        engine.pipeline_registers().banks().iter().any(|b| b.bytes().any(|x| x != 0)),
         "traffic must have left state in the arena"
     );
 
@@ -265,7 +265,7 @@ fn reset_zeroes_whole_bank_arena() {
 
     for (i, bank) in engine.pipeline_registers().banks().iter().enumerate() {
         assert!(
-            bank.as_bytes().iter().all(|&x| x == 0),
+            bank.bytes().all(|x| x == 0),
             "bank {i}: reset must zero the entire arena, padding included"
         );
     }
