@@ -134,6 +134,11 @@ impl Phv {
         self.values[id.index()] = value & layout.spec(id).mask();
     }
 
+    /// The field values, indexed by [`FieldId::index`]; writers mask.
+    pub(crate) fn values_mut(&mut self) -> &mut [u64] {
+        &mut self.values
+    }
+
     /// Resets every field to zero in place (no allocation) so one PHV can
     /// be reused across packets.
     pub fn zero(&mut self) {

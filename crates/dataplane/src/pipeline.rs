@@ -16,7 +16,7 @@
 //! [`Pipeline::wave_flush`]), stage-major over up to `burst` parked
 //! packets, with **zero heap allocations per packet** (lookups fill a
 //! reusable key scratch buffer, parsed headers land in the arena's reusable
-//! PHVs, actions execute by [`ActionId`](crate::plan::ActionId) reference).
+//! PHVs, actions run as pre-resolved ops out of the plan's op slab).
 //! A singleton wave is the packet-at-a-time walk, which is how the
 //! single-packet inspection calls ([`Pipeline::process_packet`],
 //! [`Pipeline::process_phv`]) run. **One oracle** stands beside it: the
@@ -27,7 +27,7 @@
 use crate::action::{Action, AluOut, Primitive, Source};
 use crate::parser::{parse, parse_into, ParseError, StandardFields};
 use crate::phv::{FieldId, Phv, PhvLayout};
-use crate::plan::ExecPlan;
+use crate::plan::{ActionId, ExecPlan, HashFlowFields, Op, OwnerOp};
 use crate::program::Program;
 use crate::register::RegisterFile;
 use crate::table::{EntryKey, TableError, TableId};
@@ -258,20 +258,9 @@ struct WavePacket {
     drop: bool,
 }
 
-/// One resolved lookup in the per-slot lookup scratch.
-#[derive(Debug, Clone, Copy)]
-struct WaveLookup {
-    /// Wave arena index of the packet.
-    pkt: u32,
-    /// Hit entry index, or `u32::MAX` for a miss.
-    entry: u32,
-    /// The interned action to execute.
-    aid: crate::plan::ActionId,
-}
-
 /// The preallocated wave arena: `burst + 1` packet slots (the extra slot
 /// lets [`Pipeline::wave_push`] parse the incoming frame before deciding
-/// whether it cuts the wave) plus the per-slot lookup scratch.
+/// whether it cuts the wave).
 #[derive(Debug)]
 struct WaveScratch {
     pkts: Vec<WavePacket>,
@@ -281,8 +270,6 @@ struct WaveScratch {
     burst: usize,
     /// Modulus of the conflict-key domain (see [`Pipeline::set_burst`]).
     conflict_slots: usize,
-    /// Reusable per-slot lookup results (lookup phase → exec phase).
-    lookups: Vec<WaveLookup>,
     /// The flow bank whose slot domain is the conflict-key domain, if
     /// any: its lines at a packet's conflict key hold all of that flow's
     /// coalesced state, and [`Pipeline::wave_push`] prefetches them.
@@ -333,14 +320,7 @@ fn new_wave(
         .collect();
     // Slot domains are distinct across banks, so at most one matches.
     let prefetch_bank = regs.banks().iter().position(|b| b.desc().slots == conflict_slots);
-    WaveScratch {
-        pkts,
-        len: 0,
-        burst,
-        conflict_slots: conflict_slots.max(1),
-        lookups: Vec::with_capacity(burst + 1),
-        prefetch_bank,
-    }
+    WaveScratch { pkts, len: 0, burst, conflict_slots: conflict_slots.max(1), prefetch_bank }
 }
 
 /// An executing pipeline: a program, its compiled execution plan, and live
@@ -617,11 +597,11 @@ impl Pipeline {
 
     /// Configures burst (wave) execution for the frame path: up to
     /// `burst` packets accumulate in a preallocated arena and execute
-    /// **stage-major** — the compiled plan is walked once per wave, each
-    /// slot's table spec and match index hoisted out of a tight
-    /// per-packet loop — instead of packet-major. `burst == 1` (the
-    /// construction default) degenerates to scalar execution through the
-    /// same machinery.
+    /// **stage-major** — the compiled plan is walked once per pass, and
+    /// at each plan slot every live packet in turn builds its key, looks
+    /// it up, counts the hit or miss and runs the action — instead of
+    /// packet-major. `burst == 1` (the construction default) degenerates
+    /// to scalar execution through the same machinery.
     ///
     /// ## Caller contract (what makes a wave safe)
     ///
@@ -690,19 +670,17 @@ impl Pipeline {
         }
         self.meters.packets += 1;
         self.meters.bytes += frame.len() as u64;
-        let key = match self.plan.hash_flow() {
-            Some(hf) if self.wave.burst > 1 => {
-                let phv = &self.wave.pkts[slot].phv;
-                let (sip, dip, sp, dp) = crate::hash::canonical_order(
-                    phv.get(hf.src_ip) as u32,
-                    phv.get(hf.dst_ip) as u32,
-                    phv.get(hf.sport) as u16,
-                    phv.get(hf.dport) as u16,
-                );
-                let proto = phv.get(hf.proto) as u8;
-                crate::hash::flow_index(sip, dip, sp, dp, proto, self.wave.conflict_slots) as u64
-            }
-            _ => 0,
+        // `burst > 1` only with the standard flow fields (see `new_wave`).
+        let key = if self.wave.burst > 1 {
+            let index_mask = self.wave.conflict_slots as u64 - 1;
+            prim_hash_flow(
+                self.plan.hash_flow(),
+                self.wave.pkts[slot].phv.values_mut(),
+                index_mask,
+                0,
+            )
+        } else {
+            0
         };
         self.wave.pkts[slot].key = key;
         if self.wave.burst > 1 {
@@ -747,15 +725,18 @@ impl Pipeline {
     /// including queued resubmissions, which run as **follow-up waves**
     /// over the still-live packets before the arena is released.
     ///
-    /// Stage-major structure per pass: for each plan slot, a *lookup
-    /// phase* resolves every live packet's action with the slot's table
-    /// spec and match index hoisted out of the loop, a *stats phase*
-    /// applies hit/miss counters under one mutable table borrow, and an
-    /// *execute phase* runs the interned actions in arrival order.
-    /// Per-packet digests are staged in per-slot buffers and flushed to
-    /// the pipeline ring in arrival order at wave end, so the global
-    /// digest stream is the arrival-order one. `fields` is `None` only for
-    /// a pre-built PHV ([`Pipeline::process_phv`]), which has no wire
+    /// Stage-major structure per pass: for each plan slot, one loop over
+    /// the live packets in arrival order takes each packet through the
+    /// slot in a single step — build its key, look it up in the slot's
+    /// match index, count the hit or miss, run the action's pre-resolved
+    /// ops — as a packet's visit to a match-action stage is one step.
+    /// The loop reads the plan only, so it holds the slot's table
+    /// mutably for the counters. Fusing the steps is exact: a lookup
+    /// reads only its own packet's PHV and the immutable entries, the
+    /// counters commute, and digests are staged per packet and flushed
+    /// to the pipeline ring in arrival order at wave end, so the global
+    /// digest stream is the arrival-order one. `fields` is `None` only
+    /// for a pre-built PHV ([`Pipeline::process_phv`]), which has no wire
     /// length to meter and no `is_resubmit` field to flag.
     fn run_wave(&mut self, fields: Option<&StandardFields>, stats: &mut WaveStats) {
         let n = self.wave.len;
@@ -766,6 +747,7 @@ impl Pipeline {
         let Pipeline {
             program, plan, regs, digests, meters, key_scratch, mask_scratch, wave, ..
         } = self;
+        let tables = program.tables_mut();
         for pkt in &mut wave.pkts[..n] {
             pkt.passes = 0;
             pkt.live = true;
@@ -780,55 +762,24 @@ impl Pipeline {
                     pkt.drop = false;
                 }
             }
-            for si in 0..plan.slots().len() {
-                let slot = plan.slots()[si];
-                let ti = slot.table as usize;
-                wave.lookups.clear();
-                {
-                    let keyspec = &program.tables()[ti].spec().key;
-                    let midx = plan.match_index(ti);
-                    for (i, pkt) in wave.pkts[..n].iter().enumerate() {
-                        if !pkt.live {
-                            continue;
+            for (si, slot) in plan.slots().iter().enumerate() {
+                let key = plan.slot_key(si);
+                let index = plan.match_index(slot.table as usize);
+                let table = &mut tables[slot.table as usize];
+                for pkt in wave.pkts[..n].iter_mut().filter(|p| p.live) {
+                    key_scratch.clear();
+                    key_scratch.extend(key.iter().map(|&f| pkt.phv.get(f)));
+                    let action = match index.lookup(key_scratch, mask_scratch) {
+                        Some(e) => {
+                            table.record_hit(e);
+                            plan.entry_action(slot, e)
                         }
-                        key_scratch.clear();
-                        for &f in keyspec {
-                            key_scratch.push(pkt.phv.get(f));
+                        None => {
+                            table.record_miss();
+                            slot.default_action
                         }
-                        let (aid, entry) = match midx.lookup(key_scratch, mask_scratch) {
-                            Some(e) => (plan.entry_action(&slot, e), e as u32),
-                            None => (slot.default_action, u32::MAX),
-                        };
-                        wave.lookups.push(WaveLookup { pkt: i as u32, entry, aid });
-                    }
-                }
-                {
-                    let t = &mut program.tables_mut()[ti];
-                    for l in &wave.lookups {
-                        match l.entry {
-                            u32::MAX => t.record_miss(),
-                            e => t.record_hit(e as usize),
-                        }
-                    }
-                }
-                for li in 0..wave.lookups.len() {
-                    let l = wave.lookups[li];
-                    let pkt = &mut wave.pkts[l.pkt as usize];
-                    let mut effects = PassEffects { resubmit: pkt.resubmit, drop: pkt.drop };
-                    exec_action(
-                        plan.action(l.aid),
-                        plan,
-                        program.layout(),
-                        program.digest_fields(),
-                        regs,
-                        &mut pkt.digests,
-                        meters,
-                        &mut pkt.phv,
-                        pkt.ts_us,
-                        &mut effects,
-                    );
-                    pkt.resubmit = effects.resubmit;
-                    pkt.drop = effects.drop;
+                    };
+                    exec_ops(plan, action, regs, meters, pkt);
                 }
             }
             for pkt in &mut wave.pkts[..n] {
@@ -989,10 +940,60 @@ fn resolve(src: Source, phv: &Phv) -> u64 {
     }
 }
 
-/// Executes one action against explicitly split pipeline state. A free
-/// function (not a `Pipeline` method) so the caller can hold the action by
-/// reference out of the plan arena — or a table entry — while the mutable
-/// register/digest/meter borrows stay disjoint.
+/// [`resolve`] over a PHV's value slice.
+#[inline]
+fn operand(src: Source, v: &[u64]) -> u64 {
+    match src {
+        Source::Const(c) => c,
+        Source::Field(f) => v[f.index()],
+    }
+}
+
+/// Runs an interned action's pre-resolved ops on one wave packet: the
+/// wave's executor, where [`exec_action`] is the entry-walk oracle's.
+#[inline]
+fn exec_ops(
+    plan: &ExecPlan,
+    action: ActionId,
+    regs: &mut RegisterFile,
+    meters: &mut Meters,
+    pkt: &mut WavePacket,
+) {
+    let v = pkt.phv.values_mut();
+    for &op in plan.ops(action) {
+        match op {
+            Op::Set(d, src) => d.write(v, operand(src, v)),
+            Op::Add(d, a, b) => d.write(v, operand(a, v).wrapping_add(operand(b, v))),
+            Op::Sub(d, a, b) => d.write(v, operand(a, v).wrapping_sub(operand(b, v))),
+            Op::Min(d, a, b) => d.write(v, operand(a, v).min(operand(b, v))),
+            Op::Max(d, a, b) => d.write(v, operand(a, v).max(operand(b, v))),
+            Op::DivConst(d, a, divisor) => d.write(v, operand(a, v) / divisor),
+            Op::HashFlow(d, index_mask, salt) => {
+                d.write(v, prim_hash_flow(plan.hash_flow(), v, index_mask, salt))
+            }
+            Op::RegRmw { reg, index, op, operand: x, out } => {
+                let (old, new) =
+                    regs.rmw(reg as usize, operand(index, v) as usize, op, operand(x, v));
+                match out {
+                    Some((d, AluOut::Old)) => d.write(v, old),
+                    Some((d, AluOut::New)) => d.write(v, new),
+                    None => {}
+                }
+            }
+            Op::OwnerUpdate(i) => prim_owner_update(plan.owner_op(i), regs, v),
+            Op::Resubmit => pkt.resubmit = true,
+            Op::Digest => {
+                pkt.digests.push(pkt.ts_us, plan.digest_fields().iter().map(|f| v[f.index()]));
+                meters.digests += 1;
+            }
+            Op::Drop => pkt.drop = true,
+        }
+    }
+}
+
+/// Executes one [`Action`] by interpreting its primitives — the entry-walk
+/// oracle's executor, the reference [`exec_ops`] is held to. The two share
+/// only the `HashFlow` and `OwnerUpdate` bodies.
 #[allow(clippy::too_many_arguments)]
 fn exec_action(
     action: &Action,
@@ -1033,7 +1034,10 @@ fn exec_action(
                 let v = resolve(*a, phv) / divisor.max(&1);
                 phv.set_masked(*dst, v, layout);
             }
-            Primitive::HashFlow { .. } => prim_hash_flow(p, plan, layout, phv),
+            Primitive::HashFlow { dst, mask, salt } => {
+                let idx = prim_hash_flow(plan.hash_flow(), phv.values_mut(), *mask, *salt);
+                phv.set_masked(*dst, idx, layout);
+            }
             Primitive::RegRmw { reg, index, op, operand, out } => {
                 let idx = resolve(*index, phv) as usize;
                 let opv = resolve(*operand, phv);
@@ -1046,7 +1050,9 @@ fn exec_action(
                     phv.set_masked(*dst, v, layout);
                 }
             }
-            Primitive::OwnerUpdate { .. } => prim_owner_update(p, regs, layout, phv),
+            Primitive::OwnerUpdate { .. } => {
+                prim_owner_update(&OwnerOp::resolve(p, layout), regs, phv.values_mut())
+            }
             Primitive::Resubmit => effects.resubmit = true,
             Primitive::Digest => {
                 digests.push(ts_us, digest_fields.iter().map(|&f| phv.get(f)));
@@ -1057,141 +1063,130 @@ fn exec_action(
     }
 }
 
-/// `HashFlow` body.
+/// `HashFlow` body: the canonical 5-tuple's flow index under
+/// `index_mask + 1` slots (`salt == 0`), or its salted fingerprint under
+/// `index_mask`. The caller masks the result to the destination field.
+///
+/// Panics when the layout lacks the standard fields (`hf` is `None`):
+/// see [`ExecPlan::hash_flow`].
 #[inline]
-fn prim_hash_flow(p: &Primitive, plan: &ExecPlan, layout: &PhvLayout, phv: &mut Phv) {
-    let Primitive::HashFlow { dst, mask, salt } = p else { unreachable!() };
-    // Field ids pre-resolved at plan build; programs using
-    // HashFlow are built via `standard_fields()`.
-    let hf = plan.hash_flow().expect("standard fields registered");
+fn prim_hash_flow(hf: Option<HashFlowFields>, v: &[u64], index_mask: u64, salt: u64) -> u64 {
+    // Programs using HashFlow are built via `standard_fields()`.
+    let hf = hf.expect("standard fields registered");
     let (sip, dip, sp, dp) = crate::hash::canonical_order(
-        phv.get(hf.src_ip) as u32,
-        phv.get(hf.dst_ip) as u32,
-        phv.get(hf.sport) as u16,
-        phv.get(hf.dport) as u16,
+        v[hf.src_ip.index()] as u32,
+        v[hf.dst_ip.index()] as u32,
+        v[hf.sport.index()] as u16,
+        v[hf.dport.index()] as u16,
     );
-    let proto = phv.get(hf.proto) as u8;
-    let idx = if *salt == 0 {
-        crate::hash::flow_index(sip, dip, sp, dp, proto, (*mask as usize) + 1) as u64
+    let proto = v[hf.proto.index()] as u8;
+    if salt == 0 {
+        crate::hash::flow_index(sip, dip, sp, dp, proto, (index_mask as usize) + 1) as u64
     } else {
-        crate::hash::flow_fingerprint(sip, dip, sp, dp, proto, *salt) as u64 & *mask
-    };
-    phv.set_masked(*dst, idx, layout);
+        crate::hash::flow_fingerprint(sip, dip, sp, dp, proto, salt) as u64 & index_mask
+    }
 }
 
-/// `OwnerUpdate` body.
+/// `OwnerUpdate` body: the ownership-lane state machine, over a PHV's
+/// value slice `v`.
 #[inline]
-fn prim_owner_update(p: &Primitive, regs: &mut RegisterFile, layout: &PhvLayout, phv: &mut Phv) {
-    let Primitive::OwnerUpdate {
-        reg,
+fn prim_owner_update(o: &OwnerOp, regs: &mut RegisterFile, v: &mut [u64]) {
+    let OwnerOp {
+        reg: ri,
         index,
         fp,
         now,
+        class,
         idle_timeout_us,
         pinned_timeout_us,
         mode,
         claim,
         release,
         pin,
-        class,
         state_out,
-    } = p
-    else {
-        unreachable!()
-    };
-    {
-        use crate::action::{OwnerMode, SlotState};
-        use crate::register::owner_lane as lane;
-        let idx = resolve(*index, phv) as usize;
-        let fpv = resolve(*fp, phv) & crate::hash::FP_MASK;
-        let now32 = resolve(*now, phv) & 0xFFFF_FFFF;
-        let ri = reg.index();
-        let cell = regs.read(ri, idx);
-        let (stored_fp, decided, pinned) =
-            (lane::fp(cell), lane::decided(cell), lane::pinned(cell));
-        let idle =
-            |timeout: u64| now32.wrapping_sub(lane::last_seen_us(cell)) & 0xFFFF_FFFF > timeout;
-        // Claimable lanes export Unsolicited when the entry has no
-        // claim permission (the policy's non-SYN probes).
-        let gate = |s: SlotState| if *claim { s } else { SlotState::Unsolicited };
-        let state = match mode {
-            OwnerMode::Probe => {
-                let state = if stored_fp == fpv {
-                    if decided {
-                        // A trailing FIN/RST from the owner of an
-                        // unpinned decided lane releases it
-                        // in-band (the early-exit flow's close).
-                        if *release && !pinned {
-                            SlotState::OwnerRelease
-                        } else {
-                            SlotState::OwnerDecided
-                        }
-                    } else {
-                        SlotState::Owner
-                    }
-                } else if stored_fp == 0 {
-                    gate(SlotState::ClaimFree)
-                } else if decided && pinned {
-                    // Pinned verdicts hold their slot until the
-                    // longer pinned timeout (or operator release).
-                    if idle(*pinned_timeout_us) {
-                        gate(SlotState::TakeoverPinned)
-                    } else {
-                        SlotState::PinnedDefended
-                    }
-                } else if decided {
-                    gate(SlotState::TakeoverDecided)
-                } else if idle(*idle_timeout_us) {
-                    gate(SlotState::TakeoverIdle)
-                } else {
-                    SlotState::LiveCollision
-                };
-                match state {
-                    // Owner traffic refreshes recency (decided
-                    // lanes keep their flags and class); claims
-                    // install the new fingerprint undecided.
-                    SlotState::Owner | SlotState::OwnerDecided => {
-                        regs.write(
-                            ri,
-                            idx,
-                            lane::pack(decided, pinned, lane::class(cell), fpv, now32),
-                        );
-                    }
-                    SlotState::ClaimFree
-                    | SlotState::TakeoverIdle
-                    | SlotState::TakeoverDecided
-                    | SlotState::TakeoverPinned => {
-                        regs.write(ri, idx, lane::pack(false, false, 0, fpv, now32));
-                    }
-                    // Suppressed packets must not corrupt the lane.
-                    SlotState::LiveCollision
-                    | SlotState::Unsolicited
-                    | SlotState::PinnedDefended => {}
-                    SlotState::OwnerRelease => regs.write(ri, idx, lane::FREE),
-                }
-                state
-            }
-            OwnerMode::Decide => {
-                if stored_fp == fpv {
-                    if *release && !*pin {
-                        // In-band FIN/RST release: the slot is
-                        // reclaimable before any digest drains.
-                        regs.write(ri, idx, lane::FREE);
+    } = *o;
+    use crate::action::{OwnerMode, SlotState};
+    use crate::register::owner_lane as lane;
+    let idx = operand(index, v) as usize;
+    let fpv = operand(fp, v) & crate::hash::FP_MASK;
+    let now32 = operand(now, v) & 0xFFFF_FFFF;
+    let cell = regs.read(ri, idx);
+    let (stored_fp, decided, pinned) = (lane::fp(cell), lane::decided(cell), lane::pinned(cell));
+    let idle = |timeout: u64| now32.wrapping_sub(lane::last_seen_us(cell)) & 0xFFFF_FFFF > timeout;
+    // Claimable lanes export Unsolicited when the entry has no
+    // claim permission (the policy's non-SYN probes).
+    let gate = |s: SlotState| if claim { s } else { SlotState::Unsolicited };
+    let state = match mode {
+        OwnerMode::Probe => {
+            let state = if stored_fp == fpv {
+                if decided {
+                    // A trailing FIN/RST from the owner of an
+                    // unpinned decided lane releases it
+                    // in-band (the early-exit flow's close).
+                    if release && !pinned {
                         SlotState::OwnerRelease
                     } else {
-                        let classv = resolve(*class, phv) & lane::CLASS_MASK;
-                        regs.write(ri, idx, lane::pack(true, *pin, classv, fpv, now32));
                         SlotState::OwnerDecided
                     }
                 } else {
-                    // The lane was recycled (or released) already:
-                    // leave it alone.
+                    SlotState::Owner
+                }
+            } else if stored_fp == 0 {
+                gate(SlotState::ClaimFree)
+            } else if decided && pinned {
+                // Pinned verdicts hold their slot until the
+                // longer pinned timeout (or operator release).
+                if idle(pinned_timeout_us) {
+                    gate(SlotState::TakeoverPinned)
+                } else {
+                    SlotState::PinnedDefended
+                }
+            } else if decided {
+                gate(SlotState::TakeoverDecided)
+            } else if idle(idle_timeout_us) {
+                gate(SlotState::TakeoverIdle)
+            } else {
+                SlotState::LiveCollision
+            };
+            match state {
+                // Owner traffic refreshes recency (decided
+                // lanes keep their flags and class); claims
+                // install the new fingerprint undecided.
+                SlotState::Owner | SlotState::OwnerDecided => {
+                    regs.write(ri, idx, lane::pack(decided, pinned, lane::class(cell), fpv, now32));
+                }
+                SlotState::ClaimFree
+                | SlotState::TakeoverIdle
+                | SlotState::TakeoverDecided
+                | SlotState::TakeoverPinned => {
+                    regs.write(ri, idx, lane::pack(false, false, 0, fpv, now32));
+                }
+                // Suppressed packets must not corrupt the lane.
+                SlotState::LiveCollision | SlotState::Unsolicited | SlotState::PinnedDefended => {}
+                SlotState::OwnerRelease => regs.write(ri, idx, lane::FREE),
+            }
+            state
+        }
+        OwnerMode::Decide => {
+            if stored_fp == fpv {
+                if release && !pin {
+                    // In-band FIN/RST release: the slot is
+                    // reclaimable before any digest drains.
+                    regs.write(ri, idx, lane::FREE);
+                    SlotState::OwnerRelease
+                } else {
+                    let classv = operand(class, v) & lane::CLASS_MASK;
+                    regs.write(ri, idx, lane::pack(true, pin, classv, fpv, now32));
                     SlotState::OwnerDecided
                 }
+            } else {
+                // The lane was recycled (or released) already:
+                // leave it alone.
+                SlotState::OwnerDecided
             }
-        };
-        phv.set_masked(*state_out, state.code(), layout);
-    }
+        }
+    };
+    state_out.write(v, state.code());
 }
 
 #[derive(Debug, Default, Clone, Copy)]

@@ -16,14 +16,19 @@
 //! * every distinct action (entry actions and per-table defaults) is
 //!   interned once into an action arena and referenced by [`ActionId`];
 //! * per-slot entry→action maps live in one flat `entry_actions` slab
-//!   (slot offsets, no nested `Vec`s);
+//!   (slot offsets, no nested `Vec`s), and so do per-slot key field ids;
+//! * every interned action is compiled once into a contiguous range of a
+//!   flat op slab: each operand is a PHV index or an immediate, and every
+//!   destination's width mask is read from the layout here, not per write;
 //! * the PHV fields the `HashFlow` primitive needs are resolved from the
-//!   layout by name once, not per packet.
+//!   layout by name once, not per packet, and the digest field list is
+//!   copied in, so the wave executor reads the plan and never the
+//!   [`Program`].
 //!
-//! The pipeline executes actions *by reference* into the arena with split
-//! borrows for the hit/miss counters, so the steady-state packet path
-//! performs zero heap allocations (verified by the counting-allocator
-//! harness in `splidt-bench`).
+//! The wave executor runs the op slab, never the [`Action`]s themselves
+//! (those stay for the entry-walk oracle and the P4 emitter), so the
+//! steady-state packet path performs zero heap allocations (verified by
+//! `tests/zero_alloc.rs`).
 //!
 //! Alongside the action arena the plan compiles one
 //! [`MatchIndex`] per table — the sub-linear
@@ -34,11 +39,11 @@
 //! [`Pipeline::install_entry`](crate::pipeline::Pipeline::install_entry),
 //! which invalidates and rebuilds the whole plan (indexes included).
 
-use crate::action::Action;
+use crate::action::{Action, AluOut, OwnerMode, Primitive, Source};
 use crate::index::MatchIndex;
-use crate::phv::FieldId;
+use crate::phv::{FieldId, PhvLayout};
 use crate::program::Program;
-use crate::register::BankLayout;
+use crate::register::{BankLayout, RegAluOp};
 use std::collections::HashMap;
 
 /// Index of an interned action in an [`ExecPlan`]'s arena.
@@ -83,6 +88,144 @@ pub struct HashFlowFields {
     pub proto: FieldId,
 }
 
+/// A PHV destination with its width mask, read from the layout at build.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Dst {
+    pub(crate) field: FieldId,
+    pub(crate) mask: u64,
+}
+
+impl Dst {
+    fn resolve(field: FieldId, layout: &PhvLayout) -> Self {
+        Self { field, mask: layout.spec(field).mask() }
+    }
+
+    /// Writes `x`, masked to the field's width, into the PHV values `v`.
+    #[inline]
+    pub(crate) fn write(self, v: &mut [u64], x: u64) {
+        v[self.field.index()] = x & self.mask;
+    }
+}
+
+/// One [`Primitive`] pre-resolved for the wave executor: operands are PHV
+/// indexes or immediates, destinations carry their masks.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Op {
+    Set(Dst, Source),
+    Add(Dst, Source, Source),
+    Sub(Dst, Source, Source),
+    Min(Dst, Source, Source),
+    Max(Dst, Source, Source),
+    /// The divisor is already floored at 1.
+    DivConst(Dst, Source, u64),
+    /// `(dst, index mask, salt)`, as [`Primitive::HashFlow`] declares them.
+    HashFlow(Dst, u64, u64),
+    RegRmw {
+        reg: u32,
+        index: Source,
+        op: RegAluOp,
+        operand: Source,
+        out: Option<(Dst, AluOut)>,
+    },
+    /// Index into the plan's `owners` slab: an `OwnerUpdate` is several
+    /// times the size of every other op, and rare.
+    OwnerUpdate(u32),
+    Resubmit,
+    Digest,
+    Drop,
+}
+
+/// A pre-resolved [`Primitive::OwnerUpdate`]: the parameters the one
+/// ownership-lane body (`pipeline::prim_owner_update`) takes, from either
+/// executor.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct OwnerOp {
+    pub(crate) reg: usize,
+    pub(crate) index: Source,
+    pub(crate) fp: Source,
+    pub(crate) now: Source,
+    pub(crate) class: Source,
+    pub(crate) idle_timeout_us: u64,
+    pub(crate) pinned_timeout_us: u64,
+    pub(crate) mode: OwnerMode,
+    pub(crate) claim: bool,
+    pub(crate) release: bool,
+    pub(crate) pin: bool,
+    pub(crate) state_out: Dst,
+}
+
+impl OwnerOp {
+    /// Resolves `p`, which must be an `OwnerUpdate`, against `layout`.
+    pub(crate) fn resolve(p: &Primitive, layout: &PhvLayout) -> Self {
+        let Primitive::OwnerUpdate {
+            reg,
+            index,
+            fp,
+            now,
+            idle_timeout_us,
+            pinned_timeout_us,
+            mode,
+            claim,
+            release,
+            pin,
+            class,
+            state_out,
+        } = *p
+        else {
+            unreachable!("OwnerOp::resolve on {p:?}")
+        };
+        Self {
+            reg: reg.index(),
+            index,
+            fp,
+            now,
+            class,
+            idle_timeout_us,
+            pinned_timeout_us,
+            mode,
+            claim,
+            release,
+            pin,
+            state_out: Dst::resolve(state_out, layout),
+        }
+    }
+}
+
+/// Appends `action`'s ops to `ops` (and any `OwnerUpdate` to `owners`).
+fn compile_action(
+    action: &Action,
+    layout: &PhvLayout,
+    ops: &mut Vec<Op>,
+    owners: &mut Vec<OwnerOp>,
+) {
+    let dst = |f: FieldId| Dst::resolve(f, layout);
+    for p in &action.prims {
+        ops.push(match *p {
+            Primitive::Set { dst: d, src } => Op::Set(dst(d), src),
+            Primitive::Add { dst: d, a, b } => Op::Add(dst(d), a, b),
+            Primitive::Sub { dst: d, a, b } => Op::Sub(dst(d), a, b),
+            Primitive::Min { dst: d, a, b } => Op::Min(dst(d), a, b),
+            Primitive::Max { dst: d, a, b } => Op::Max(dst(d), a, b),
+            Primitive::DivConst { dst: d, a, divisor } => Op::DivConst(dst(d), a, divisor.max(1)),
+            Primitive::HashFlow { dst: d, mask, salt } => Op::HashFlow(dst(d), mask, salt),
+            Primitive::RegRmw { reg, index, op, operand, out } => Op::RegRmw {
+                reg: reg.index() as u32,
+                index,
+                op,
+                operand,
+                out: out.map(|(f, which)| (dst(f), which)),
+            },
+            Primitive::OwnerUpdate { .. } => {
+                owners.push(OwnerOp::resolve(p, layout));
+                Op::OwnerUpdate(owners.len() as u32 - 1)
+            }
+            Primitive::Resubmit => Op::Resubmit,
+            Primitive::Digest => Op::Digest,
+            Primitive::Drop => Op::Drop,
+        });
+    }
+}
+
 /// A compiled, immutable execution schedule for one [`Program`].
 ///
 /// Built once by [`ExecPlan::build`] (the pipeline does this at
@@ -91,7 +234,16 @@ pub struct HashFlowFields {
 pub struct ExecPlan {
     slots: Vec<PlanSlot>,
     entry_actions: Vec<ActionId>,
+    /// Every slot's key field ids; slot `s` owns
+    /// `key_fields[key_starts[s]..key_starts[s + 1]]`.
+    key_fields: Vec<FieldId>,
+    key_starts: Vec<u32>,
     actions: Vec<Action>,
+    /// The op slab; action `a` owns `ops[op_starts[a]..op_starts[a + 1]]`.
+    ops: Vec<Op>,
+    op_starts: Vec<u32>,
+    owners: Vec<OwnerOp>,
+    digest_fields: Vec<FieldId>,
     /// Compiled lookup index per table (indexed by table index).
     indexes: Vec<MatchIndex>,
     hash_flow: Option<HashFlowFields>,
@@ -122,10 +274,14 @@ impl ExecPlan {
             })
         };
         let mut max_key_fields = 0usize;
+        let mut key_fields: Vec<FieldId> = Vec::new();
+        let mut key_starts = vec![0u32];
         for stage in program.stages() {
             for &tid in &stage.tables {
                 let table = program.table(tid);
                 max_key_fields = max_key_fields.max(table.spec().key.len());
+                key_fields.extend_from_slice(&table.spec().key);
+                key_starts.push(key_fields.len() as u32);
                 let entries_start = entry_actions.len() as u32;
                 for e in table.entries() {
                     let id = intern(&e.action, &mut actions);
@@ -142,6 +298,11 @@ impl ExecPlan {
         let indexes: Vec<MatchIndex> = program.tables().iter().map(MatchIndex::build).collect();
         let max_mask_words = indexes.iter().map(MatchIndex::mask_words).max().unwrap_or(0);
         let layout = program.layout();
+        let (mut ops, mut op_starts, mut owners) = (Vec::new(), vec![0u32], Vec::new());
+        for a in &actions {
+            compile_action(a, layout, &mut ops, &mut owners);
+            op_starts.push(ops.len() as u32);
+        }
         let hash_flow = match (
             layout.by_name("ipv4.src"),
             layout.by_name("ipv4.dst"),
@@ -162,25 +323,21 @@ impl ExecPlan {
         // (BankLayout groups strictly by `len`, so this amounts to the
         // ownership lane not being a singleton when flow state exists).
         debug_assert!(
-            {
-                let owner_lens: Vec<usize> = actions
-                    .iter()
-                    .flat_map(|a| a.prims.iter())
-                    .filter_map(|p| match p {
-                        crate::action::Primitive::OwnerUpdate { reg, .. } => {
-                            Some(program.registers()[reg.index()].len)
-                        }
-                        _ => None,
-                    })
-                    .collect();
-                owner_lens.windows(2).all(|w| w[0] == w[1])
-            },
+            owners.windows(2).all(|w| {
+                program.registers()[w[0].reg].len == program.registers()[w[1].reg].len
+            }),
             "ownership lanes must share one slot domain"
         );
         Self {
             slots,
             entry_actions,
+            key_fields,
+            key_starts,
             actions,
+            ops,
+            op_starts,
+            owners,
+            digest_fields: program.digest_fields().to_vec(),
             indexes,
             hash_flow,
             max_key_fields,
@@ -208,6 +365,27 @@ impl ExecPlan {
     pub fn entry_action(&self, slot: &PlanSlot, entry: usize) -> ActionId {
         debug_assert!(entry < slot.entries_len as usize);
         self.entry_actions[slot.entries_start as usize + entry]
+    }
+
+    /// Key field ids of the slot at index `slot` in [`ExecPlan::slots`].
+    pub(crate) fn slot_key(&self, slot: usize) -> &[FieldId] {
+        &self.key_fields[self.key_starts[slot] as usize..self.key_starts[slot + 1] as usize]
+    }
+
+    /// The pre-resolved ops of an interned action.
+    pub(crate) fn ops(&self, id: ActionId) -> &[Op] {
+        let i = id.index();
+        &self.ops[self.op_starts[i] as usize..self.op_starts[i + 1] as usize]
+    }
+
+    /// The `OwnerUpdate` an [`Op::OwnerUpdate`] names.
+    pub(crate) fn owner_op(&self, i: u32) -> &OwnerOp {
+        &self.owners[i as usize]
+    }
+
+    /// The program's digest fields, in declaration order.
+    pub(crate) fn digest_fields(&self) -> &[FieldId] {
+        &self.digest_fields
     }
 
     /// Pre-resolved `HashFlow` fields (if the layout carries them).

@@ -36,7 +36,11 @@ fn random_program(rng: &mut rand::rngs::SmallRng) -> (Program, Vec<FieldId>) {
             let dst = fields[rng.random_range(0usize..fields.len())];
             let src = |rng: &mut rand::rngs::SmallRng| {
                 if rng.random::<bool>() {
-                    Source::Const(rng.random_range(0u64..64))
+                    // Half the constants are drawn up to 2^20, past every
+                    // field width (8 and 16 bits), so a write that skips
+                    // its mask shows.
+                    let top = if rng.random::<bool>() { 64 } else { 1 << 20 };
+                    Source::Const(rng.random_range(0u64..top))
                 } else {
                     Source::Field(fields[rng.random_range(0usize..fields.len())])
                 }
