@@ -1,33 +1,75 @@
 //! CRC32 (IEEE 802.3, reflected, polynomial `0xEDB88320`), the hash SpliDT
 //! uses to map a flow's 5-tuple onto register indices (paper §3.1.1).
 //!
-//! Table-driven implementation; the table is computed at first use.
+//! Slicing-by-8: eight 256-entry tables, built at compile time, let the
+//! CRC register absorb eight bytes per step with one lookup into each
+//! table; a tail shorter than eight bytes goes through the first table a
+//! byte at a time, which alone is the classic table-driven CRC. Both
+//! paths compute the same polynomial division, so the result is
+//! bit-identical to the bytewise CRC for every input.
+//!
+//! Every flow hash starts from the same 13 tuple bytes, so the register
+//! after them (`tuple_crc`) is the one per-packet state: [`flow_index`]
+//! finalises it directly and [`flow_fingerprint`] runs it on over the
+//! salt bytes. The wave executor keeps that state per packet, so a
+//! packet's tuple is hashed once however many hashes it takes.
 
-use std::sync::OnceLock;
+/// `TABLES[0]` is the bytewise table; `TABLES[k][i]` advances
+/// `TABLES[k - 1][i]` by one more zero byte.
+static TABLES: [[u32; 256]; 8] = tables();
 
-fn table() -> &'static [u32; 256] {
-    static TABLE: OnceLock<[u32; 256]> = OnceLock::new();
-    TABLE.get_or_init(|| {
-        let mut t = [0u32; 256];
-        for (i, slot) in t.iter_mut().enumerate() {
-            let mut c = i as u32;
-            for _ in 0..8 {
-                c = if c & 1 != 0 { 0xEDB8_8320 ^ (c >> 1) } else { c >> 1 };
-            }
-            *slot = c;
+const fn tables() -> [[u32; 256]; 8] {
+    let mut t = [[0u32; 256]; 8];
+    let mut i = 0;
+    while i < 256 {
+        let mut c = i as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            c = if c & 1 != 0 { 0xEDB8_8320 ^ (c >> 1) } else { c >> 1 };
+            bit += 1;
         }
-        t
-    })
+        t[0][i] = c;
+        i += 1;
+    }
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let c = t[k - 1][i];
+            t[k][i] = (c >> 8) ^ t[0][(c & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    t
+}
+
+/// Runs the (pre-inverted) CRC register `c` over `data`.
+#[inline]
+fn update(mut c: u32, data: &[u8]) -> u32 {
+    let t = &TABLES;
+    let mut chunks = data.chunks_exact(8);
+    for b in &mut chunks {
+        let lo = c ^ u32::from_le_bytes([b[0], b[1], b[2], b[3]]);
+        let hi = u32::from_le_bytes([b[4], b[5], b[6], b[7]]);
+        c = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xFF) as usize]
+            ^ t[2][((hi >> 8) & 0xFF) as usize]
+            ^ t[1][((hi >> 16) & 0xFF) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &b in chunks.remainder() {
+        c = t[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+    }
+    c
 }
 
 /// CRC32 of a byte slice (IEEE, as used by Ethernet FCS and zlib).
 pub fn crc32(data: &[u8]) -> u32 {
-    let t = table();
-    let mut c = 0xFFFF_FFFFu32;
-    for &b in data {
-        c = t[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
-    }
-    c ^ 0xFFFF_FFFF
+    !update(!0, data)
 }
 
 /// Salt mixed into the ownership-lane fingerprint hash so it is
@@ -75,13 +117,7 @@ pub fn flow_index(
     slots: usize,
 ) -> usize {
     assert!(slots.is_power_of_two(), "slots must be a power of two");
-    let mut buf = [0u8; 13];
-    buf[0..4].copy_from_slice(&src_ip.to_be_bytes());
-    buf[4..8].copy_from_slice(&dst_ip.to_be_bytes());
-    buf[8..10].copy_from_slice(&src_port.to_be_bytes());
-    buf[10..12].copy_from_slice(&dst_port.to_be_bytes());
-    buf[12] = proto;
-    (crc32(&buf) as usize) & (slots - 1)
+    (!tuple_crc(src_ip, dst_ip, src_port, dst_port, proto)) as usize & (slots - 1)
 }
 
 /// Salted CRC32 of a 5-tuple — the second, index-independent hash the
@@ -96,14 +132,27 @@ pub fn flow_fingerprint(
     proto: u8,
     salt: u64,
 ) -> u32 {
-    let mut buf = [0u8; 21];
+    salted(tuple_crc(src_ip, dst_ip, src_port, dst_port, proto), salt)
+}
+
+/// The CRC register after a 5-tuple's 13 big-endian bytes, before the
+/// final inversion: the state every hash of that tuple continues from.
+#[inline]
+pub(crate) fn tuple_crc(src_ip: u32, dst_ip: u32, src_port: u16, dst_port: u16, proto: u8) -> u32 {
+    let mut buf = [0u8; 13];
     buf[0..4].copy_from_slice(&src_ip.to_be_bytes());
     buf[4..8].copy_from_slice(&dst_ip.to_be_bytes());
     buf[8..10].copy_from_slice(&src_port.to_be_bytes());
     buf[10..12].copy_from_slice(&dst_port.to_be_bytes());
     buf[12] = proto;
-    buf[13..21].copy_from_slice(&salt.to_be_bytes());
-    crc32(&buf)
+    update(!0, &buf)
+}
+
+/// [`flow_fingerprint`] from a [`tuple_crc`] state: the salt bytes are
+/// appended to the tuple bytes.
+#[inline]
+pub(crate) fn salted(state: u32, salt: u64) -> u32 {
+    !update(state, &salt.to_be_bytes())
 }
 
 /// The canonical ownership-lane fingerprint of a 5-tuple: the salted hash
@@ -125,6 +174,35 @@ mod tests {
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
         assert_eq!(crc32(b"a"), 0xE8B7_BE43);
+    }
+
+    /// The bytewise table-driven CRC, the reference slicing-by-8 is held
+    /// to.
+    fn crc32_bytewise(data: &[u8]) -> u32 {
+        let mut c = !0u32;
+        for &b in data {
+            c = TABLES[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+        }
+        !c
+    }
+
+    #[test]
+    fn slicing_by_8_equals_bytewise_at_every_length() {
+        // xorshift64: random bytes without a dependency.
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        let mut data = Vec::new();
+        for len in 0..=64 {
+            for _ in 0..16 {
+                data.clear();
+                data.extend((0..len).map(|_| {
+                    x ^= x << 13;
+                    x ^= x >> 7;
+                    x ^= x << 17;
+                    x as u8
+                }));
+                assert_eq!(crc32(&data), crc32_bytewise(&data), "{data:?}");
+            }
+        }
     }
 
     #[test]

@@ -9,10 +9,21 @@
 //! hundreds-to-thousands of entries). A [`MatchIndex`] replaces that scan
 //! on the plan-driven hot path:
 //!
+//! * **Direct** — any kind whose entries span at most `DIRECT_BITS` (10) key
+//!   bits. Each field's *domain* is the smallest all-ones mask covering
+//!   the exact values, care masks or range upper bounds its entries name;
+//!   the domains side by side number at most 1,024 rows, and the build
+//!   fills every row with the linear oracle's answer for it. A lookup
+//!   reads one row. A component with bits above its domain is a miss for
+//!   exact and range tables (no entry holds such a value) and is masked
+//!   for ternary ones (no pattern cares about those bits). Most of a
+//!   compiled program's tables are this narrow: they key on flags,
+//!   subtree ids and counters' few bits.
 //! * **Exact** — keys of ≤ 2 components pack into a `u128` hashed with
 //!   FxHash (one multiply per word, no per-process random state; table
 //!   contents are control-plane installed, so DoS-resistant hashing buys
-//!   nothing here). Wider keys keep a `Vec<u64>`-keyed map, still FxHash.
+//!   nothing here). Wider keys keep a map keyed by the whole key, still
+//!   FxHash, gathered into the caller's scratch to probe it.
 //! * **Range** — decision-tree thresholds partition each field's domain,
 //!   so the index cuts every field into *elementary intervals* (reusing
 //!   `splidt_ranging::elementary_cuts`) resolved by binary search.
@@ -47,6 +58,13 @@
 //! of an intersection is already the highest-priority survivor — no
 //! per-candidate priority comparison.
 //!
+//! Lookups read key component `i` through one accessor, `Key::get`: the
+//! pinned [`MatchIndex::lookup`] passes a slice of values, and the wave
+//! executor a view of the packet's PHV through the slot's key field ids,
+//! so no key is copied out before it is looked up. Each index reads only
+//! the components it inspects — a ternary pivot and its group's live
+//! fields, say; only wide exact keys are gathered.
+//!
 //! Index results equal the linear oracle bit-for-bit, including for
 //! patterns the oracle can never match (`value & !mask != 0`, installable
 //! through `Ternary`'s public fields): those are dropped at build time.
@@ -56,6 +74,7 @@
 //!
 //! [`Table::lookup_linear`]: crate::table::Table::lookup_linear
 
+use crate::phv::FieldId;
 use crate::table::{EntryKey, MatchKind, Table};
 use crate::tcam::Ternary;
 use rustc_hash::FxHashMap;
@@ -75,6 +94,16 @@ const DENSE_ROWS_PER_RULE: u64 = 64;
 /// Most rows any dense array may have.
 const DENSE_ROWS_MAX: u64 = 4096;
 
+/// Most key bits, over all fields, a [`MatchIndex::Direct`] table may
+/// span. At 10 its rows are at most 1,024 × 4 B = 4 KiB, a small part of
+/// L1, so the one row a lookup reads is as cheap to reach as the probe,
+/// search or dispatch it replaces, and a build fills at most 1,024 rows.
+const DIRECT_BITS: u32 = 10;
+
+/// Build bound of a direct table: rows × entries, the oracle scans one
+/// row costs. Tables past it keep their kind's index.
+const DIRECT_BUILD_MAX: usize = 1 << 20;
+
 /// Multi-field range tables below this entry count use a rank-ordered
 /// early-exit scan instead of per-field interval bitmasks: the scan
 /// already beats per-field binary searches plus word intersection at very
@@ -86,6 +115,9 @@ pub const RANGE_BITMAP_MIN: usize = 32;
 /// structure per [`MatchKind`].
 #[derive(Debug, Clone)]
 pub enum MatchIndex {
+    /// Any kind whose entries span at most 10 key bits (`DIRECT_BITS`):
+    /// one precomputed row per key value.
+    Direct(DirectIndex),
     /// Exact keys of ≤ 2 components, packed into a `u128`.
     ExactPacked {
         /// Key component count (1 or 2).
@@ -199,6 +231,24 @@ pub enum RangeIndex {
     },
 }
 
+/// One precomputed winner per key value of a narrow table. Each field's
+/// *domain* is the smallest all-ones mask covering what the entries
+/// name on it (exact values, ternary care masks, range upper bounds);
+/// the fields' domain bits, packed side by side, number the row.
+#[derive(Debug, Clone)]
+pub struct DirectIndex {
+    /// Per key field, in match order: `(domain, shift)`, the field's
+    /// domain and the row bit its lowest domain bit lands on.
+    fields: Vec<(u64, u32)>,
+    /// Whether a component with bits above its domain misses (exact and
+    /// range: no entry holds such a value) rather than being masked
+    /// (ternary: no pattern cares about those bits).
+    clip: bool,
+    /// Row → winning entry index (`u32::MAX` = miss), filled by the
+    /// linear oracle.
+    rows: Vec<u32>,
+}
+
 /// One field's elementary intervals and their candidate bitmasks.
 #[derive(Debug, Clone)]
 pub struct RangeFieldIntervals {
@@ -210,6 +260,9 @@ pub struct RangeFieldIntervals {
 impl MatchIndex {
     /// Compiles the index for `table`'s current entries.
     pub fn build(table: &Table) -> Self {
+        if let Some(direct) = DirectIndex::build(table) {
+            return MatchIndex::Direct(direct);
+        }
         match table.spec().kind {
             MatchKind::Exact => build_exact(table),
             MatchKind::Ternary => MatchIndex::Ternary(TernaryIndex::build(table)),
@@ -222,40 +275,95 @@ impl MatchIndex {
     /// as [`Table::lookup_linear_key`](crate::table::Table::lookup_linear_key):
     /// highest priority, ties to the lowest install index.
     ///
-    /// `scratch` is the caller's reusable intersection buffer (only
-    /// touched by multi-field range lookups); size it with
+    /// `scratch` is the caller's reusable buffer (touched only by
+    /// multi-field range lookups and wide exact keys); size it with
     /// [`MatchIndex::mask_words`] to keep the call allocation-free.
     #[inline]
     pub fn lookup(&self, key: &[u64], scratch: &mut Vec<u64>) -> Option<usize> {
+        self.lookup_key(key, scratch)
+    }
+
+    /// [`MatchIndex::lookup`] over any [`Key`]: each index reads only the
+    /// components it inspects, where they already are.
+    #[inline]
+    pub(crate) fn lookup_key<K: Key + ?Sized>(
+        &self,
+        key: &K,
+        scratch: &mut Vec<u64>,
+    ) -> Option<usize> {
         match self {
+            MatchIndex::Direct(d) => d.lookup(key),
             MatchIndex::ExactPacked { fields, map } => {
-                debug_assert_eq!(key.len(), *fields);
-                let packed = pack_key(key);
-                map.get(&packed).map(|&i| i as usize)
+                map.get(&pack_key(key, *fields)).map(|&i| i as usize)
             }
-            MatchIndex::ExactWide { map } => map.get(key).map(|&i| i as usize),
+            MatchIndex::ExactWide { map } => map.get(key.gather(scratch)).map(|&i| i as usize),
             MatchIndex::Ternary(t) => t.lookup(key),
             MatchIndex::Range(r) => r.lookup(key, scratch),
         }
     }
 
-    /// Words of intersection scratch this index needs (0 when the lookup
-    /// never touches the scratch buffer).
+    /// Words of scratch this index needs: a multi-field range index's
+    /// intersection width, a wide exact index's key width, else 0.
     pub fn mask_words(&self) -> usize {
         match self {
             MatchIndex::Range(RangeIndex::Multi { words, .. }) => *words,
+            MatchIndex::ExactWide { map } => map.keys().next().map_or(0, Vec::len),
             _ => 0,
         }
+    }
+}
+
+/// A lookup key's components, in match order: a slice of values, or
+/// [`PhvKey`], which reads each one where the packet holds it.
+pub(crate) trait Key {
+    /// Component `i`.
+    fn get(&self, i: usize) -> u64;
+
+    /// All components as one slice, gathered into `scratch` if they are
+    /// not one already.
+    fn gather<'a>(&'a self, scratch: &'a mut Vec<u64>) -> &'a [u64];
+}
+
+impl Key for [u64] {
+    #[inline]
+    fn get(&self, i: usize) -> u64 {
+        self[i]
+    }
+
+    #[inline]
+    fn gather<'a>(&'a self, _scratch: &'a mut Vec<u64>) -> &'a [u64] {
+        self
+    }
+}
+
+/// A table's key read in place from a PHV: component `i` is
+/// `values[fields[i]]`.
+pub(crate) struct PhvKey<'a> {
+    pub(crate) values: &'a [u64],
+    pub(crate) fields: &'a [FieldId],
+}
+
+impl Key for PhvKey<'_> {
+    #[inline]
+    fn get(&self, i: usize) -> u64 {
+        self.values[self.fields[i].index()]
+    }
+
+    #[inline]
+    fn gather<'a>(&'a self, scratch: &'a mut Vec<u64>) -> &'a [u64] {
+        scratch.clear();
+        scratch.extend(self.fields.iter().map(|f| self.values[f.index()]));
+        scratch
     }
 }
 
 /// Packs ≤ 2 key components into a `u128` (64 bits per lane, so packing
 /// never changes equality semantics vs the `Vec<u64>` representation).
 #[inline]
-fn pack_key(key: &[u64]) -> u128 {
-    let mut packed = key[0] as u128;
-    if key.len() == 2 {
-        packed |= (key[1] as u128) << 64;
+fn pack_key<K: Key + ?Sized>(key: &K, fields: usize) -> u128 {
+    let mut packed = key.get(0) as u128;
+    if fields == 2 {
+        packed |= (key.get(1) as u128) << 64;
     }
     packed
 }
@@ -269,7 +377,7 @@ fn build_exact(table: &Table) -> MatchIndex {
         let mut map = FxHashMap::default();
         for (i, e) in table.entries().iter().enumerate() {
             let EntryKey::Exact(v) = &e.key else { unreachable!("exact table") };
-            map.insert(pack_key(v), i as u32);
+            map.insert(pack_key(v.as_slice(), fields), i as u32);
         }
         MatchIndex::ExactPacked { fields, map }
     } else {
@@ -279,6 +387,65 @@ fn build_exact(table: &Table) -> MatchIndex {
             map.insert(v.clone(), i as u32);
         }
         MatchIndex::ExactWide { map }
+    }
+}
+
+impl DirectIndex {
+    /// The direct index of `table`, if its entries span at most
+    /// [`DIRECT_BITS`] key bits and filling the rows stays within
+    /// [`DIRECT_BUILD_MAX`] oracle steps.
+    fn build(table: &Table) -> Option<Self> {
+        let mut cover = vec![0u64; table.spec().key.len()];
+        for e in table.entries() {
+            for (i, c) in cover.iter_mut().enumerate() {
+                *c |= match &e.key {
+                    EntryKey::Exact(values) => values[i],
+                    EntryKey::Ternary { fields, .. } => fields[i].mask,
+                    EntryKey::Range { fields, .. } => fields[i].1,
+                };
+            }
+        }
+        let mut shift = 0;
+        let fields: Vec<(u64, u32)> = cover
+            .iter()
+            .map(|&c| {
+                let bits = u64::BITS - c.leading_zeros();
+                let field = (u64::MAX.checked_shr(c.leading_zeros()).unwrap_or(0), shift);
+                shift += bits;
+                field
+            })
+            .collect();
+        if shift > DIRECT_BITS {
+            return None;
+        }
+        let n_rows = 1usize << shift;
+        if n_rows * table.n_entries() > DIRECT_BUILD_MAX {
+            return None;
+        }
+        let mut key = vec![0u64; fields.len()];
+        let rows = (0..n_rows as u64)
+            .map(|row| {
+                for (k, &(domain, shift)) in key.iter_mut().zip(&fields) {
+                    *k = (row >> shift) & domain;
+                }
+                table.lookup_linear_key(&key).map_or(NONE, |i| i as u32)
+            })
+            .collect();
+        Some(Self { fields, clip: table.spec().kind != MatchKind::Ternary, rows })
+    }
+
+    #[inline]
+    fn lookup<K: Key + ?Sized>(&self, key: &K) -> Option<usize> {
+        let mut row = 0;
+        for (i, &(domain, shift)) in self.fields.iter().enumerate() {
+            let v = key.get(i);
+            if self.clip && v & !domain != 0 {
+                return None;
+            }
+            row |= ((v & domain) as usize) << shift;
+        }
+        let w = self.rows[row];
+        (w != NONE).then_some(w as usize)
     }
 }
 
@@ -404,14 +571,14 @@ impl TernaryIndex {
     }
 
     #[inline]
-    fn lookup(&self, key: &[u64]) -> Option<usize> {
+    fn lookup<K: Key + ?Sized>(&self, key: &K) -> Option<usize> {
         let group = match &self.pivot {
-            Some(p) => self.dispatch[p.row_of(key[p.field])] as usize,
+            Some(p) => self.dispatch[p.row_of(key.get(p.field))] as usize,
             None => 0,
         };
         match &self.groups[group] {
             TernaryGroup::Interval { field, domain, cuts, winners } => {
-                interval_winner(cuts, winners, key[*field] & domain)
+                interval_winner(cuts, winners, key.get(*field) & domain)
             }
             TernaryGroup::Bits(g) => g.lookup(key),
         }
@@ -531,7 +698,7 @@ impl TernaryGroup {
 
 impl BitGroup {
     #[inline]
-    fn lookup(&self, key: &[u64]) -> Option<usize> {
+    fn lookup<K: Key + ?Sized>(&self, key: &K) -> Option<usize> {
         let n_verify = self.verify_fields.len();
         for w in 0..self.words {
             // All of this word's rules, then every filter's row ANDed in
@@ -539,7 +706,7 @@ impl BitGroup {
             let rules = self.entry_of.len() - w * 64;
             let mut cand = if rules >= 64 { !0 } else { (1u64 << rules) - 1 };
             for f in &self.filters {
-                cand &= f.rows[f.bits.row_of(key[f.bits.field]) * self.words + w];
+                cand &= f.rows[f.bits.row_of(key.get(f.bits.field)) * self.words + w];
             }
             // Survivors in rank order; the first to match on the fields
             // no filter decided is the highest-priority true match.
@@ -547,7 +714,7 @@ impl BitGroup {
                 let rank = w * 64 + cand.trailing_zeros() as usize;
                 cand &= cand - 1;
                 let pats = &self.verify_pats[rank * n_verify..(rank + 1) * n_verify];
-                if self.verify_fields.iter().zip(pats).all(|(&f, t)| t.matches(key[f])) {
+                if self.verify_fields.iter().zip(pats).all(|(&f, t)| t.matches(key.get(f))) {
                     return Some(self.entry_of[rank] as usize);
                 }
             }
@@ -617,13 +784,15 @@ impl RangeIndex {
     }
 
     #[inline]
-    fn lookup(&self, key: &[u64], scratch: &mut Vec<u64>) -> Option<usize> {
+    fn lookup<K: Key + ?Sized>(&self, key: &K, scratch: &mut Vec<u64>) -> Option<usize> {
         match self {
-            RangeIndex::Single { cuts, winners } => interval_winner(cuts, winners, key[0]),
+            RangeIndex::Single { cuts, winners } => interval_winner(cuts, winners, key.get(0)),
             RangeIndex::Scan { n_fields, entry_of, bounds } => {
                 for (rank, &e) in entry_of.iter().enumerate() {
                     let bs = &bounds[rank * n_fields..(rank + 1) * n_fields];
-                    if bs.iter().zip(key).all(|(&(lo, hi), &v)| lo <= v && v <= hi) {
+                    let inside =
+                        |(i, &(lo, hi)): (usize, &(u64, u64))| (lo..=hi).contains(&key.get(i));
+                    if bs.iter().enumerate().all(inside) {
                         return Some(e as usize);
                     }
                 }
@@ -633,11 +802,11 @@ impl RangeIndex {
                 if entry_of.is_empty() {
                     return None;
                 }
-                let i0 = interval_of(&fields[0].cuts, key[0]);
+                let i0 = interval_of(&fields[0].cuts, key.get(0));
                 scratch.clear();
                 scratch.extend_from_slice(&fields[0].masks[i0 * words..(i0 + 1) * words]);
-                for (f, &v) in fields[1..].iter().zip(&key[1..]) {
-                    let i = interval_of(&f.cuts, v);
+                for (k, f) in fields.iter().enumerate().skip(1) {
+                    let i = interval_of(&f.cuts, key.get(k));
                     let iv = &f.masks[i * words..(i + 1) * words];
                     for (s, &m) in scratch.iter_mut().zip(iv) {
                         *s &= m;
@@ -843,19 +1012,27 @@ mod tests {
     fn range_single_field_binary_search() {
         let (_l, a, _b) = layout2();
         let mut t = Table::new(TableSpec::range("t", vec![a], 8));
-        t.install(EntryKey::Range { fields: vec![(10, 20)], priority: 1 }, Action::new("lo"))
-            .unwrap();
-        t.install(EntryKey::Range { fields: vec![(15, 30)], priority: 2 }, Action::new("hi"))
-            .unwrap();
+        // Bounds past the direct budget (15 bits), so the interval index
+        // is built.
+        t.install(
+            EntryKey::Range { fields: vec![(10_000, 20_000)], priority: 1 },
+            Action::new("lo"),
+        )
+        .unwrap();
+        t.install(
+            EntryKey::Range { fields: vec![(15_000, 30_000)], priority: 2 },
+            Action::new("hi"),
+        )
+        .unwrap();
         let idx = MatchIndex::build(&t);
         assert!(matches!(&idx, MatchIndex::Range(RangeIndex::Single { .. })));
         let mut s = Vec::new();
-        assert_eq!(idx.lookup(&[9], &mut s), None);
-        assert_eq!(idx.lookup(&[12], &mut s), Some(0));
-        assert_eq!(idx.lookup(&[15], &mut s), Some(1), "overlap resolves by priority");
-        assert_eq!(idx.lookup(&[30], &mut s), Some(1));
-        assert_eq!(idx.lookup(&[31], &mut s), None);
-        assert_equivalent(&t, (0..40u64).map(|v| vec![v]));
+        assert_eq!(idx.lookup(&[9_999], &mut s), None);
+        assert_eq!(idx.lookup(&[12_000], &mut s), Some(0));
+        assert_eq!(idx.lookup(&[15_000], &mut s), Some(1), "overlap resolves by priority");
+        assert_eq!(idx.lookup(&[30_000], &mut s), Some(1));
+        assert_eq!(idx.lookup(&[30_001], &mut s), None);
+        assert_equivalent(&t, (0..40_000u64).step_by(500).flat_map(|v| [vec![v], vec![v + 1]]));
     }
 
     #[test]
@@ -897,6 +1074,97 @@ mod tests {
             .unwrap();
         }
         assert_equivalent(&t, (0..240u64).map(|v| vec![v / 2, v]));
+    }
+
+    /// Probes every value of each field up to twice its domain, with
+    /// and without bits above the field's 16-bit width.
+    fn assert_direct_equivalent(t: &Table) {
+        let idx = MatchIndex::build(t);
+        assert!(matches!(idx, MatchIndex::Direct(_)), "{idx:?}");
+        let n = t.spec().key.len() as u32;
+        let values = |v: u64| [v, v | 1 << 16, v | 1 << 40];
+        assert_equivalent(
+            t,
+            (0..64u64.pow(n)).flat_map(|r| {
+                let key: Vec<u64> = (0..n).map(|i| (r >> (6 * i)) & 63).collect();
+                (0..3).map(move |hi| key.iter().map(|&v| values(v)[hi]).collect())
+            }),
+        );
+    }
+
+    #[test]
+    fn direct_exact_misses_above_domain() {
+        let (_l, a, b) = layout2();
+        let mut t = Table::new(TableSpec::exact("e", vec![a, b], 16));
+        // Field 0 spans 3 bits, field 1 two: (1, 2) and (2, 1) land on
+        // different rows only if each field keeps its own shift.
+        for (x, y) in [(1, 2), (2, 1), (5, 0), (0, 3)] {
+            t.install(EntryKey::Exact(vec![x, y]), Action::new("e")).unwrap();
+        }
+        let MatchIndex::Direct(d) = MatchIndex::build(&t) else { panic!("direct") };
+        assert_eq!(d.rows.len(), 1 << 5);
+        let mut s = Vec::new();
+        assert_eq!(d.lookup([2u64, 1].as_slice()), Some(1));
+        // 9 & 0b111 == 1 and 6 & 0b11 == 2: the masked row holds (1, 2),
+        // but no entry holds 9 or 6.
+        assert_eq!(MatchIndex::Direct(d.clone()).lookup(&[9, 2], &mut s), None);
+        assert_eq!(MatchIndex::Direct(d).lookup(&[1, 6], &mut s), None);
+        assert_direct_equivalent(&t);
+    }
+
+    #[test]
+    fn direct_ternary_masks_above_domain() {
+        let (_l, a, b) = layout2();
+        let mut t = Table::new(TableSpec::ternary("t", vec![a, b], 16));
+        for (fields, priority) in [
+            (vec![Ternary::new(1, 0x3), Ternary::ANY], 1),
+            (vec![Ternary::new(4, 0x4), Ternary::new(1, 0x1)], 2),
+            (vec![Ternary::ANY, Ternary::new(2, 0x6)], 2),
+            (vec![Ternary { value: 0x8, mask: 0x1 }, Ternary::ANY], 9),
+        ] {
+            t.install(EntryKey::Ternary { fields, priority }, Action::new("e")).unwrap();
+        }
+        let idx = MatchIndex::build(&t);
+        let mut s = Vec::new();
+        // No pattern cares about bit 8: the probe matches as 5.
+        assert_eq!(idx.lookup(&[0x105, 3], &mut s), Some(1));
+        assert_eq!(idx.lookup(&[0x100, 1 << 20], &mut s), None);
+        assert_direct_equivalent(&t);
+    }
+
+    #[test]
+    fn direct_range_misses_above_domain() {
+        let (_l, a, b) = layout2();
+        let mut t = Table::new(TableSpec::range("r", vec![a, b], 16));
+        for (fields, priority) in [
+            (vec![(0, 5), (2, 3)], 1),
+            (vec![(4, 9), (0, 7)], 3),
+            (vec![(6, 6), (1, 1)], 3),
+            (vec![(12, 14), (5, 6)], 0),
+        ] {
+            t.install(EntryKey::Range { fields, priority }, Action::new("e")).unwrap();
+        }
+        let idx = MatchIndex::build(&t);
+        let mut s = Vec::new();
+        assert_eq!(idx.lookup(&[13, 5], &mut s), Some(3));
+        assert_eq!(idx.lookup(&[16, 5], &mut s), None, "16 is past every upper bound");
+        assert_direct_equivalent(&t);
+    }
+
+    #[test]
+    fn direct_falls_back_past_its_budgets() {
+        let (_l, a, b) = layout2();
+        // Eleven key bits.
+        let mut t = Table::new(TableSpec::exact("e", vec![a, b], 4));
+        t.install(EntryKey::Exact(vec![63, 31]), Action::new("e")).unwrap();
+        assert!(matches!(MatchIndex::build(&t), MatchIndex::ExactPacked { .. }));
+        // Ten bits, but 1,025 entries: 2^10 rows × 1,025 oracle steps.
+        let mut t = Table::new(TableSpec::ternary("t", vec![a], 2048));
+        for i in 0..1025u64 {
+            let fields = vec![Ternary::new(i, 0x3FF)];
+            t.install(EntryKey::Ternary { fields, priority: 0 }, Action::new("e")).unwrap();
+        }
+        assert!(matches!(MatchIndex::build(&t), MatchIndex::Ternary(_)));
     }
 
     #[test]

@@ -134,6 +134,11 @@ impl Phv {
         self.values[id.index()] = value & layout.spec(id).mask();
     }
 
+    /// The field values, indexed by [`FieldId::index`].
+    pub(crate) fn values(&self) -> &[u64] {
+        &self.values
+    }
+
     /// The field values, indexed by [`FieldId::index`]; writers mask.
     pub(crate) fn values_mut(&mut self) -> &mut [u64] {
         &mut self.values

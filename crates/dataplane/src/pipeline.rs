@@ -14,9 +14,10 @@
 //! an [`ExecPlan`] — a flat slab of table indices and interned action ids —
 //! and **one executor** walks it: the wave ([`Pipeline::wave_push`] /
 //! [`Pipeline::wave_flush`]), stage-major over up to `burst` parked
-//! packets, with **zero heap allocations per packet** (lookups fill a
-//! reusable key scratch buffer, parsed headers land in the arena's reusable
-//! PHVs, actions run as pre-resolved ops out of the plan's op slab).
+//! packets, with **zero heap allocations per packet** (lookups read their
+//! keys in place in the PHV, parsed headers land in the arena's reusable
+//! PHVs, actions run as pre-resolved ops out of the plan's op slab, and
+//! each packet's 5-tuple is hashed once).
 //! A singleton wave is the packet-at-a-time walk, which is how the
 //! single-packet inspection calls ([`Pipeline::process_packet`],
 //! [`Pipeline::process_phv`]) run. **One oracle** stands beside it: the
@@ -25,6 +26,7 @@
 //! test compares the wave against.
 
 use crate::action::{Action, AluOut, Primitive, Source};
+use crate::index::PhvKey;
 use crate::parser::{parse, parse_into, ParseError, StandardFields};
 use crate::phv::{FieldId, Phv, PhvLayout};
 use crate::plan::{ActionId, ExecPlan, HashFlowFields, Op, OwnerOp};
@@ -256,6 +258,38 @@ struct WavePacket {
     resubmit: bool,
     /// Drop requested in the current pass.
     drop: bool,
+    /// The packet's tuple hash, computed once at push for the conflict
+    /// key and reused by every `HashFlow` the packet runs.
+    flow: FlowHash,
+}
+
+/// A 5-tuple's CRC state (`hash::tuple_crc` of its canonical order),
+/// keyed on the raw tuple values it was computed from: a lookup with any
+/// other tuple rehashes, so the memo can be stale but never wrong.
+#[derive(Debug, Clone, Copy)]
+struct FlowHash {
+    tuple: [u64; 5],
+    state: u32,
+}
+
+impl FlowHash {
+    /// The state of `tuple` (`src_ip, dst_ip, sport, dport, proto`),
+    /// hashed from scratch.
+    fn of(tuple: [u64; 5]) -> Self {
+        let [sip, dip, sp, dp, proto] = tuple;
+        let (sip, dip, sp, dp) =
+            crate::hash::canonical_order(sip as u32, dip as u32, sp as u16, dp as u16);
+        Self { tuple, state: crate::hash::tuple_crc(sip, dip, sp, dp, proto as u8) }
+    }
+
+    /// The state of `tuple`, rehashing only if it is not the memo's.
+    #[inline]
+    fn state(&mut self, tuple: [u64; 5]) -> u32 {
+        if self.tuple != tuple {
+            *self = Self::of(tuple);
+        }
+        self.state
+    }
 }
 
 /// The preallocated wave arena: `burst + 1` packet slots (the extra slot
@@ -316,6 +350,7 @@ fn new_wave(
             live: false,
             resubmit: false,
             drop: false,
+            flow: FlowHash::of([0; 5]),
         })
         .collect();
     // Slot domains are distinct across banks, so at most one matches.
@@ -332,10 +367,8 @@ pub struct Pipeline {
     regs: RegisterFile,
     digests: DigestBuf,
     meters: Meters,
-    /// Reusable table-key buffer (sized to the widest key in the plan).
-    key_scratch: Vec<u64>,
-    /// Reusable candidate-bitmask buffer for the compiled match indexes
-    /// (sized to the widest intersection any index needs).
+    /// Reusable scratch for the compiled match indexes (sized to the
+    /// most any index needs: see [`crate::index::MatchIndex::mask_words`]).
     mask_scratch: Vec<u64>,
     /// Preallocated wave arena for burst (stage-major) execution.
     wave: WaveScratch,
@@ -363,20 +396,10 @@ impl Pipeline {
             RegisterFile::new_split(program.registers())
         };
         let plan = ExecPlan::build(&program);
-        let key_scratch = Vec::with_capacity(plan.max_key_fields());
         let mask_scratch = Vec::with_capacity(plan.max_mask_words());
         let digests = DigestBuf::with_stride(program.digest_fields().len());
         let wave = new_wave(&program, &plan, &regs, 1, 1);
-        Self {
-            program,
-            plan,
-            regs,
-            digests,
-            meters: Meters::default(),
-            key_scratch,
-            mask_scratch,
-            wave,
-        }
+        Self { program, plan, regs, digests, meters: Meters::default(), mask_scratch, wave }
     }
 
     /// Installs an entry into a table of the **running** pipeline — the
@@ -393,7 +416,6 @@ impl Pipeline {
         assert_eq!(self.wave.len, 0, "install_entry with a wave in flight; wave_flush first");
         self.program.tables_mut()[table.index()].install(key, action)?;
         self.plan = ExecPlan::build(&self.program);
-        self.key_scratch = Vec::with_capacity(self.plan.max_key_fields());
         self.mask_scratch = Vec::with_capacity(self.plan.max_mask_words());
         // The new entry may stage digests its table never did.
         self.rebuild_wave(self.wave.burst, self.wave.conflict_slots);
@@ -449,7 +471,6 @@ impl Pipeline {
         self.program = program;
         self.regs = regs;
         self.plan = ExecPlan::build(&self.program);
-        self.key_scratch = Vec::with_capacity(self.plan.max_key_fields());
         self.mask_scratch = Vec::with_capacity(self.plan.max_mask_words());
         // The arena's PHVs follow the new program's layout; the burst
         // configuration survives the flip.
@@ -672,13 +693,10 @@ impl Pipeline {
         self.meters.bytes += frame.len() as u64;
         // `burst > 1` only with the standard flow fields (see `new_wave`).
         let key = if self.wave.burst > 1 {
+            let pkt = &mut self.wave.pkts[slot];
             let index_mask = self.wave.conflict_slots as u64 - 1;
-            prim_hash_flow(
-                self.plan.hash_flow(),
-                self.wave.pkts[slot].phv.values_mut(),
-                index_mask,
-                0,
-            )
+            let tuple = flow_tuple(self.plan.hash_flow(), pkt.phv.values());
+            hash_flow_finish(pkt.flow.state(tuple), index_mask, 0)
         } else {
             0
         };
@@ -727,9 +745,10 @@ impl Pipeline {
     ///
     /// Stage-major structure per pass: for each plan slot, one loop over
     /// the live packets in arrival order takes each packet through the
-    /// slot in a single step — build its key, look it up in the slot's
-    /// match index, count the hit or miss, run the action's pre-resolved
-    /// ops — as a packet's visit to a match-action stage is one step.
+    /// slot in a single step — look its key up in the slot's match index,
+    /// reading the key's components in place in the PHV, count the hit or
+    /// miss, run the action's pre-resolved ops — as a packet's visit to a
+    /// match-action stage is one step.
     /// The loop reads the plan only, so it holds the slot's table
     /// mutably for the counters. Fusing the steps is exact: a lookup
     /// reads only its own packet's PHV and the immutable entries, the
@@ -744,9 +763,7 @@ impl Pipeline {
             return;
         }
         let limit = self.program.resubmit_limit();
-        let Pipeline {
-            program, plan, regs, digests, meters, key_scratch, mask_scratch, wave, ..
-        } = self;
+        let Pipeline { program, plan, regs, digests, meters, mask_scratch, wave, .. } = self;
         let tables = program.tables_mut();
         for pkt in &mut wave.pkts[..n] {
             pkt.passes = 0;
@@ -767,9 +784,8 @@ impl Pipeline {
                 let index = plan.match_index(slot.table as usize);
                 let table = &mut tables[slot.table as usize];
                 for pkt in wave.pkts[..n].iter_mut().filter(|p| p.live) {
-                    key_scratch.clear();
-                    key_scratch.extend(key.iter().map(|&f| pkt.phv.get(f)));
-                    let action = match index.lookup(key_scratch, mask_scratch) {
+                    let phv_key = PhvKey { values: pkt.phv.values(), fields: key };
+                    let action = match index.lookup_key(&phv_key, mask_scratch) {
                         Some(e) => {
                             table.record_hit(e);
                             plan.entry_action(slot, e)
@@ -959,7 +975,8 @@ fn exec_ops(
     meters: &mut Meters,
     pkt: &mut WavePacket,
 ) {
-    let v = pkt.phv.values_mut();
+    let WavePacket { phv, digests, ts_us, resubmit, drop, flow, .. } = pkt;
+    let v = phv.values_mut();
     for &op in plan.ops(action) {
         match op {
             Op::Set(d, src) => d.write(v, operand(src, v)),
@@ -969,7 +986,8 @@ fn exec_ops(
             Op::Max(d, a, b) => d.write(v, operand(a, v).max(operand(b, v))),
             Op::DivConst(d, a, divisor) => d.write(v, operand(a, v) / divisor),
             Op::HashFlow(d, index_mask, salt) => {
-                d.write(v, prim_hash_flow(plan.hash_flow(), v, index_mask, salt))
+                let state = flow.state(flow_tuple(plan.hash_flow(), v));
+                d.write(v, hash_flow_finish(state, index_mask, salt))
             }
             Op::RegRmw { reg, index, op, operand: x, out } => {
                 let (old, new) =
@@ -981,19 +999,19 @@ fn exec_ops(
                 }
             }
             Op::OwnerUpdate(i) => prim_owner_update(plan.owner_op(i), regs, v),
-            Op::Resubmit => pkt.resubmit = true,
+            Op::Resubmit => *resubmit = true,
             Op::Digest => {
-                pkt.digests.push(pkt.ts_us, plan.digest_fields().iter().map(|f| v[f.index()]));
+                digests.push(*ts_us, plan.digest_fields().iter().map(|f| v[f.index()]));
                 meters.digests += 1;
             }
-            Op::Drop => pkt.drop = true,
+            Op::Drop => *drop = true,
         }
     }
 }
 
 /// Executes one [`Action`] by interpreting its primitives — the entry-walk
 /// oracle's executor, the reference [`exec_ops`] is held to. The two share
-/// only the `HashFlow` and `OwnerUpdate` bodies.
+/// only the `HashFlow` finalisation and the `OwnerUpdate` body.
 #[allow(clippy::too_many_arguments)]
 fn exec_action(
     action: &Action,
@@ -1035,8 +1053,8 @@ fn exec_action(
                 phv.set_masked(*dst, v, layout);
             }
             Primitive::HashFlow { dst, mask, salt } => {
-                let idx = prim_hash_flow(plan.hash_flow(), phv.values_mut(), *mask, *salt);
-                phv.set_masked(*dst, idx, layout);
+                let state = FlowHash::of(flow_tuple(plan.hash_flow(), phv.values())).state;
+                phv.set_masked(*dst, hash_flow_finish(state, *mask, *salt), layout);
             }
             Primitive::RegRmw { reg, index, op, operand, out } => {
                 let idx = resolve(*index, phv) as usize;
@@ -1063,27 +1081,28 @@ fn exec_action(
     }
 }
 
-/// `HashFlow` body: the canonical 5-tuple's flow index under
-/// `index_mask + 1` slots (`salt == 0`), or its salted fingerprint under
-/// `index_mask`. The caller masks the result to the destination field.
+/// The raw 5-tuple `HashFlow` hashes, read from a PHV's value slice.
 ///
 /// Panics when the layout lacks the standard fields (`hf` is `None`):
 /// see [`ExecPlan::hash_flow`].
 #[inline]
-fn prim_hash_flow(hf: Option<HashFlowFields>, v: &[u64], index_mask: u64, salt: u64) -> u64 {
+fn flow_tuple(hf: Option<HashFlowFields>, v: &[u64]) -> [u64; 5] {
     // Programs using HashFlow are built via `standard_fields()`.
     let hf = hf.expect("standard fields registered");
-    let (sip, dip, sp, dp) = crate::hash::canonical_order(
-        v[hf.src_ip.index()] as u32,
-        v[hf.dst_ip.index()] as u32,
-        v[hf.sport.index()] as u16,
-        v[hf.dport.index()] as u16,
-    );
-    let proto = v[hf.proto.index()] as u8;
+    [hf.src_ip, hf.dst_ip, hf.sport, hf.dport, hf.proto].map(|f| v[f.index()])
+}
+
+/// `HashFlow` finalisation of a tuple's CRC state: the canonical flow
+/// index ([`crate::hash::flow_index`]) under `index_mask + 1` slots
+/// (`salt == 0`), or the salted fingerprint
+/// ([`crate::hash::flow_fingerprint`]) under `index_mask`. The caller
+/// masks the result to the destination field.
+#[inline]
+fn hash_flow_finish(state: u32, index_mask: u64, salt: u64) -> u64 {
     if salt == 0 {
-        crate::hash::flow_index(sip, dip, sp, dp, proto, (index_mask as usize) + 1) as u64
+        !state as u64 & index_mask
     } else {
-        crate::hash::flow_fingerprint(sip, dip, sp, dp, proto, salt) as u64 & index_mask
+        crate::hash::salted(state, salt) as u64 & index_mask
     }
 }
 
@@ -1574,11 +1593,34 @@ mod tests {
         resubmit: bool,
         drop_slot0: bool,
     ) -> (Program, crate::parser::StandardFields) {
+        wave_program_with(slots, resubmit, drop_slot0, false)
+    }
+
+    /// [`wave_program`], with `rewrite_src` adding 1000 to `ipv4.src` in
+    /// stage 0 before the `HashFlow`, on every pass.
+    fn wave_program_with(
+        slots: usize,
+        resubmit: bool,
+        drop_slot0: bool,
+        rewrite_src: bool,
+    ) -> (Program, crate::parser::StandardFields) {
         let mut b = ProgramBuilder::new();
         let fields = b.standard_fields();
         let idx = b.add_meta("m_idx", 16);
         b.set_digest_fields(vec![idx, fields.frame_len]);
         let r = b.add_register(RegisterSpec::new("cnt", 32, slots), 1);
+        if rewrite_src {
+            let t = b.add_table(TableSpec::exact("rewrite", vec![fields.is_resubmit], 2), 0);
+            let src = fields.ipv4_src;
+            b.set_default(
+                t,
+                Action::new("rewrite").with(Primitive::Add {
+                    dst: src,
+                    a: Source::Field(src),
+                    b: Source::Const(1000),
+                }),
+            );
+        }
         let prep = b.add_table(TableSpec::exact("prep", vec![fields.is_resubmit], 2), 0);
         b.set_default(
             prep,
@@ -1676,6 +1718,64 @@ mod tests {
                     }
                 }
             }
+        }
+    }
+
+    /// A program that rewrites a tuple field before its `HashFlow` hashes
+    /// the rewritten tuple, not the one the packet's memo was computed
+    /// from at push: the wave, the single-packet call and the entry walk
+    /// agree on every PHV, digest (which carries the hash) and register.
+    #[test]
+    fn hash_memo_rehashes_a_rewritten_tuple() {
+        const SLOTS: usize = 8;
+        for burst in [1, 8] {
+            let (p, fields) = wave_program_with(SLOTS, true, false, true);
+            let mut oracle = Pipeline::new(p.clone());
+            let mut single = Pipeline::new(p.clone());
+            let mut wave = Pipeline::new(p);
+            wave.set_burst(burst, SLOTS);
+            let mut stats = WaveStats::default();
+            for i in 0..24u32 {
+                let frame = PacketBuilder::tcp(i % 12, 7, 1000 + i as u16, 2).build();
+                let want = oracle.process_packet_entrywalk(&frame, i as u64, &fields).unwrap();
+                let got = single.process_packet(&frame, i as u64, &fields).unwrap();
+                assert_eq!(got.phv, want.phv, "packet {i}");
+                wave.wave_push(&frame, i as u64, &fields, &mut stats).unwrap();
+            }
+            wave.wave_flush(&fields, &mut stats);
+            let want_digests = oracle.take_digests();
+            for mut pipe in [wave, single] {
+                assert_eq!(want_digests, pipe.take_digests(), "burst {burst}");
+                assert_eq!(oracle.meters(), pipe.meters());
+                for s in 0..SLOTS {
+                    assert_eq!(oracle.registers().read(0, s), pipe.registers().read(0, s));
+                }
+            }
+        }
+    }
+
+    /// The memoised tuple state finalises to the `hash` functions' values:
+    /// the flow index, and the salted fingerprint the ownership lane
+    /// stores.
+    #[test]
+    fn flow_hash_memo_equals_flow_index_and_fingerprint() {
+        use crate::hash::{canonical_order, flow_fingerprint, flow_index, FP_MASK, FP_SALT};
+        let mut memo = FlowHash::of([0; 5]);
+        for i in 0..64u64 {
+            let tuple = [i * 7919, 0x0a00_0001 + i % 3, 1000 + i, 80 + i % 2, 6 + i % 11];
+            let state = memo.state(tuple);
+            assert_eq!(state, FlowHash::of(tuple).state, "a stale memo was used");
+            let (sip, dip, sp, dp) =
+                canonical_order(tuple[0] as u32, tuple[1] as u32, tuple[2] as u16, tuple[3] as u16);
+            let proto = tuple[4] as u8;
+            assert_eq!(
+                hash_flow_finish(state, FP_MASK, FP_SALT),
+                flow_fingerprint(sip, dip, sp, dp, proto, FP_SALT) as u64 & FP_MASK
+            );
+            assert_eq!(
+                hash_flow_finish(state, (1 << 16) - 1, 0),
+                flow_index(sip, dip, sp, dp, proto, 1 << 16) as u64
+            );
         }
     }
 

@@ -31,10 +31,11 @@
 //! `tests/zero_alloc.rs`).
 //!
 //! Alongside the action arena the plan compiles one
-//! [`MatchIndex`] per table — the sub-linear
-//! lookup structures (packed-key exact maps, elementary-interval range
-//! indexes, priority-ranked bucketed ternary) the hot path dispatches
-//! through instead of scanning installed entries. Runtime entry
+//! [`MatchIndex`] per table — the lookup structures (direct rows for
+//! narrow tables, packed-key exact maps, elementary-interval range
+//! indexes, pivot-dispatched ternary groups) the hot path dispatches
+//! through instead of scanning installed entries; they read each slot's
+//! key in place through its key field ids. Runtime entry
 //! installation goes through
 //! [`Pipeline::install_entry`](crate::pipeline::Pipeline::install_entry),
 //! which invalidates and rebuilds the whole plan (indexes included).
@@ -247,7 +248,6 @@ pub struct ExecPlan {
     /// Compiled lookup index per table (indexed by table index).
     indexes: Vec<MatchIndex>,
     hash_flow: Option<HashFlowFields>,
-    max_key_fields: usize,
     max_mask_words: usize,
     /// Compile-time flow-bank assignment: each logical register's
     /// `(bank, offset, width)` placement, computed here so cell
@@ -273,13 +273,11 @@ impl ExecPlan {
                 ActionId(actions.len() as u32 - 1)
             })
         };
-        let mut max_key_fields = 0usize;
         let mut key_fields: Vec<FieldId> = Vec::new();
         let mut key_starts = vec![0u32];
         for stage in program.stages() {
             for &tid in &stage.tables {
                 let table = program.table(tid);
-                max_key_fields = max_key_fields.max(table.spec().key.len());
                 key_fields.extend_from_slice(&table.spec().key);
                 key_starts.push(key_fields.len() as u32);
                 let entries_start = entry_actions.len() as u32;
@@ -340,7 +338,6 @@ impl ExecPlan {
             digest_fields: program.digest_fields().to_vec(),
             indexes,
             hash_flow,
-            max_key_fields,
             max_mask_words,
             bank,
         }
@@ -367,7 +364,8 @@ impl ExecPlan {
         self.entry_actions[slot.entries_start as usize + entry]
     }
 
-    /// Key field ids of the slot at index `slot` in [`ExecPlan::slots`].
+    /// Key field ids of the slot at index `slot` in [`ExecPlan::slots`]:
+    /// the wave reads the key's components in place through them.
     pub(crate) fn slot_key(&self, slot: usize) -> &[FieldId] {
         &self.key_fields[self.key_starts[slot] as usize..self.key_starts[slot + 1] as usize]
     }
@@ -393,20 +391,15 @@ impl ExecPlan {
         self.hash_flow
     }
 
-    /// Widest table key (fields) in the schedule — the capacity the
-    /// pipeline's reusable key scratch buffer needs.
-    pub fn max_key_fields(&self) -> usize {
-        self.max_key_fields
-    }
-
     /// The compiled lookup index of table `table` (a raw table index, as
     /// carried by [`PlanSlot::table`]).
     pub fn match_index(&self, table: usize) -> &MatchIndex {
         &self.indexes[table]
     }
 
-    /// Widest intersection bitmask (in `u64` words) any index needs —
-    /// the capacity of the pipeline's reusable mask scratch buffer.
+    /// The most scratch words any index needs (see
+    /// [`MatchIndex::mask_words`]) — the capacity of the pipeline's
+    /// reusable scratch buffer.
     pub fn max_mask_words(&self) -> usize {
         self.max_mask_words
     }
@@ -439,7 +432,6 @@ mod tests {
         assert_eq!(plan.slots().len(), 2);
         assert_eq!(plan.slots()[0].table as usize, t0.index());
         assert_eq!(plan.slots()[1].table as usize, t1.index());
-        assert_eq!(plan.max_key_fields(), 1);
     }
 
     #[test]

@@ -256,13 +256,13 @@ impl Table {
     }
 
     /// Allocation-free linear lookup: the key is materialized into
-    /// `key_scratch` (cleared first), so a caller-held buffer is reused
+    /// `key_vals` (cleared first), so a caller-held buffer is reused
     /// across lookups. Semantics are identical to
     /// [`Table::lookup_linear`].
-    pub fn lookup_linear_into(&self, phv: &Phv, key_scratch: &mut Vec<u64>) -> Option<usize> {
-        key_scratch.clear();
-        key_scratch.extend(self.spec.key.iter().map(|&f| phv.get(f)));
-        self.lookup_linear_key(key_scratch)
+    pub fn lookup_linear_into(&self, phv: &Phv, key_vals: &mut Vec<u64>) -> Option<usize> {
+        key_vals.clear();
+        key_vals.extend(self.spec.key.iter().map(|&f| phv.get(f)));
+        self.lookup_linear_key(key_vals)
     }
 
     /// The linear scan over pre-materialized key values (one per key

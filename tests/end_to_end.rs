@@ -139,3 +139,58 @@ fn compiled_program_plan_equals_entrywalk() {
         assert_eq!((hits(p), p.misses()), (hits(w), w.misses()), "table {}", p.spec().name);
     }
 }
+
+/// Which tables of the compiled fixture take the direct index: the
+/// narrow ones, keyed on flags, subtree ids and counters' few bits. The
+/// wide MATs — feature slots, key generators, the model, the direction,
+/// validity and boundary checks — keep their hashed, interval or
+/// ternary index, so a direct-budget change that turns one of them into
+/// a 2^bits array fails here.
+#[test]
+fn compiled_program_direct_tables() {
+    use splidt::core::{compile_with, CompileOptions};
+    use splidt::dataplane::index::MatchIndex;
+    use splidt::dataplane::plan::ExecPlan;
+
+    let id = DatasetId::D2;
+    let cfg = SplidtConfig { partitions: vec![3, 3], k: 4, ..Default::default() };
+    let wd = windowed_dataset(&generate(id, 400, 13), 2, spec(id).n_classes as usize);
+    let model = train_partitioned(&wd, &cfg, &catalog().hardware_eligible());
+    let opts = CompileOptions {
+        flow_slots: 128,
+        idle_timeout_us: 100_000,
+        policy: LifecyclePolicy::tcp(),
+    };
+    let program = compile_with(&model, &opts).expect("compiles").program;
+    let plan = ExecPlan::build(&program);
+    let wide = |name: &str| {
+        ["slot_", "keygen_", "valid_"].iter().any(|p| name.starts_with(p))
+            || ["model", "dir", "boundary"].contains(&name)
+    };
+    let mut direct = Vec::new();
+    for (i, t) in program.tables().iter().enumerate() {
+        let name = t.spec().name.as_str();
+        let is_direct = matches!(plan.match_index(i), MatchIndex::Direct(_));
+        assert!(!(is_direct && wide(name)), "{name} went direct");
+        if is_direct {
+            direct.push(name);
+        }
+    }
+    assert_eq!(
+        direct,
+        [
+            "prep",
+            "lifecycle",
+            "sid",
+            "pkt_count",
+            "win_count",
+            "last_all",
+            "last_bwd",
+            "compute",
+            "load_0",
+            "load_1",
+            "load_2",
+            "load_3"
+        ]
+    );
+}

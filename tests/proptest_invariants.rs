@@ -16,7 +16,9 @@ use splidt::ranging::{generate_rules, range_to_prefixes, ThermometerEncoder};
 /// stage (exact, ternary or range), one register per stage, and entries
 /// whose actions draw from the full primitive set (arithmetic, register
 /// RMW, digest, resubmit, drop). Returns the program and its metadata
-/// fields.
+/// fields. About half the tables draw some entry values and patterns
+/// wide, up to 2^12, past the direct-index budget, so the hashed,
+/// ternary and range indexes run too.
 fn random_program(rng: &mut rand::rngs::SmallRng) -> (Program, Vec<FieldId>) {
     use rand::Rng;
     let mut b = ProgramBuilder::new();
@@ -99,12 +101,19 @@ fn random_program(rng: &mut rand::rngs::SmallRng) -> (Program, Vec<FieldId>) {
         a
     };
 
+    // A value below `small`, or — in a wide table, half the time — below
+    // 2^12.
+    let value = |rng: &mut rand::rngs::SmallRng, wide: bool, small: u64| {
+        let top = if wide && rng.random::<bool>() { 1 << 12 } else { small };
+        rng.random_range(0u64..top)
+    };
     for stage in 0..n_stages {
         for t in 0..rng.random_range(1usize..3) {
             let key: Vec<FieldId> = (0..rng.random_range(1usize..3))
                 .map(|_| fields[rng.random_range(0usize..fields.len())])
                 .collect();
             let n_entries = rng.random_range(1usize..4);
+            let wide = rng.random::<bool>();
             let tid = match rng.random_range(0u8..3) {
                 0 => {
                     let tid = b.add_table(
@@ -112,8 +121,7 @@ fn random_program(rng: &mut rand::rngs::SmallRng) -> (Program, Vec<FieldId>) {
                         stage,
                     );
                     for _ in 0..n_entries {
-                        let vals: Vec<u64> =
-                            key.iter().map(|_| rng.random_range(0u64..4)).collect();
+                        let vals: Vec<u64> = key.iter().map(|_| value(rng, wide, 4)).collect();
                         let action = random_action(rng, stage);
                         // Duplicate exact keys are now rejected at install
                         // (the shadowing bugfix); the generator just skips
@@ -133,6 +141,8 @@ fn random_program(rng: &mut rand::rngs::SmallRng) -> (Program, Vec<FieldId>) {
                             .map(|_| {
                                 if rng.random::<bool>() {
                                     Ternary::ANY
+                                } else if wide {
+                                    Ternary::exact(value(rng, wide, 4), 12)
                                 } else {
                                     Ternary::exact(rng.random_range(0u64..4), 8)
                                 }
@@ -153,7 +163,7 @@ fn random_program(rng: &mut rand::rngs::SmallRng) -> (Program, Vec<FieldId>) {
                         let ranges: Vec<(u64, u64)> = key
                             .iter()
                             .map(|_| {
-                                let lo = rng.random_range(0u64..6);
+                                let lo = value(rng, wide, 6);
                                 (lo, lo + rng.random_range(0u64..4))
                             })
                             .collect();
@@ -331,7 +341,11 @@ proptest! {
     /// (lowest install index must win), wildcards, overlapping and
     /// degenerate ranges, random key streams, and (a fourth arm) the
     /// table shape the compiler emits, which the ternary index
-    /// specialises on: see `compiler_shaped_ternary`.
+    /// specialises on: see `compiler_shaped_ternary`. About half the
+    /// random tables are narrow — values, care masks and range bounds of
+    /// at most 4 bits per field — so one- and two-field ones take the
+    /// direct index, and probes carry bits above both the table's domain
+    /// and the 16-bit field width.
     #[test]
     fn indexed_lookup_equals_linear(seed in 0u64..600) {
         use rand::rngs::SmallRng;
@@ -346,6 +360,9 @@ proptest! {
             (0..n_fields).map(|i| layout.add_field(format!("k{i}"), 16)).collect();
         let n_entries = rng.random_range(0usize..90);
         let kind = rng.random_range(0u8..4);
+        let narrow = rng.random::<bool>();
+        // Narrow draws stay below 2^4, the others below `wide`.
+        let draw = |rng: &mut SmallRng, wide: u64| rng.random_range(0..if narrow { 16 } else { wide });
         let (table, probes) = if kind == 3 {
             compiler_shaped_ternary(&mut rng)
         } else {
@@ -359,18 +376,13 @@ proptest! {
                 // Few distinct priorities → plenty of ties.
                 let priority = rng.random_range(0u32..4);
                 let entry = match kind {
-                    0 => EntryKey::Exact(
-                        (0..n_fields).map(|_| rng.random_range(0u64..32)).collect(),
-                    ),
+                    0 => EntryKey::Exact((0..n_fields).map(|_| draw(&mut rng, 32)).collect()),
                     1 => EntryKey::Ternary {
                         fields: (0..n_fields)
                             .map(|_| match rng.random_range(0u8..3) {
                                 0 => Ternary::ANY,
-                                1 => Ternary::exact(rng.random_range(0u64..32), 16),
-                                _ => Ternary::new(
-                                    rng.random_range(0u64..65536),
-                                    rng.random_range(0u64..65536),
-                                ),
+                                1 => Ternary::exact(draw(&mut rng, 32), if narrow { 4 } else { 16 }),
+                                _ => Ternary::new(draw(&mut rng, 65536), draw(&mut rng, 65536)),
                             })
                             .collect(),
                         priority,
@@ -378,9 +390,14 @@ proptest! {
                     _ => EntryKey::Range {
                         fields: (0..n_fields)
                             .map(|_| {
-                                let lo = rng.random_range(0u64..40);
                                 // Degenerate single-point ranges included.
-                                (lo, lo + rng.random_range(0u64..12))
+                                if narrow {
+                                    let lo = rng.random_range(0u64..16);
+                                    (lo, rng.random_range(lo..16))
+                                } else {
+                                    let lo = rng.random_range(0u64..40);
+                                    (lo, lo + rng.random_range(0u64..12))
+                                }
                             })
                             .collect(),
                         priority,
@@ -390,16 +407,18 @@ proptest! {
                 let _ = table.install(entry, Action::new("e"));
             }
             // Mix uniform probes with probes snapped near installed
-            // values so hits are common.
+            // values so hits are common; some carry a bit past the field
+            // width.
             let probes = (0..60)
                 .map(|_| {
                     (0..n_fields)
                         .map(|_| {
-                            if rng.random::<bool>() {
-                                rng.random_range(0u64..64)
-                            } else {
-                                rng.random_range(0u64..65536)
-                            }
+                            let v = match rng.random_range(0u8..3) {
+                                0 => rng.random_range(0u64..64),
+                                1 => rng.random_range(0u64..65536),
+                                _ => draw(&mut rng, 64),
+                            };
+                            v | u64::from(rng.random_range(0u8..8) == 0) << 16
                         })
                         .collect()
                 })
@@ -407,6 +426,9 @@ proptest! {
             (table, probes)
         };
         let index = MatchIndex::build(&table);
+        if narrow && kind != 3 && n_fields <= 2 {
+            prop_assert!(matches!(index, MatchIndex::Direct(_)), "seed {} kind {}", seed, kind);
+        }
         let mut scratch = Vec::new();
         for probe in probes {
             prop_assert_eq!(
