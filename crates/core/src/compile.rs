@@ -12,9 +12,18 @@
 //! | 4 | dependency-chain registers (`last_ts` per scope) |
 //! | 5 | IAT arithmetic, validity bits, window-first, boundary detection |
 //! | 6 | the `k` feature-slot registers + operator-selection MATs |
-//! | 7 | per-SID load transforms (cap / negate / since-timestamp) |
-//! | 8 | `k` match-key generator MATs (value → range mark) |
-//! | 9 | the model MAT (marks → next SID / class), resubmit, digest |
+//! | 7 | per-SID load transforms (cap / negate / since-timestamp); applied only on a boundary pass |
+//! | 8 | `k` match-key generator MATs (value → range mark); applied only on a boundary pass |
+//! | 9 | the model MAT (marks → next SID / class), resubmit, digest; applied only on a boundary pass |
+//!
+//! Stages 7–9 are gated on `m.boundary` ([`ProgramBuilder::gate_table`]).
+//! Only the model MAT reads what stages 7 and 8 write (the transformed
+//! `m.fval_*` and the marks), and no digest field is one of them. Every
+//! model entry requires `boundary = 1` or `final = 1`, the boundary MAT
+//! runs on every pass and sets `final` only together with `boundary`,
+//! and the model's default action is empty. So off a boundary the three
+//! stages change nothing observable, and the packet skips them, as a
+//! switch gateway (`if (meta.m_boundary == 1w1)`) skips them.
 //!
 //! Register reuse via recirculation (paper §3.1.3): the model MAT marks the
 //! boundary packet for resubmission with `next_sid` in metadata; on the
@@ -1283,7 +1292,10 @@ pub fn compile_with(
     // --- stage 7: load transforms per (sid, slot)
     let load_tables: Vec<TableId> = (0..k)
         .map(|slot| {
-            b.add_table(TableSpec::exact(format!("load_{slot}"), vec![m_sid], 512), stage::LOAD)
+            let t = b
+                .add_table(TableSpec::exact(format!("load_{slot}"), vec![m_sid], 512), stage::LOAD);
+            b.gate_table(t, m_boundary);
+            t
         })
         .collect();
     for ((sid, slot), binding) in &bindings {
@@ -1348,6 +1360,7 @@ pub fn compile_with(
             ),
             stage::KEYGEN,
         );
+        b.gate_table(t, m_boundary);
         b.set_default(t, Action::new("zero").with(Primitive::set_const(slots[slot].mark, 0)));
         for (key, prio, action) in keygen_entries[slot].drain(..) {
             b.add_ternary_entry(t, key, prio, action)?;
@@ -1420,6 +1433,7 @@ pub fn compile_with(
         TableSpec::ternary("model", model_key, model_entries.len().max(1)),
         stage::MODEL,
     );
+    b.gate_table(t_model, m_boundary);
     for (key, prio, action) in model_entries {
         b.add_ternary_entry(t_model, key, prio, action)?;
     }
@@ -1591,6 +1605,21 @@ mod tests {
         );
         assert!(report.feasible(), "violations: {:?}", report.violations);
         assert!(compiled.program.tcam_entries() > 0);
+    }
+
+    /// The boundary gate costs one gateway in each of stages 7–9 (load,
+    /// keygen, model) and none anywhere else.
+    #[test]
+    fn boundary_stages_count_one_gateway_each() {
+        let compiled = compile(&small_model(), 1 << 14).expect("compiles");
+        let report = splidt_dataplane::resources::check(
+            &compiled.program,
+            &splidt_dataplane::resources::TargetSpec::tofino1(),
+        );
+        let gateways: Vec<usize> = report.per_stage.iter().map(|u| u.gateways).collect();
+        let mut want = vec![0; gateways.len()];
+        want[stage::LOAD..=stage::MODEL].fill(1);
+        assert_eq!(gateways, want);
     }
 
     #[test]

@@ -619,8 +619,8 @@ impl Pipeline {
     /// Configures burst (wave) execution for the frame path: up to
     /// `burst` packets accumulate in a preallocated arena and execute
     /// **stage-major** — the compiled plan is walked once per pass, and
-    /// at each plan slot every live packet in turn builds its key, looks
-    /// it up, counts the hit or miss and runs the action — instead of
+    /// at each plan slot every live packet its gate admits in turn looks
+    /// its key up, counts the hit or miss and runs the action — instead of
     /// packet-major. `burst == 1` (the construction default) degenerates
     /// to scalar execution through the same machinery.
     ///
@@ -748,7 +748,9 @@ impl Pipeline {
     /// slot in a single step — look its key up in the slot's match index,
     /// reading the key's components in place in the PHV, count the hit or
     /// miss, run the action's pre-resolved ops — as a packet's visit to a
-    /// match-action stage is one step.
+    /// match-action stage is one step. A packet whose PHV does not hold 1
+    /// in the slot's gate field skips the slot: no lookup, no action,
+    /// neither a hit nor a miss.
     /// The loop reads the plan only, so it holds the slot's table
     /// mutably for the counters. Fusing the steps is exact: a lookup
     /// reads only its own packet's PHV and the immutable entries, the
@@ -784,6 +786,9 @@ impl Pipeline {
                 let index = plan.match_index(slot.table as usize);
                 let table = &mut tables[slot.table as usize];
                 for pkt in wave.pkts[..n].iter_mut().filter(|p| p.live) {
+                    if slot.gate.is_some_and(|g| pkt.phv.values()[g.index()] != 1) {
+                        continue;
+                    }
                     let phv_key = PhvKey { values: pkt.phv.values(), fields: key };
                     let action = match index.lookup_key(&phv_key, mask_scratch) {
                         Some(e) => {
@@ -908,14 +913,18 @@ impl Pipeline {
     /// One pass with the original interpreter: re-reads each stage's table
     /// list, resolves lookups with the linear reference scan
     /// ([`crate::table::Table::lookup_linear`]) and clones the matched
-    /// action before executing it. Reference implementation only —
-    /// allocates per table visit.
+    /// action before executing it; a gated table ([`Program::gate`])
+    /// whose gate field does not read 1 is passed over uncounted.
+    /// Reference implementation only — allocates per table visit.
     fn one_pass_entrywalk(&mut self, phv: &mut Phv, ts_us: u64) -> PassEffects {
         let mut effects = PassEffects::default();
         let n_stages = self.program.stages().len();
         for stage in 0..n_stages {
             let table_ids: Vec<_> = self.program.stages()[stage].tables.clone();
             for tid in table_ids {
+                if self.program.gate(tid).is_some_and(|g| phv.get(g) != 1) {
+                    continue;
+                }
                 let hit = self.program.table(tid).lookup_linear(phv);
                 // Clone the action out so we can mutate registers/PHV while
                 // bumping counters; actions are small.

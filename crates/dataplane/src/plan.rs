@@ -12,7 +12,10 @@
 //! that to construction time:
 //!
 //! * the stage→table schedule flattens into a contiguous slab of
-//!   [`PlanSlot`]s walked by index;
+//!   [`PlanSlot`]s walked by index; each slot carries its table's gate
+//!   ([`Program::gate`]), the 1-bit field a packet must carry set for
+//!   the slot to apply to it; a gated-off packet skips the slot with no
+//!   lookup, no action and no hit or miss counted;
 //! * every distinct action (entry actions and per-table defaults) is
 //!   interned once into an action arena and referenced by [`ActionId`];
 //! * per-slot entry→action maps live in one flat `entry_actions` slab
@@ -70,6 +73,9 @@ pub struct PlanSlot {
     pub entries_start: u32,
     /// Number of entry→action ids (== the table's installed entry count).
     pub entries_len: u32,
+    /// The table's gate: when set, the slot applies only to packets whose
+    /// PHV holds 1 in this field (see [`Program::gate`]).
+    pub gate: Option<FieldId>,
 }
 
 /// Pre-resolved PHV field ids for the `HashFlow` primitive (the canonical
@@ -290,6 +296,7 @@ impl ExecPlan {
                     default_action: intern(table.default_action(), &mut actions),
                     entries_start,
                     entries_len: table.n_entries() as u32,
+                    gate: program.gate(tid),
                 });
             }
         }

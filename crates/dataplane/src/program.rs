@@ -38,6 +38,18 @@ pub enum ProgramError {
         /// The requested stage.
         stage: usize,
     },
+    /// A table's gate field is not exactly 1 bit wide. The executors
+    /// apply a gated table when the field reads 1 and a P4 gateway
+    /// compares it with `1w1`; any wider field would make the two
+    /// disagree.
+    GateWidth {
+        /// The gated table.
+        table: String,
+        /// The gate field.
+        field: String,
+        /// Its declared width.
+        bits: u8,
+    },
 }
 
 impl std::fmt::Display for ProgramError {
@@ -53,6 +65,9 @@ impl std::fmt::Display for ProgramError {
             ProgramError::Table(e) => write!(f, "{e}"),
             ProgramError::StageOutOfRange { what, stage } => {
                 write!(f, "{what} placed in out-of-range stage {stage}")
+            }
+            ProgramError::GateWidth { table, field, bits } => {
+                write!(f, "table {table} is gated on {field}, a {bits}-bit field; gates are 1 bit")
             }
         }
     }
@@ -82,6 +97,8 @@ pub struct Program {
     tables: Vec<Table>,
     registers: Vec<RegisterSpec>,
     stages: Vec<StageAlloc>,
+    /// Per table: the 1-bit field that must read 1 for it to apply.
+    gates: Vec<Option<FieldId>>,
     digest_fields: Vec<FieldId>,
     resubmit_limit: usize,
 }
@@ -110,6 +127,22 @@ impl Program {
     /// Stage allocations.
     pub fn stages(&self) -> &[StageAlloc] {
         &self.stages
+    }
+
+    /// The gate of table `id`: when set, the table applies only on a
+    /// pass where that 1-bit field reads 1 at its slot. A gated-off
+    /// visit runs no action and counts neither a hit nor a miss.
+    pub fn gate(&self, id: TableId) -> Option<FieldId> {
+        self.gates[id.index()]
+    }
+
+    /// The same program with every gate removed, so each table applies
+    /// on every pass. This is the reference for the property that gating
+    /// a compiled program changes nothing observable; nothing executes it
+    /// otherwise.
+    pub fn ungated(mut self) -> Program {
+        self.gates.fill(None);
+        self
     }
 
     /// Fields exported in digests.
@@ -157,6 +190,7 @@ pub struct ProgramBuilder {
     std_fields: Option<StandardFields>,
     tables: Vec<Table>,
     table_stage: Vec<usize>,
+    gates: Vec<Option<FieldId>>,
     registers: Vec<RegisterSpec>,
     register_stage: Vec<usize>,
     digest_fields: Vec<FieldId>,
@@ -177,6 +211,7 @@ impl ProgramBuilder {
             std_fields: None,
             tables: Vec::new(),
             table_stage: Vec::new(),
+            gates: Vec::new(),
             registers: Vec::new(),
             register_stage: Vec::new(),
             digest_fields: Vec::new(),
@@ -212,7 +247,15 @@ impl ProgramBuilder {
         let id = TableId(self.tables.len() as u16);
         self.tables.push(Table::new(spec));
         self.table_stage.push(stage);
+        self.gates.push(None);
         id
+    }
+
+    /// Gates `table` on the 1-bit field `field`: the table applies only
+    /// when `field` reads 1 as its slot runs (a P4 gateway). `build`
+    /// rejects a field of any other width.
+    pub fn gate_table(&mut self, table: TableId, field: FieldId) {
+        self.gates[table.index()] = Some(field);
     }
 
     /// Installs an exact entry.
@@ -286,6 +329,17 @@ impl ProgramBuilder {
         for (i, &s) in self.register_stage.iter().enumerate() {
             stages[s].registers.push(RegId(i as u16));
         }
+        for (table, gate) in self.tables.iter().zip(&self.gates) {
+            let Some(field) = *gate else { continue };
+            let spec = self.layout.spec(field);
+            if spec.bits() != 1 {
+                return Err(ProgramError::GateWidth {
+                    table: table.spec().name.clone(),
+                    field: spec.name().to_string(),
+                    bits: spec.bits(),
+                });
+            }
+        }
         // Stateful-ALU locality: every RegRmw in a table's actions (installed
         // entries and default) must target a register in the table's stage.
         for (ti, table) in self.tables.iter().enumerate() {
@@ -316,6 +370,7 @@ impl ProgramBuilder {
             tables: self.tables,
             registers: self.registers,
             stages,
+            gates: self.gates,
             digest_fields: self.digest_fields,
             resubmit_limit: self.resubmit_limit,
         })
@@ -362,6 +417,33 @@ mod tests {
         .unwrap();
         let err = b.build().unwrap_err();
         assert!(matches!(err, ProgramError::CrossStageRegister { .. }));
+    }
+
+    #[test]
+    fn wide_gate_rejected() {
+        let mut b = ProgramBuilder::new();
+        let f = b.add_meta("f", 8);
+        let wide = b.add_meta("wide", 16);
+        let bit = b.add_meta("bit", 1);
+        let t = b.add_table(TableSpec::exact("t", vec![f], 4), 0);
+        let u = b.add_table(TableSpec::exact("u", vec![f], 4), 0);
+        b.gate_table(t, bit);
+        b.gate_table(u, wide);
+        let err = b.build().unwrap_err();
+        assert_eq!(
+            err,
+            ProgramError::GateWidth { table: "u".into(), field: "wide".into(), bits: 16 }
+        );
+
+        let mut b = ProgramBuilder::new();
+        let f = b.add_meta("f", 8);
+        let bit = b.add_meta("bit", 1);
+        let t = b.add_table(TableSpec::exact("t", vec![f], 4), 0);
+        let u = b.add_table(TableSpec::exact("u", vec![f], 4), 0);
+        b.gate_table(t, bit);
+        let p = b.build().unwrap();
+        assert_eq!((p.gate(t), p.gate(u)), (Some(bit), None));
+        assert_eq!(p.ungated().gate(t), None);
     }
 
     #[test]

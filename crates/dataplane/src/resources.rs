@@ -141,6 +141,9 @@ pub struct StageUsage {
     pub tcam_blocks: usize,
     /// Logical tables placed.
     pub tables: usize,
+    /// Gateways: one per distinct gate field among the stage's tables
+    /// ([`Program::gate`]).
+    pub gateways: usize,
 }
 
 /// Outcome of fitting a program onto a target.
@@ -185,6 +188,10 @@ pub fn check(program: &Program, target: &TargetSpec) -> ResourceReport {
             let spec = &program.registers()[rid.index()];
             usage.sram_blocks += target.sram_blocks_for_register(spec.total_bits());
         }
+        let mut gates: Vec<_> = alloc.tables.iter().filter_map(|&t| program.gate(t)).collect();
+        gates.sort_unstable();
+        gates.dedup();
+        usage.gateways = gates.len();
         for &tid in &alloc.tables {
             let table = program.table(tid);
             let key_bits = table.key_bits(program.layout());
@@ -286,6 +293,27 @@ mod tests {
         assert!(report.feasible(), "{:?}", report.violations);
         assert_eq!(report.per_stage[0].sram_blocks, 1);
         assert_eq!(report.per_stage[0].tcam_blocks, 1);
+    }
+
+    #[test]
+    fn gateways_count_distinct_gate_fields_per_stage() {
+        let mut b = ProgramBuilder::new();
+        let f = b.add_meta("f", 16);
+        let (g, h) = (b.add_meta("g", 1), b.add_meta("h", 1));
+        for (name, stage, gate) in [
+            ("a", 0, Some(g)),
+            ("b", 0, Some(g)),
+            ("c", 0, Some(h)),
+            ("d", 0, None),
+            ("e", 1, None),
+        ] {
+            let t = b.add_table(TableSpec::exact(name, vec![f], 4), stage);
+            if let Some(gate) = gate {
+                b.gate_table(t, gate);
+            }
+        }
+        let report = check(&b.build().unwrap(), &TargetSpec::tofino1());
+        assert_eq!((report.per_stage[0].gateways, report.per_stage[1].gateways), (2, 0));
     }
 
     #[test]

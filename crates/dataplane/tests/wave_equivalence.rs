@@ -7,7 +7,8 @@
 //! generates random programs under that discipline (per-flow counters
 //! with mixed ALU ops and hit/miss diversity, optional ownership-lane
 //! churn with idle-eviction timeouts, single and storm resubmits, mid-wave
-//! drops, digest emission) plus random packet schedules with heavy
+//! drops, digest emission, counters gated on a 1-bit field that packets
+//! and actions set) plus random packet schedules with heavy
 //! same-flow adjacency, and checks the wave against the reference
 //! interpreter (`Pipeline::process_packet_entrywalk`) on *everything*:
 //! wave dispositions, meters, every register slot, per-entry table hits
@@ -40,7 +41,10 @@ struct Shape {
     /// Drop packets whose flow index equals this slot (mid-wave deaths).
     drop_slot: Option<u64>,
     /// One per-flow counter table per element; low bits select the ALU
-    /// op/operand, bit 3 old-vs-new export, bit 4 digest emission.
+    /// op/operand, bit 3 old-vs-new export, bit 4 digest emission, and
+    /// `op >> 5` the gate: 1 = the action also writes the counter's low
+    /// bit to the 1-bit `m_gate`, 2 = the table applies only when
+    /// `m_gate` is 1.
     ops: Vec<u8>,
 }
 
@@ -54,6 +58,7 @@ fn build(shape: &Shape) -> (Program, StandardFields) {
     let fp = b.add_meta("m_fp", 24);
     let state = b.add_meta("m_state", 8);
     let cnt_out = b.add_meta("m_cnt", 32);
+    let gate = b.add_meta("m_gate", 1);
     b.set_digest_fields(vec![idx, cnt_out, fields.frame_len]);
 
     // Stage 0: flow hashing — the discipline the wave contract rests on.
@@ -63,7 +68,9 @@ fn build(shape: &Shape) -> (Program, StandardFields) {
         Action::new("hash")
             .with(Primitive::HashFlow { dst: idx, mask: (shape.slots - 1) as u64, salt: 0 })
             .with(Primitive::HashFlow { dst: fp, mask: FP_MASK, salt: FP_SALT })
-            .with(Primitive::Max { dst: fp, a: Source::Field(fp), b: Source::Const(1) }),
+            .with(Primitive::Max { dst: fp, a: Source::Field(fp), b: Source::Const(1) })
+            // The gate opens on odd frame lengths.
+            .with(Primitive::Set { dst: gate, src: Source::Field(fields.frame_len) }),
     );
 
     let mut stage = 1;
@@ -112,6 +119,11 @@ fn build(shape: &Shape) -> (Program, StandardFields) {
         });
         if op & 16 == 0 {
             act = act.with(Primitive::Digest);
+        }
+        match op >> 5 {
+            1 => act = act.with(Primitive::Set { dst: gate, src: Source::Field(cnt_out) }),
+            2 => b.gate_table(t, gate),
+            _ => {}
         }
         b.add_exact_entry(t, vec![2], act).unwrap();
         stage += 1;
@@ -210,7 +222,7 @@ proptest! {
     fn burst_execution_equals_scalar(
         (slots_sel, owner, resubmit, drop_sel, burst) in
             (0u32..3, any::<bool>(), 0u8..3, 0u64..8, 1usize..65),
-        ops in proptest::collection::vec(0u8..32, 1..4),
+        ops in proptest::collection::vec(0u8..96, 1..4),
         packets in proptest::collection::vec((0u32..12, 0u16..3, 0u8..2), 1..80),
     ) {
         let shape = Shape {

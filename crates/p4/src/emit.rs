@@ -1161,8 +1161,20 @@ impl<'a> Emitter<'a> {
         }
         for (s, alloc) in self.program.stages().iter().enumerate() {
             w!(o, "        /* ---- stage {s} ---- */");
-            for tid in &alloc.tables {
-                w!(o, "        {}.apply();", self.table_syms[tid.index()]);
+            // Each maximal run of same-gate tables shares one gateway.
+            for run in alloc.tables.chunk_by(|a, b| self.program.gate(*a) == self.program.gate(*b))
+            {
+                let gate = self.program.gate(run[0]);
+                let indent = if gate.is_some() { "            " } else { "        " };
+                if let Some(g) = gate {
+                    w!(o, "        if ({} == 1w1) {{", self.field_lv(g));
+                }
+                for tid in run {
+                    w!(o, "{indent}{}.apply();", self.table_syms[tid.index()]);
+                }
+                if gate.is_some() {
+                    w!(o, "        }}");
+                }
             }
         }
         w!(

@@ -6,7 +6,8 @@
 //! The generator is the same shape as the workspace-level pipeline
 //! proptest (`tests/proptest_invariants.rs`): 1–3 stages, 1–2 tables
 //! per stage across all three match kinds, one 16-bit register per
-//! stage, actions drawn from the full primitive set. Because the
+//! stage, actions drawn from the full primitive set, about a third of
+//! the tables gated on a 1-bit field (emitted as `if` gateways). Because the
 //! random registers are 16-bit, any draw that includes `OwnerUpdate`
 //! must surface as [`EmitError::OwnerLaneWidth`] — the typed-error
 //! path — while draws without it must emit cleanly.
@@ -25,7 +26,9 @@ use splidt_p4::{emit, EmitError, EmitOptions};
 fn random_program(rng: &mut rand::rngs::SmallRng) -> Program {
     use rand::Rng;
     let mut b = ProgramBuilder::new();
-    let widths = [8u8, 16, 16];
+    // The 1-bit `f3` is the gate field: actions write it, keys read it,
+    // and about a third of the tables apply only when it is 1.
+    let widths = [8u8, 16, 16, 1];
     let fields: Vec<FieldId> =
         widths.iter().enumerate().map(|(i, &w)| b.add_meta(format!("f{i}"), w)).collect();
     b.set_digest_fields(vec![fields[0], fields[1]]);
@@ -165,6 +168,9 @@ fn random_program(rng: &mut rand::rngs::SmallRng) -> Program {
             if rng.random::<bool>() {
                 let d = random_action(rng, stage);
                 b.set_default(tid, d);
+            }
+            if rng.random_range(0u8..3) == 0 {
+                b.gate_table(tid, fields[3]);
             }
         }
     }

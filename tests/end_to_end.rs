@@ -194,3 +194,40 @@ fn compiled_program_direct_tables() {
         ]
     );
 }
+
+/// Which tables of the compiled fixture are gated, and on what: every
+/// `load_*`, every `keygen_*` and `model`, all on `m.boundary`, and no
+/// other table. Gating a stateful table (a `slot_*`, say) would skip its
+/// register update off a boundary; gating `model` on `m.final` alone
+/// would skip window verdicts.
+#[test]
+fn compiled_program_gated_tables() {
+    use splidt::core::{compile_with, CompileOptions};
+
+    let id = DatasetId::D2;
+    let cfg = SplidtConfig { partitions: vec![3, 3], k: 4, ..Default::default() };
+    let wd = windowed_dataset(&generate(id, 400, 13), 2, spec(id).n_classes as usize);
+    let model = train_partitioned(&wd, &cfg, &catalog().hardware_eligible());
+    let opts = CompileOptions {
+        flow_slots: 128,
+        idle_timeout_us: 100_000,
+        policy: LifecyclePolicy::tcp(),
+    };
+    let program = compile_with(&model, &opts).expect("compiles").program;
+    let boundary = program.layout().by_name("m.boundary").expect("boundary field");
+    let mut gated = Vec::new();
+    for &tid in program.stages().iter().flat_map(|s| &s.tables) {
+        let name = program.table(tid).spec().name.as_str();
+        if let Some(g) = program.gate(tid) {
+            assert_eq!(g, boundary, "{name} gated on another field");
+            gated.push(name);
+        }
+    }
+    assert_eq!(
+        gated,
+        [
+            "load_0", "load_1", "load_2", "load_3", "keygen_0", "keygen_1", "keygen_2", "keygen_3",
+            "model"
+        ]
+    );
+}

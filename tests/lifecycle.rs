@@ -245,6 +245,145 @@ proptest! {
     }
 }
 
+/// A churn schedule over few slots (takeovers, refused claims, idle
+/// evictions) plus one colliding pair, as `(ts_us, frame)` in timestamp
+/// order.
+fn churn_frames(seed: u64, slots: usize) -> Vec<(u64, Vec<u8>)> {
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
+    use splidt::flow::frame_for;
+    let mut rng = SmallRng::seed_from_u64(seed);
+    let mut schedule = churn(
+        DatasetId::D2,
+        &ChurnConfig {
+            flows: rng.random_range(20usize..60),
+            mean_arrival_gap_us: rng.random_range(200u64..3_000),
+            lifetime_scale: rng.random_range(0.02f64..0.5),
+            syn_open_frac: 0.8,
+            rst_close_frac: 0.25,
+            seed,
+            ..Default::default()
+        },
+    );
+    // Short flows (keeping each one's closing packet), so most packets
+    // fall inside the first windows, where the boundaries are.
+    for f in &mut schedule.flows {
+        let keep = rng.random_range(6usize..24);
+        if f.packets.len() > keep {
+            let last = f.packets.pop().expect("non-empty");
+            f.packets.truncate(keep - 1);
+            f.packets.push(last);
+        }
+    }
+    let mut frames: Vec<(u64, Vec<u8>)> = schedule
+        .events()
+        .into_iter()
+        .map(|(ts, i, j)| (ts, frame_for(&schedule.flows[i], j)))
+        .collect();
+    let (a, b) = colliding_pair(slots);
+    for (f, base) in [(a, 1_000), (b, 1_000 + rng.random_range(0u64..4_000))] {
+        frames
+            .extend(f.packets.iter().enumerate().map(|(j, p)| (base + p.ts_us, frame_for(&f, j))));
+    }
+    frames.sort_by_key(|&(ts, _)| ts);
+    frames
+}
+
+proptest! {
+    /// The boundary gate changes nothing observable: on churn and
+    /// collision streams, under both lifecycle policies, at burst 1 and
+    /// 32, the compiled (gated) program and the same program with every
+    /// gate removed emit the same digests in the same order, leave every
+    /// register cell, disposition and meter equal, and count the same
+    /// hits and misses on every ungated table. Each gated table is
+    /// visited exactly once per boundary pass (the boundary MAT's
+    /// `final` and `window` hits), and `model` hits exactly as often as
+    /// ungated.
+    #[test]
+    fn gated_program_equals_ungated(seed in 0u64..12) {
+        use splidt::core::{compile_with, CompileOptions};
+        use splidt::dataplane::pipeline::{Pipeline, WaveStats};
+        use splidt::dataplane::table::Table;
+
+        let slots = 16usize;
+        let frames = churn_frames(seed, slots);
+        for policy in [LifecyclePolicy::flow_agnostic(), LifecyclePolicy::tcp()] {
+            let opts = CompileOptions { flow_slots: slots, idle_timeout_us: 20_000, policy };
+            let compiled = compile_with(model(), &opts).expect("compiles");
+            let fields = compiled.io.fields;
+            let program = compiled.program;
+            for (burst, flush_every) in [(1usize, 1usize), (32, 64)] {
+                let mut gated = Pipeline::new(program.clone());
+                let mut ungated = Pipeline::new(program.clone().ungated());
+                gated.set_burst(burst, slots);
+                ungated.set_burst(burst, slots);
+                let (mut gs, mut us) = (WaveStats::default(), WaveStats::default());
+                for (n, (ts, frame)) in frames.iter().enumerate() {
+                    gated.wave_push(frame, *ts, &fields, &mut gs).expect("parses");
+                    ungated.wave_push(frame, *ts, &fields, &mut us).expect("parses");
+                    if (n + 1) % flush_every == 0 || n + 1 == frames.len() {
+                        gated.wave_flush(&fields, &mut gs);
+                        ungated.wave_flush(&fields, &mut us);
+                        prop_assert_eq!(gs, us, "dispositions, burst {} frame {}", burst, n);
+                        prop_assert_eq!(
+                            gated.take_digests(),
+                            ungated.take_digests(),
+                            "digests, burst {} frame {}",
+                            burst,
+                            n
+                        );
+                    }
+                }
+                prop_assert_eq!(gated.meters(), ungated.meters(), "meters, burst {}", burst);
+                let (gr, ur) = (gated.registers(), ungated.registers());
+                for r in 0..gr.len() {
+                    for slot in 0..gr.spec(r).len {
+                        prop_assert_eq!(
+                            gr.read(r, slot),
+                            ur.read(r, slot),
+                            "register {} slot {}",
+                            gr.spec(r).name,
+                            slot
+                        );
+                    }
+                }
+
+                let hits = |t: &Table| -> Vec<u64> { t.entries().iter().map(|e| e.hits).collect() };
+                let visits = |t: &Table| hits(t).iter().sum::<u64>() + t.misses();
+                let (gp, up) = (gated.program(), ungated.program());
+                let boundary_passes: u64 = gp
+                    .tables()
+                    .iter()
+                    .find(|t| t.spec().name == "boundary")
+                    .expect("boundary MAT")
+                    .entries()
+                    .iter()
+                    .filter(|e| ["final", "window"].contains(&e.action.name.as_str()))
+                    .map(|e| e.hits)
+                    .sum();
+                prop_assert!(boundary_passes > 0, "no boundary pass replayed");
+                prop_assert!(boundary_passes < gated.meters().passes, "every pass a boundary");
+                for &tid in gp.stages().iter().flat_map(|s| &s.tables) {
+                    let (g, u) = (gp.table(tid), up.table(tid));
+                    let name = &g.spec().name;
+                    if gp.gate(tid).is_none() {
+                        prop_assert_eq!((hits(g), g.misses()), (hits(u), u.misses()), "table {}", name);
+                        continue;
+                    }
+                    prop_assert_eq!(visits(g), boundary_passes, "table {} visits", name);
+                    prop_assert!(g.misses() <= u.misses(), "table {} misses", name);
+                    for (eg, eu) in g.entries().iter().zip(u.entries()) {
+                        prop_assert!(eg.hits <= eu.hits, "table {} hits", name);
+                    }
+                    if name == "model" {
+                        prop_assert_eq!(hits(g), hits(u), "model hits");
+                    }
+                }
+            }
+        }
+    }
+}
+
 /// Deterministic idle eviction: a silent owner forfeits its slot, and its
 /// late packets are suppressed as live collisions against the new owner.
 #[test]

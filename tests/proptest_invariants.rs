@@ -15,14 +15,17 @@ use splidt::ranging::{generate_rules, range_to_prefixes, ThermometerEncoder};
 /// Builds a random small pipeline program: 1–3 stages, 1–2 tables per
 /// stage (exact, ternary or range), one register per stage, and entries
 /// whose actions draw from the full primitive set (arithmetic, register
-/// RMW, digest, resubmit, drop). Returns the program and its metadata
+/// RMW, digest, resubmit, drop). About a third of the tables are gated
+/// on the 1-bit field `f3`. Returns the program and its metadata
 /// fields. About half the tables draw some entry values and patterns
 /// wide, up to 2^12, past the direct-index budget, so the hashed,
 /// ternary and range indexes run too.
 fn random_program(rng: &mut rand::rngs::SmallRng) -> (Program, Vec<FieldId>) {
     use rand::Rng;
     let mut b = ProgramBuilder::new();
-    let widths = [8u8, 16, 16];
+    // The 1-bit `f3` is the gate field: actions write it, keys read it,
+    // and about a third of the tables apply only when it is 1.
+    let widths = [8u8, 16, 16, 1];
     let fields: Vec<FieldId> =
         widths.iter().enumerate().map(|(i, &w)| b.add_meta(format!("f{i}"), w)).collect();
     b.set_digest_fields(vec![fields[0], fields[1]]);
@@ -39,8 +42,8 @@ fn random_program(rng: &mut rand::rngs::SmallRng) -> (Program, Vec<FieldId>) {
             let src = |rng: &mut rand::rngs::SmallRng| {
                 if rng.random::<bool>() {
                     // Half the constants are drawn up to 2^20, past every
-                    // field width (8 and 16 bits), so a write that skips
-                    // its mask shows.
+                    // field width (1, 8 and 16 bits), so a write that
+                    // skips its mask shows.
                     let top = if rng.random::<bool>() { 64 } else { 1 << 20 };
                     Source::Const(rng.random_range(0u64..top))
                 } else {
@@ -178,6 +181,9 @@ fn random_program(rng: &mut rand::rngs::SmallRng) -> (Program, Vec<FieldId>) {
                 let d = random_action(rng, stage);
                 b.set_default(tid, d);
             }
+            if rng.random_range(0u8..3) == 0 {
+                b.gate_table(tid, fields[3]);
+            }
         }
     }
     (b.build().unwrap(), fields)
@@ -301,7 +307,7 @@ proptest! {
     /// entry-walking reference interpreter: for random small programs and
     /// random packet sequences, both produce the same dispositions, pass
     /// counts, final PHVs, digests, meters, register contents, and table
-    /// hit/miss statistics.
+    /// hit/miss statistics, gated-off slots included.
     #[test]
     fn plan_execution_equals_entrywalk(seed in 0u64..400) {
         use rand::rngs::SmallRng;
@@ -311,9 +317,10 @@ proptest! {
         let mut plan_pipe = Pipeline::new(program.clone());
         let mut walk_pipe = Pipeline::new(program);
         for n in 0..rng.random_range(4usize..14) {
-            let mut phv = plan_pipe.program().layout().new_phv();
+            let layout = plan_pipe.program().layout();
+            let mut phv = layout.new_phv();
             for &f in &fields {
-                phv.set(f, rng.random_range(0u64..6));
+                phv.set_masked(f, rng.random_range(0u64..6), layout);
             }
             let ts = n as u64 * 10;
             let a = plan_pipe.process_phv(phv.clone(), ts);
