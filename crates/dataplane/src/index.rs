@@ -98,7 +98,8 @@ const DENSE_ROWS_MAX: u64 = 4096;
 /// span. At 10 its rows are at most 1,024 × 4 B = 4 KiB, a small part of
 /// L1, so the one row a lookup reads is as cheap to reach as the probe,
 /// search or dispatch it replaces, and a build fills at most 1,024 rows.
-const DIRECT_BITS: u32 = 10;
+/// A fused plan step's row table has the same budget.
+pub(crate) const DIRECT_BITS: u32 = 10;
 
 /// Build bound of a direct table: rows × entries, the oracle scans one
 /// row costs. Tables past it keep their kind's index.
@@ -432,6 +433,11 @@ impl DirectIndex {
             })
             .collect();
         Some(Self { fields, clip: table.spec().kind != MatchKind::Ternary, rows })
+    }
+
+    /// Each key field's domain, in match order.
+    pub(crate) fn domains(&self) -> impl Iterator<Item = u64> + '_ {
+        self.fields.iter().map(|&(domain, _)| domain)
     }
 
     #[inline]

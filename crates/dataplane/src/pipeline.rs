@@ -14,10 +14,11 @@
 //! an [`ExecPlan`] — a flat slab of table indices and interned action ids —
 //! and **one executor** walks it: the wave ([`Pipeline::wave_push`] /
 //! [`Pipeline::wave_flush`]), stage-major over up to `burst` parked
-//! packets, with **zero heap allocations per packet** (lookups read their
-//! keys in place in the PHV, parsed headers land in the arena's reusable
-//! PHVs, actions run as pre-resolved ops out of the plan's op slab, and
-//! each packet's 5-tuple is hashed once).
+//! packets and one probe per plan step ([`ExecPlan::steps`]), with
+//! **zero heap allocations per packet** (lookups read their keys in
+//! place in the PHV, parsed headers land in the arena's reusable PHVs,
+//! actions run as pre-resolved ops out of the plan's op slabs, lane
+//! lists live in the arena, and each packet's 5-tuple is hashed once).
 //! A singleton wave is the packet-at-a-time walk, which is how the
 //! single-packet inspection calls ([`Pipeline::process_packet`],
 //! [`Pipeline::process_phv`]) run. **One oracle** stands beside it: the
@@ -29,10 +30,10 @@ use crate::action::{Action, AluOut, Primitive, Source};
 use crate::index::PhvKey;
 use crate::parser::{parse, parse_into, ParseError, StandardFields};
 use crate::phv::{FieldId, Phv, PhvLayout};
-use crate::plan::{ActionId, ExecPlan, HashFlowFields, Op, OwnerOp};
+use crate::plan::{ExecPlan, HashFlowFields, Op, OwnerOp, MISS};
 use crate::program::Program;
 use crate::register::RegisterFile;
-use crate::table::{EntryKey, TableError, TableId};
+use crate::table::{EntryKey, Table, TableError, TableId};
 
 /// What happened to a packet after its final pass.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -308,6 +309,12 @@ struct WaveScratch {
     /// any: its lines at a packet's conflict key hold all of that flow's
     /// coalesced state, and [`Pipeline::wave_push`] prefetches them.
     prefetch_bank: Option<usize>,
+    /// The live packets' arena indexes, in arrival order, rebuilt each
+    /// pass: an ungated step visits these.
+    live_lanes: Vec<u32>,
+    /// The live packets whose gate field reads 1, for the gated steps
+    /// (rebuilt where [`Step::fresh_gate`](crate::plan::Step) says).
+    gated_lanes: Vec<u32>,
 }
 
 /// Builds a wave arena for `program`/`plan`. Programs without the
@@ -355,7 +362,15 @@ fn new_wave(
         .collect();
     // Slot domains are distinct across banks, so at most one matches.
     let prefetch_bank = regs.banks().iter().position(|b| b.desc().slots == conflict_slots);
-    WaveScratch { pkts, len: 0, burst, conflict_slots: conflict_slots.max(1), prefetch_bank }
+    WaveScratch {
+        pkts,
+        len: 0,
+        burst,
+        conflict_slots: conflict_slots.max(1),
+        prefetch_bank,
+        live_lanes: Vec::with_capacity(burst + 1),
+        gated_lanes: Vec::with_capacity(burst + 1),
+    }
 }
 
 /// An executing pipeline: a program, its compiled execution plan, and live
@@ -619,10 +634,10 @@ impl Pipeline {
     /// Configures burst (wave) execution for the frame path: up to
     /// `burst` packets accumulate in a preallocated arena and execute
     /// **stage-major** — the compiled plan is walked once per pass, and
-    /// at each plan slot every live packet its gate admits in turn looks
-    /// its key up, counts the hit or miss and runs the action — instead of
-    /// packet-major. `burst == 1` (the construction default) degenerates
-    /// to scalar execution through the same machinery.
+    /// at each plan step every live packet its gate admits in turn looks
+    /// its key up, counts the hits or misses and runs the actions —
+    /// instead of packet-major. `burst == 1` (the construction default)
+    /// degenerates to scalar execution through the same machinery.
     ///
     /// ## Caller contract (what makes a wave safe)
     ///
@@ -743,22 +758,27 @@ impl Pipeline {
     /// including queued resubmissions, which run as **follow-up waves**
     /// over the still-live packets before the arena is released.
     ///
-    /// Stage-major structure per pass: for each plan slot, one loop over
-    /// the live packets in arrival order takes each packet through the
-    /// slot in a single step — look its key up in the slot's match index,
-    /// reading the key's components in place in the PHV, count the hit or
-    /// miss, run the action's pre-resolved ops — as a packet's visit to a
-    /// match-action stage is one step. A packet whose PHV does not hold 1
-    /// in the slot's gate field skips the slot: no lookup, no action,
-    /// neither a hit nor a miss.
-    /// The loop reads the plan only, so it holds the slot's table
-    /// mutably for the counters. Fusing the steps is exact: a lookup
-    /// reads only its own packet's PHV and the immutable entries, the
-    /// counters commute, and digests are staged per packet and flushed
-    /// to the pipeline ring in arrival order at wave end, so the global
-    /// digest stream is the arrival-order one. `fields` is `None` only
-    /// for a pre-built PHV ([`Pipeline::process_phv`]), which has no wire
-    /// length to meter and no `is_resubmit` field to flag.
+    /// Stage-major structure per pass: for each plan **step** (see
+    /// [`ExecPlan::steps`]), one loop over the step's lanes in arrival
+    /// order takes each packet through the step in a single visit, as a
+    /// packet's visit to a match-action stage is one step. A fused step
+    /// reads the packet's row from its key fields in place, counts every
+    /// member's hit or miss and runs the row's combo ops; a one-member
+    /// step looks the key up in its table's match index, counts the hit
+    /// or miss and runs the action's ops. An ungated step visits the
+    /// live lanes, built once per pass, so later passes skip finished
+    /// packets; a gated one visits the live packets whose gate field
+    /// reads 1, rebuilt only where a different gate or a write to this
+    /// one may have changed them. A gated-off packet gets no lookup, no
+    /// action and neither a hit nor a miss.
+    /// The loop reads the plan only, so it holds the tables mutably for
+    /// the counters. Fusing the visits is exact: a lookup reads only its
+    /// own packet's PHV and the immutable entries, the counters commute,
+    /// and digests are staged per packet and flushed to the pipeline
+    /// ring in arrival order at wave end, so the global digest stream is
+    /// the arrival-order one. `fields` is `None` only for a pre-built PHV
+    /// ([`Pipeline::process_phv`]), which has no wire length to meter
+    /// and no `is_resubmit` field to flag.
     fn run_wave(&mut self, fields: Option<&StandardFields>, stats: &mut WaveStats) {
         let n = self.wave.len;
         if n == 0 {
@@ -767,43 +787,63 @@ impl Pipeline {
         let limit = self.program.resubmit_limit();
         let Pipeline { program, plan, regs, digests, meters, mask_scratch, wave, .. } = self;
         let tables = program.tables_mut();
-        for pkt in &mut wave.pkts[..n] {
+        let WaveScratch { pkts, live_lanes, gated_lanes, .. } = wave;
+        for pkt in &mut pkts[..n] {
             pkt.passes = 0;
             pkt.live = true;
         }
         let mut live = n;
         while live != 0 {
-            for pkt in &mut wave.pkts[..n] {
+            live_lanes.clear();
+            for (i, pkt) in pkts[..n].iter_mut().enumerate() {
                 if pkt.live {
                     pkt.passes += 1;
                     meters.passes += 1;
                     pkt.resubmit = false;
                     pkt.drop = false;
+                    live_lanes.push(i as u32);
                 }
             }
-            for (si, slot) in plan.slots().iter().enumerate() {
-                let key = plan.slot_key(si);
-                let index = plan.match_index(slot.table as usize);
-                let table = &mut tables[slot.table as usize];
-                for pkt in wave.pkts[..n].iter_mut().filter(|p| p.live) {
-                    if slot.gate.is_some_and(|g| pkt.phv.values()[g.index()] != 1) {
-                        continue;
+            for step in plan.exec_steps() {
+                let lanes = match step.gate {
+                    None => &live_lanes[..],
+                    Some(g) => {
+                        if step.fresh_gate {
+                            gated_lanes.clear();
+                            gated_lanes.extend(
+                                live_lanes
+                                    .iter()
+                                    .copied()
+                                    .filter(|&i| pkts[i as usize].phv.values()[g.index()] == 1),
+                            );
+                        }
+                        &gated_lanes[..]
                     }
-                    let phv_key = PhvKey { values: pkt.phv.values(), fields: key };
-                    let action = match index.lookup_key(&phv_key, mask_scratch) {
-                        Some(e) => {
-                            table.record_hit(e);
-                            plan.entry_action(slot, e)
+                };
+                let members = &plan.slots()[step.start as usize..step.end as usize];
+                for &i in lanes {
+                    let pkt = &mut pkts[i as usize];
+                    let combo =
+                        step.fused.as_ref().and_then(|f| Some((f, f.combo(pkt.phv.values())?)));
+                    let Some((fused, c)) = combo else {
+                        // A one-member step, or a value past an exact
+                        // member's field width: slot by slot.
+                        for si in step.start..step.end {
+                            visit_slot(plan, si as usize, tables, regs, meters, mask_scratch, pkt);
                         }
-                        None => {
-                            table.record_miss();
-                            slot.default_action
-                        }
+                        continue;
                     };
-                    exec_ops(plan, action, regs, meters, pkt);
+                    for (slot, &e) in members.iter().zip(fused.results(c)) {
+                        let table = &mut tables[slot.table as usize];
+                        match e {
+                            MISS => table.record_miss(),
+                            e => table.record_hit(e as usize),
+                        }
+                    }
+                    exec_ops(plan, fused.ops(c), regs, meters, pkt);
                 }
             }
-            for pkt in &mut wave.pkts[..n] {
+            for pkt in &mut pkts[..n] {
                 if !pkt.live {
                     continue;
                 }
@@ -832,7 +872,7 @@ impl Pipeline {
                 }
             }
         }
-        for pkt in &mut wave.pkts[..n] {
+        for pkt in &mut pkts[..n] {
             digests.append_from(&mut pkt.digests);
         }
         stats.packets += n as u64;
@@ -974,19 +1014,49 @@ fn operand(src: Source, v: &[u64]) -> u64 {
     }
 }
 
-/// Runs an interned action's pre-resolved ops on one wave packet: the
-/// wave's executor, where [`exec_action`] is the entry-walk oracle's.
+/// Takes one wave packet through plan slot `si` alone: looks its key up
+/// in place in the table's match index, counts the hit or miss and runs
+/// the action's ops.
+#[inline]
+fn visit_slot(
+    plan: &ExecPlan,
+    si: usize,
+    tables: &mut [Table],
+    regs: &mut RegisterFile,
+    meters: &mut Meters,
+    mask_scratch: &mut Vec<u64>,
+    pkt: &mut WavePacket,
+) {
+    let slot = &plan.slots()[si];
+    let table = &mut tables[slot.table as usize];
+    let key = PhvKey { values: pkt.phv.values(), fields: plan.slot_key(si) };
+    let action = match plan.match_index(slot.table as usize).lookup_key(&key, mask_scratch) {
+        Some(e) => {
+            table.record_hit(e);
+            plan.entry_action(slot, e)
+        }
+        None => {
+            table.record_miss();
+            slot.default_action
+        }
+    };
+    exec_ops(plan, plan.ops(action), regs, meters, pkt);
+}
+
+/// Runs pre-resolved ops (an interned action's, or a fused step's
+/// combo) on one wave packet: the wave's executor, where [`exec_action`]
+/// is the entry-walk oracle's.
 #[inline]
 fn exec_ops(
     plan: &ExecPlan,
-    action: ActionId,
+    ops: &[Op],
     regs: &mut RegisterFile,
     meters: &mut Meters,
     pkt: &mut WavePacket,
 ) {
     let WavePacket { phv, digests, ts_us, resubmit, drop, flow, .. } = pkt;
     let v = phv.values_mut();
-    for &op in plan.ops(action) {
+    for &op in ops {
         match op {
             Op::Set(d, src) => d.write(v, operand(src, v)),
             Op::Add(d, a, b) => d.write(v, operand(a, v).wrapping_add(operand(b, v))),

@@ -8,7 +8,9 @@
 //! with mixed ALU ops and hit/miss diversity, optional ownership-lane
 //! churn with idle-eviction timeouts, single and storm resubmits, mid-wave
 //! drops, digest emission, counters gated on a 1-bit field that packets
-//! and actions set) plus random packet schedules with heavy
+//! and actions set, counters keyed on another 1-bit field that actions
+//! write, register sharing; runs of such tables fuse into one plan step)
+//! plus random packet schedules with heavy
 //! same-flow adjacency, and checks the wave against the reference
 //! interpreter (`Pipeline::process_packet_entrywalk`) on *everything*:
 //! wave dispositions, meters, every register slot, per-entry table hits
@@ -40,12 +42,16 @@ struct Shape {
     resubmit: u8,
     /// Drop packets whose flow index equals this slot (mid-wave deaths).
     drop_slot: Option<u64>,
-    /// One per-flow counter table per element; low bits select the ALU
-    /// op/operand, bit 3 old-vs-new export, bit 4 digest emission, and
-    /// `op >> 5` the gate: 1 = the action also writes the counter's low
-    /// bit to the 1-bit `m_gate`, 2 = the table applies only when
-    /// `m_gate` is 1.
-    ops: Vec<u8>,
+    /// One per-flow counter table per element; bits 0–1 select the ALU
+    /// op/operand, bit 2 shares the previous counter's stage and
+    /// register, bit 3 old-vs-new export, bit 4 digest emission, bits
+    /// 5–6 the gate (bit 5: the action also writes the counter's low bit
+    /// to the 1-bit `m_gate`; bit 6: the table applies only when `m_gate`
+    /// is 1), bit 7 keys the table on the 1-bit `m_flag` (an entry for 0
+    /// and for 1) instead of dport, bit 8 makes the action also write the
+    /// counter's low bit to `m_flag`, and bit 9 adds a no-op entry for
+    /// dport 3.
+    ops: Vec<u16>,
 }
 
 /// Builds a random-shape program that still follows the engine
@@ -59,6 +65,7 @@ fn build(shape: &Shape) -> (Program, StandardFields) {
     let state = b.add_meta("m_state", 8);
     let cnt_out = b.add_meta("m_cnt", 32);
     let gate = b.add_meta("m_gate", 1);
+    let flag = b.add_meta("m_flag", 1);
     b.set_digest_fields(vec![idx, cnt_out, fields.frame_len]);
 
     // Stage 0: flow hashing — the discipline the wave contract rests on.
@@ -69,8 +76,13 @@ fn build(shape: &Shape) -> (Program, StandardFields) {
             .with(Primitive::HashFlow { dst: idx, mask: (shape.slots - 1) as u64, salt: 0 })
             .with(Primitive::HashFlow { dst: fp, mask: FP_MASK, salt: FP_SALT })
             .with(Primitive::Max { dst: fp, a: Source::Field(fp), b: Source::Const(1) })
-            // The gate opens on odd frame lengths.
-            .with(Primitive::Set { dst: gate, src: Source::Field(fields.frame_len) }),
+            // The gate opens on odd frame lengths, the flag is their bit 1.
+            .with(Primitive::Set { dst: gate, src: Source::Field(fields.frame_len) })
+            .with(Primitive::DivConst {
+                dst: flag,
+                a: Source::Field(fields.frame_len),
+                divisor: 2,
+            }),
     );
 
     let mut stage = 1;
@@ -99,11 +111,21 @@ fn build(shape: &Shape) -> (Program, StandardFields) {
             .unwrap();
         stage += 1;
     }
+    let mut prev_reg = None;
     for (i, &op) in shape.ops.iter().enumerate() {
-        let r = b.add_register(RegisterSpec::new(format!("r{i}"), 32, shape.slots), stage);
-        // Keyed on dport (traffic uses 2 and 3), so tables mix per-packet
-        // hits and misses and entry/miss counters get real coverage.
-        let t = b.add_table(TableSpec::exact(format!("cnt{i}"), vec![fields.dport], 4), stage);
+        let r = match prev_reg {
+            Some(prev) if op & 4 != 0 => {
+                stage -= 1;
+                prev
+            }
+            _ => b.add_register(RegisterSpec::new(format!("r{i}"), 32, shape.slots), stage),
+        };
+        prev_reg = Some(r);
+        // Keyed on dport (traffic uses 2 and 3) or on the flag, so tables
+        // mix per-packet hits and misses and entry/miss counters get real
+        // coverage.
+        let key = if op & 128 == 0 { fields.dport } else { flag };
+        let t = b.add_table(TableSpec::exact(format!("cnt{i}"), vec![key], 4), stage);
         let (alu, operand) = match op % 4 {
             0 => (AluOp::Add, Source::Field(fields.frame_len)),
             1 => (AluOp::Max, Source::Field(fields.flow_size)),
@@ -120,12 +142,24 @@ fn build(shape: &Shape) -> (Program, StandardFields) {
         if op & 16 == 0 {
             act = act.with(Primitive::Digest);
         }
-        match op >> 5 {
-            1 => act = act.with(Primitive::Set { dst: gate, src: Source::Field(cnt_out) }),
-            2 => b.gate_table(t, gate),
-            _ => {}
+        if op & 32 != 0 {
+            act = act.with(Primitive::Set { dst: gate, src: Source::Field(cnt_out) });
         }
-        b.add_exact_entry(t, vec![2], act).unwrap();
+        if op & 64 != 0 {
+            b.gate_table(t, gate);
+        }
+        if op & 256 != 0 {
+            act = act.with(Primitive::Set { dst: flag, src: Source::Field(cnt_out) });
+        }
+        if op & 128 == 0 {
+            b.add_exact_entry(t, vec![2], act).unwrap();
+            if op & 512 != 0 {
+                b.add_exact_entry(t, vec![3], Action::nop()).unwrap();
+            }
+        } else {
+            b.add_exact_entry(t, vec![0], act.clone()).unwrap();
+            b.add_exact_entry(t, vec![1], act).unwrap();
+        }
         stage += 1;
     }
     if shape.resubmit > 0 {
@@ -222,7 +256,7 @@ proptest! {
     fn burst_execution_equals_scalar(
         (slots_sel, owner, resubmit, drop_sel, burst) in
             (0u32..3, any::<bool>(), 0u8..3, 0u64..8, 1usize..65),
-        ops in proptest::collection::vec(0u8..96, 1..4),
+        ops in proptest::collection::vec(0u16..1024, 1..6),
         packets in proptest::collection::vec((0u32..12, 0u16..3, 0u8..2), 1..80),
     ) {
         let shape = Shape {

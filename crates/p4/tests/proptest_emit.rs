@@ -4,11 +4,12 @@
 //! [`EmitError`] — never a panic, never malformed output.
 //!
 //! The generator is the same shape as the workspace-level pipeline
-//! proptest (`tests/proptest_invariants.rs`): 1–3 stages, 1–2 tables
-//! per stage across all three match kinds, one 16-bit register per
-//! stage, actions drawn from the full primitive set, about a third of
-//! the tables gated on a 1-bit field (emitted as `if` gateways). Because the
-//! random registers are 16-bit, any draw that includes `OwnerUpdate`
+//! proptest (`tests/proptest_invariants.rs`): 1–3 stages, 1–3 tables
+//! per stage across all three match kinds with 0–4 entries, one 16-bit
+//! register per stage plus one of their own for about half the tables,
+//! actions drawn from the full primitive set, half the key fields 1-bit
+//! flags, about half the tables, mostly in runs, gated on a 1-bit field
+//! (emitted as `if` gateways). Because the random registers are 16-bit, any draw that includes `OwnerUpdate`
 //! must surface as [`EmitError::OwnerLaneWidth`] — the typed-error
 //! path — while draws without it must emit cleanly.
 
@@ -16,7 +17,7 @@ use proptest::prelude::*;
 use splidt_dataplane::action::{Action, AluOp, AluOut, OwnerMode, Primitive, Source};
 use splidt_dataplane::phv::FieldId;
 use splidt_dataplane::program::{Program, ProgramBuilder};
-use splidt_dataplane::register::RegisterSpec;
+use splidt_dataplane::register::{RegId, RegisterSpec};
 use splidt_dataplane::table::TableSpec;
 use splidt_dataplane::tcam::Ternary;
 use splidt_p4::validate::validate;
@@ -27,8 +28,10 @@ fn random_program(rng: &mut rand::rngs::SmallRng) -> Program {
     use rand::Rng;
     let mut b = ProgramBuilder::new();
     // The 1-bit `f3` is the gate field: actions write it, keys read it,
-    // and about a third of the tables apply only when it is 1.
-    let widths = [8u8, 16, 16, 1];
+    // and about half the tables, mostly in runs, apply only when it is 1. `f4` and `f5` are 1-bit flags that keys read and actions
+    // write, so adjacent small tables fuse into one plan step or are
+    // kept apart by a write to a later key.
+    let widths = [8u8, 16, 16, 1, 1, 1];
     let fields: Vec<FieldId> =
         widths.iter().enumerate().map(|(i, &w)| b.add_meta(format!("f{i}"), w)).collect();
     b.set_digest_fields(vec![fields[0], fields[1]]);
@@ -38,7 +41,7 @@ fn random_program(rng: &mut rand::rngs::SmallRng) -> Program {
         .map(|s| b.add_register(RegisterSpec::new(format!("r{s}"), 16, 16), s))
         .collect();
 
-    let random_action = |rng: &mut rand::rngs::SmallRng, stage: usize| -> Action {
+    let random_action = |rng: &mut rand::rngs::SmallRng, reg: RegId| -> Action {
         let mut a = Action::new("a");
         for _ in 0..rng.random_range(0usize..4) {
             let dst = fields[rng.random_range(0usize..fields.len())];
@@ -57,7 +60,7 @@ fn random_program(rng: &mut rand::rngs::SmallRng) -> Program {
                 4 => Primitive::Max { dst, a: src(rng), b: src(rng) },
                 5 => Primitive::DivConst { dst, a: src(rng), divisor: rng.random_range(1u64..8) },
                 6 | 7 => Primitive::RegRmw {
-                    reg: regs[stage],
+                    reg,
                     index: Source::Const(rng.random_range(0u64..16)),
                     op: [AluOp::Add, AluOp::Write, AluOp::Max, AluOp::Read]
                         [rng.random_range(0usize..4)],
@@ -72,7 +75,7 @@ fn random_program(rng: &mut rand::rngs::SmallRng) -> Program {
                 10 => {
                     let idle = rng.random_range(0u64..32);
                     Primitive::OwnerUpdate {
-                        reg: regs[stage],
+                        reg,
                         index: Source::Const(rng.random_range(0u64..16)),
                         fp: src(rng),
                         now: src(rng),
@@ -103,12 +106,24 @@ fn random_program(rng: &mut rand::rngs::SmallRng) -> Program {
         a
     };
 
-    for stage in 0..n_stages {
-        for t in 0..rng.random_range(1usize..3) {
-            let key: Vec<FieldId> = (0..rng.random_range(1usize..3))
-                .map(|_| fields[rng.random_range(0usize..fields.len())])
-                .collect();
-            let n_entries = rng.random_range(1usize..4);
+    // Half the key fields are the 1-bit ones.
+    let key_field = |rng: &mut rand::rngs::SmallRng| {
+        let from = if rng.random::<bool>() { 3 } else { 0 };
+        fields[rng.random_range(from..fields.len())]
+    };
+    let flag = |f: FieldId| fields[3..].contains(&f);
+    let mut gated = false;
+    for (stage, &stage_reg) in regs.iter().enumerate() {
+        for t in 0..rng.random_range(1usize..4) {
+            let key: Vec<FieldId> =
+                (0..rng.random_range(1usize..3)).map(|_| key_field(rng)).collect();
+            let n_entries = rng.random_range(0usize..5);
+            // The stage's register, or half the time one of the table's own.
+            let reg = if rng.random::<bool>() {
+                stage_reg
+            } else {
+                b.add_register(RegisterSpec::new(format!("own{stage}_{t}"), 16, 16), stage)
+            };
             let tid = match rng.random_range(0u8..3) {
                 0 => {
                     let tid = b.add_table(
@@ -116,9 +131,11 @@ fn random_program(rng: &mut rand::rngs::SmallRng) -> Program {
                         stage,
                     );
                     for _ in 0..n_entries {
-                        let vals: Vec<u64> =
-                            key.iter().map(|_| rng.random_range(0u64..4)).collect();
-                        let action = random_action(rng, stage);
+                        let vals: Vec<u64> = key
+                            .iter()
+                            .map(|&f| rng.random_range(0u64..if flag(f) { 2 } else { 4 }))
+                            .collect();
+                        let action = random_action(rng, reg);
                         let _ = b.add_exact_entry(tid, vals, action);
                     }
                     tid
@@ -131,16 +148,18 @@ fn random_program(rng: &mut rand::rngs::SmallRng) -> Program {
                     for _ in 0..n_entries {
                         let pats: Vec<Ternary> = key
                             .iter()
-                            .map(|_| {
+                            .map(|&f| {
                                 if rng.random::<bool>() {
                                     Ternary::ANY
+                                } else if flag(f) {
+                                    Ternary::exact(rng.random_range(0..2), 1)
                                 } else {
                                     Ternary::exact(rng.random_range(0u64..4), 8)
                                 }
                             })
                             .collect();
                         let prio = rng.random_range(0u32..10);
-                        let action = random_action(rng, stage);
+                        let action = random_action(rng, reg);
                         b.add_ternary_entry(tid, pats, prio, action).unwrap();
                     }
                     tid
@@ -159,17 +178,19 @@ fn random_program(rng: &mut rand::rngs::SmallRng) -> Program {
                             })
                             .collect();
                         let prio = rng.random_range(0u32..10);
-                        let action = random_action(rng, stage);
+                        let action = random_action(rng, reg);
                         b.add_range_entry(tid, ranges, prio, action).unwrap();
                     }
                     tid
                 }
             };
             if rng.random::<bool>() {
-                let d = random_action(rng, stage);
+                let d = random_action(rng, reg);
                 b.set_default(tid, d);
             }
-            if rng.random_range(0u8..3) == 0 {
+            // One table in three opens a gated run; two in three extend one.
+            gated = rng.random_range(0u8..3) < if gated { 2 } else { 1 };
+            if gated {
                 b.gate_table(tid, fields[3]);
             }
         }

@@ -4,9 +4,11 @@
 //!
 //! Sampling is plain seeded-random (no shrinking, no persistence): each
 //! `#[test]` inside `proptest!` runs `PROPTEST_CASES` (default 48) cases
-//! from a fixed seed, so failures are reproducible run-to-run. Failure
-//! messages include the case index; re-running the test binary reproduces
-//! the same inputs deterministically.
+//! from a fixed per-test seed, so failures are reproducible run-to-run.
+//! `PROPTEST_SEED` (a `u64`), when set, is mixed into every test's seed
+//! to draw a different stream; unset, the stream is the fixed one. A
+//! failing case prints its test name, case index and `PROPTEST_SEED`;
+//! re-running with the same environment reproduces the same inputs.
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SampleUniform, SeedableRng};
@@ -20,15 +22,41 @@ pub fn cases() -> usize {
     std::env::var("PROPTEST_CASES").ok().and_then(|v| v.parse().ok()).unwrap_or(48)
 }
 
+/// The optional stream selector (env `PROPTEST_SEED`).
+pub fn seed() -> Option<u64> {
+    std::env::var("PROPTEST_SEED").ok().and_then(|v| v.parse().ok())
+}
+
 /// Deterministic per-test RNG.
 pub fn rng_for(test_name: &str) -> TestRng {
-    // FNV-1a over the test name so distinct properties get distinct
-    // (but stable) streams.
+    // FNV-1a over the test name (then the seed's bytes, if one is set)
+    // so distinct properties get distinct (but stable) streams.
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in test_name.bytes() {
+    let seed_bytes = seed().map(u64::to_le_bytes);
+    for b in test_name.bytes().chain(seed_bytes.into_iter().flatten()) {
         h = (h ^ b as u64).wrapping_mul(0x100_0000_01b3);
     }
     SmallRng::seed_from_u64(h)
+}
+
+/// Names the running case if it panics: held across one case's body.
+pub struct CaseGuard {
+    /// The property's name.
+    pub test: &'static str,
+    /// The case index.
+    pub case: usize,
+}
+
+impl Drop for CaseGuard {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            let seed = seed().map_or_else(|| "unset".to_string(), |s| s.to_string());
+            eprintln!(
+                "proptest: {} failed at case {} (PROPTEST_SEED={seed})",
+                self.test, self.case
+            );
+        }
+    }
 }
 
 /// A value generator.
@@ -203,8 +231,10 @@ macro_rules! proptest {
         fn $name() {
             let mut __rng = $crate::rng_for(stringify!($name));
             for __case in 0..$crate::cases() {
+                let __guard = $crate::CaseGuard { test: stringify!($name), case: __case };
                 $(let $pat = $crate::Strategy::sample(&($strat), &mut __rng);)+
                 $body
+                drop(__guard);
             }
         }
     )*};

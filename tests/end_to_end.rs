@@ -195,6 +195,88 @@ fn compiled_program_direct_tables() {
     );
 }
 
+/// The compiled fixture's probe schedule: which adjacent tables the plan
+/// fuses into one step, and the probes a pass costs, counted as the sum
+/// over steps of the first member's visits (hits plus misses). The 18
+/// ungated tables take 9 probes per pass; the 9 gated ones take 7 per
+/// boundary pass. Under the flow-agnostic policy `own` is narrow enough to
+/// join `prep` and `dir`, so a pass takes 8.
+#[test]
+fn compiled_program_steps() {
+    use splidt::core::{compile_with, CompileOptions};
+    use splidt::dataplane::pipeline::Pipeline;
+    use splidt::dataplane::plan::ExecPlan;
+    use splidt::flow::{churn, frame_for, ChurnConfig};
+
+    let id = DatasetId::D2;
+    let cfg = SplidtConfig { partitions: vec![3, 3], k: 4, ..Default::default() };
+    let wd = windowed_dataset(&generate(id, 400, 13), 2, spec(id).n_classes as usize);
+    let model = train_partitioned(&wd, &cfg, &catalog().hardware_eligible());
+    let compile = |policy| {
+        let opts = CompileOptions { flow_slots: 128, idle_timeout_us: 100_000, policy };
+        compile_with(&model, &opts).expect("compiles")
+    };
+    let names = |program: &splidt::dataplane::program::Program| -> Vec<Vec<String>> {
+        ExecPlan::build(program)
+            .steps()
+            .map(|s| {
+                s.iter().map(|m| program.tables()[m.table as usize].spec().name.clone()).collect()
+            })
+            .collect()
+    };
+    let compiled = compile(LifecyclePolicy::tcp());
+    let expect: Vec<Vec<&str>> = vec![
+        vec!["prep", "dir"],
+        vec!["own"],
+        vec!["lifecycle"],
+        vec!["sid", "pkt_count", "win_count", "last_all", "last_bwd", "compute"],
+        vec!["valid_all", "valid_bwd", "win_first", "boundary"],
+        vec!["slot_0"],
+        vec!["slot_1"],
+        vec!["slot_2"],
+        vec!["slot_3"],
+        vec!["load_0"],
+        vec!["load_1", "load_2", "load_3"],
+        vec!["keygen_0"],
+        vec!["keygen_1"],
+        vec!["keygen_2"],
+        vec!["keygen_3"],
+        vec!["model"],
+    ];
+    assert_eq!(names(&compiled.program), expect);
+    let agnostic = names(&compile(LifecyclePolicy::flow_agnostic()).program);
+    assert_eq!(agnostic[0], ["prep", "dir", "own"]);
+    assert_eq!(agnostic[1..], expect[2..]);
+
+    let fields = compiled.io.fields;
+    let mut pipe = Pipeline::new(compiled.program);
+    let schedule = churn(id, &ChurnConfig { flows: 120, seed: 17, ..Default::default() });
+    for (ts, i, j) in schedule.events() {
+        pipe.process_packet(&frame_for(&schedule.flows[i], j), ts, &fields).expect("parses");
+    }
+    let visits = |t: usize| {
+        let t = &pipe.program().tables()[t];
+        t.entries().iter().map(|e| e.hits).sum::<u64>() + t.misses()
+    };
+    let plan = pipe.plan();
+    let (mut ungated, mut gated, mut ungated_tables) = (0, 0, 0);
+    for step in plan.steps() {
+        let probes = visits(step[0].table as usize);
+        if step[0].gate.is_some() {
+            gated += probes;
+        } else {
+            ungated += probes;
+            ungated_tables += step.iter().map(|m| visits(m.table as usize)).sum::<u64>();
+        }
+    }
+    let passes = pipe.meters().passes;
+    let boundary_passes = visits(plan.steps().last().expect("steps")[0].table as usize);
+    assert!(boundary_passes > 0 && boundary_passes < passes);
+    assert_eq!(ungated_tables, 18 * passes);
+    assert_eq!(ungated, 9 * passes, "ungated probes per pass");
+    assert_eq!(gated, 7 * boundary_passes, "gated probes per boundary pass");
+}
+
 /// Which tables of the compiled fixture are gated, and on what: every
 /// `load_*`, every `keygen_*` and `model`, all on `m.boundary`, and no
 /// other table. Gating a stateful table (a `slot_*`, say) would skip its

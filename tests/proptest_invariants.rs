@@ -5,27 +5,32 @@ use splidt::dataplane::action::{Action, AluOp, AluOut, OwnerMode, Primitive, Sou
 use splidt::dataplane::phv::FieldId;
 use splidt::dataplane::pipeline::Pipeline;
 use splidt::dataplane::program::{Program, ProgramBuilder};
-use splidt::dataplane::register::RegisterSpec;
+use splidt::dataplane::register::{RegId, RegisterSpec};
 use splidt::dataplane::table::TableSpec;
 use splidt::dataplane::tcam::Ternary;
 use splidt::dt::{train_classifier, Dataset, TrainParams};
 use splidt::flow::window_bounds;
 use splidt::ranging::{generate_rules, range_to_prefixes, ThermometerEncoder};
 
-/// Builds a random small pipeline program: 1–3 stages, 1–2 tables per
-/// stage (exact, ternary or range), one register per stage, and entries
+/// Builds a random small pipeline program: 1–3 stages, 1–3 tables per
+/// stage (exact, ternary or range) with 0–4 entries, one register per
+/// stage and, for about half the tables, one of their own, and entries
 /// whose actions draw from the full primitive set (arithmetic, register
-/// RMW, digest, resubmit, drop). About a third of the tables are gated
-/// on the 1-bit field `f3`. Returns the program and its metadata
-/// fields. About half the tables draw some entry values and patterns
+/// RMW, digest, resubmit, drop). Half the key fields are the 1-bit
+/// `f3`–`f5`, which actions also write, so runs of adjacent tables fuse
+/// into plan steps or are cut by a write to a later key or the gate.
+/// About half the tables, mostly in runs, are gated on `f3`. Returns
+/// the program and its metadata fields. About half the tables draw some entry values and patterns
 /// wide, up to 2^12, past the direct-index budget, so the hashed,
 /// ternary and range indexes run too.
 fn random_program(rng: &mut rand::rngs::SmallRng) -> (Program, Vec<FieldId>) {
     use rand::Rng;
     let mut b = ProgramBuilder::new();
     // The 1-bit `f3` is the gate field: actions write it, keys read it,
-    // and about a third of the tables apply only when it is 1.
-    let widths = [8u8, 16, 16, 1];
+    // and about half the tables, mostly in runs, apply only when it is 1. `f4` and `f5` are 1-bit flags that keys read and actions
+    // write, so adjacent small tables fuse into one plan step or are
+    // kept apart by a write to a later key.
+    let widths = [8u8, 16, 16, 1, 1, 1];
     let fields: Vec<FieldId> =
         widths.iter().enumerate().map(|(i, &w)| b.add_meta(format!("f{i}"), w)).collect();
     b.set_digest_fields(vec![fields[0], fields[1]]);
@@ -35,7 +40,7 @@ fn random_program(rng: &mut rand::rngs::SmallRng) -> (Program, Vec<FieldId>) {
         .map(|s| b.add_register(RegisterSpec::new(format!("r{s}"), 16, 16), s))
         .collect();
 
-    let random_action = |rng: &mut rand::rngs::SmallRng, stage: usize| -> Action {
+    let random_action = |rng: &mut rand::rngs::SmallRng, reg: RegId| -> Action {
         let mut a = Action::new("a");
         for _ in 0..rng.random_range(0usize..4) {
             let dst = fields[rng.random_range(0usize..fields.len())];
@@ -58,7 +63,7 @@ fn random_program(rng: &mut rand::rngs::SmallRng) -> (Program, Vec<FieldId>) {
                 4 => Primitive::Max { dst, a: src(rng), b: src(rng) },
                 5 => Primitive::DivConst { dst, a: src(rng), divisor: rng.random_range(1u64..8) },
                 6 | 7 => Primitive::RegRmw {
-                    reg: regs[stage],
+                    reg,
                     index: Source::Const(rng.random_range(0u64..16)),
                     op: [AluOp::Add, AluOp::Write, AluOp::Max, AluOp::Read]
                         [rng.random_range(0usize..4)],
@@ -73,7 +78,7 @@ fn random_program(rng: &mut rand::rngs::SmallRng) -> (Program, Vec<FieldId>) {
                 10 => {
                     let idle = rng.random_range(0u64..32);
                     Primitive::OwnerUpdate {
-                        reg: regs[stage],
+                        reg,
                         index: Source::Const(rng.random_range(0u64..16)),
                         fp: src(rng),
                         now: src(rng),
@@ -110,12 +115,24 @@ fn random_program(rng: &mut rand::rngs::SmallRng) -> (Program, Vec<FieldId>) {
         let top = if wide && rng.random::<bool>() { 1 << 12 } else { small };
         rng.random_range(0u64..top)
     };
-    for stage in 0..n_stages {
-        for t in 0..rng.random_range(1usize..3) {
-            let key: Vec<FieldId> = (0..rng.random_range(1usize..3))
-                .map(|_| fields[rng.random_range(0usize..fields.len())])
-                .collect();
-            let n_entries = rng.random_range(1usize..4);
+    // Half the key fields are the 1-bit ones.
+    let key_field = |rng: &mut rand::rngs::SmallRng| {
+        let from = if rng.random::<bool>() { 3 } else { 0 };
+        fields[rng.random_range(from..fields.len())]
+    };
+    let flag = |f: FieldId| fields[3..].contains(&f);
+    let mut gated = false;
+    for (stage, &stage_reg) in regs.iter().enumerate() {
+        for t in 0..rng.random_range(1usize..4) {
+            let key: Vec<FieldId> =
+                (0..rng.random_range(1usize..3)).map(|_| key_field(rng)).collect();
+            let n_entries = rng.random_range(0usize..5);
+            // The stage's register, or half the time one of the table's own.
+            let reg = if rng.random::<bool>() {
+                stage_reg
+            } else {
+                b.add_register(RegisterSpec::new(format!("own{stage}_{t}"), 16, 16), stage)
+            };
             let wide = rng.random::<bool>();
             let tid = match rng.random_range(0u8..3) {
                 0 => {
@@ -124,8 +141,17 @@ fn random_program(rng: &mut rand::rngs::SmallRng) -> (Program, Vec<FieldId>) {
                         stage,
                     );
                     for _ in 0..n_entries {
-                        let vals: Vec<u64> = key.iter().map(|_| value(rng, wide, 4)).collect();
-                        let action = random_action(rng, stage);
+                        let vals: Vec<u64> =
+                            key.iter()
+                                .map(|&f| {
+                                    if flag(f) {
+                                        rng.random_range(0..2)
+                                    } else {
+                                        value(rng, wide, 4)
+                                    }
+                                })
+                                .collect();
+                        let action = random_action(rng, reg);
                         // Duplicate exact keys are now rejected at install
                         // (the shadowing bugfix); the generator just skips
                         // the colliding draw, as a controller would.
@@ -141,9 +167,11 @@ fn random_program(rng: &mut rand::rngs::SmallRng) -> (Program, Vec<FieldId>) {
                     for _ in 0..n_entries {
                         let pats: Vec<Ternary> = key
                             .iter()
-                            .map(|_| {
+                            .map(|&f| {
                                 if rng.random::<bool>() {
                                     Ternary::ANY
+                                } else if flag(f) {
+                                    Ternary::exact(rng.random_range(0..2), 1)
                                 } else if wide {
                                     Ternary::exact(value(rng, wide, 4), 12)
                                 } else {
@@ -152,7 +180,7 @@ fn random_program(rng: &mut rand::rngs::SmallRng) -> (Program, Vec<FieldId>) {
                             })
                             .collect();
                         let prio = rng.random_range(0u32..10);
-                        let action = random_action(rng, stage);
+                        let action = random_action(rng, reg);
                         b.add_ternary_entry(tid, pats, prio, action).unwrap();
                     }
                     tid
@@ -171,17 +199,19 @@ fn random_program(rng: &mut rand::rngs::SmallRng) -> (Program, Vec<FieldId>) {
                             })
                             .collect();
                         let prio = rng.random_range(0u32..10);
-                        let action = random_action(rng, stage);
+                        let action = random_action(rng, reg);
                         b.add_range_entry(tid, ranges, prio, action).unwrap();
                     }
                     tid
                 }
             };
             if rng.random::<bool>() {
-                let d = random_action(rng, stage);
+                let d = random_action(rng, reg);
                 b.set_default(tid, d);
             }
-            if rng.random_range(0u8..3) == 0 {
+            // One table in three opens a gated run; two in three extend one.
+            gated = rng.random_range(0u8..3) < if gated { 2 } else { 1 };
+            if gated {
                 b.gate_table(tid, fields[3]);
             }
         }
