@@ -5,8 +5,8 @@
 //!
 //! Two drivers per shard count:
 //!
-//! * `packets/N` — the full `run` path (admission, per-flow frame
-//!   serialization, feeding, scoring), i.e. a whole session;
+//! * `packets/N` — a whole evaluation `Session::run` (admission, frame
+//!   serialization, feeding, scoring);
 //! * `batch/N` — pre-serialized frames through `ingest_batch`, the
 //!   steady-state zero-allocation hot path with digests drained once per
 //!   batch. The gap between the two is the session-bookkeeping overhead.
@@ -18,10 +18,11 @@
 //! Run with: `cargo bench --bench engine`
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use splidt_core::engine::{Engine, EngineBuilder};
-use splidt_core::{train_partitioned, SplidtConfig};
+use splidt_core::engine::EngineBuilder;
+use splidt_core::{train_partitioned, Session, SplidtConfig};
 use splidt_flow::{
-    catalog, generate, select_flows, stratified_split, windowed_dataset, DatasetId, FlowTrace,
+    catalog, frame_for, generate, select_flows, stratified_split, windowed_dataset, DatasetId,
+    FlowTrace,
 };
 
 fn bench_engine(c: &mut Criterion) {
@@ -33,19 +34,21 @@ fn bench_engine(c: &mut Criterion) {
     let wd = windowed_dataset(&train_flows, 3, 4);
     let model = train_partitioned(&wd, &cfg, &catalog().hardware_eligible());
     let total_packets: u64 = traffic.iter().map(|f| f.size_pkts() as u64).sum();
-    let builder = || EngineBuilder::new(&model).flow_slots(1 << 16).stagger_us(1_000);
-    // `traffic` as `run` would feed it: admitted with collision filtering
-    // at the engines' slot budget, staggered, merged into one timeline.
-    let mut admitter = builder().build().expect("compiles");
+    let builder = || EngineBuilder::new(&model).flow_slots(1 << 16);
+    let stagger_us = 1_000;
+    // `traffic` as a session would feed it: admitted with collision
+    // filtering at the engines' slot budget, staggered, merged into one
+    // timeline.
+    let (admitter, mut session) = (builder().build().expect("compiles"), Session::new(stagger_us));
     let mut events: Vec<(u64, &FlowTrace, usize)> = Vec::new();
     for f in &traffic {
-        if let Some(a) = admitter.admit(f) {
+        if let Some(a) = session.admit(&admitter, f) {
             events.extend(f.packets.iter().enumerate().map(|(j, p)| (a.base_us + p.ts_us, f, j)));
         }
     }
     events.sort_by_key(|&(ts, _, _)| ts);
     let frames: Vec<(Vec<u8>, u64)> =
-        events.into_iter().map(|(ts, f, j)| (Engine::frame_for(f, j), ts)).collect();
+        events.into_iter().map(|(ts, f, j)| (frame_for(f, j), ts)).collect();
 
     let mut group = c.benchmark_group("engine");
     group.throughput(Throughput::Elements(total_packets));
@@ -57,7 +60,7 @@ fn bench_engine(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("packets", shards), &shards, |b, _| {
             b.iter(|| {
                 engine.reset();
-                engine.run(&traffic).expect("runs")
+                Session::new(stagger_us).run(&mut engine, &traffic).expect("runs")
             })
         });
         let mut engine = sharded();

@@ -8,20 +8,21 @@
 //!    contract implemented by [`PartitionedTree`], NetBeacon, Leo,
 //!    per-packet and ideal, so benches and tables compare models through a
 //!    single loop (the paper's Table 3 / Figure 2 comparisons).
-//! 2. [`EngineBuilder`] → [`Engine`] — compile once, then *stream*:
-//!    [`Engine::admit`] registers a flow, [`Engine::ingest`] pushes frames
-//!    at timestamps, [`Engine::drain_digests`] lifts verdicts off the
-//!    pipeline, [`Engine::report`] scores against ground truth (the
-//!    MoonGen → Tofino → digest-collector loop of the testbed).
+//! 2. [`EngineBuilder`] → [`Engine`] — compile once, then *serve*:
+//!    [`Engine::ingest`] / [`Engine::ingest_batch`] push frames at
+//!    timestamps and hand back verdict digests, [`Engine::snapshot`]
+//!    reads the operational state (the Tofino of the testbed). Scoring
+//!    against ground truth is the digest collector's job, outside the
+//!    engine: [`Session`](crate::runtime::Session).
 //! 3. [`ShardedEngine`] — N independent pipeline shards addressed by
 //!    canonical flow hash, fanned out on one scoped thread per shard: the
 //!    throughput-scaling knob (one shard ≙ one hardware pipe; Tofino1
 //!    has 4).
 //!
-//! Digest collation is keyed by the flow's **canonical register slot**
-//! (the same index the data plane's `HashFlow` primitive computes), not by
-//! any IP heuristic, so attribution is exact even when initiator addresses
-//! repeat across flows.
+//! Every digest carries the flow's **canonical register slot** (the same
+//! index the data plane's `HashFlow` primitive computes), so a collector
+//! attributes verdicts exactly even when initiator addresses repeat
+//! across flows.
 
 use crate::compile::{
     compile_with, CompileError, CompileOptions, CompiledIo, CompiledModel, LifecyclePolicy,
@@ -31,7 +32,7 @@ use crate::error::SplidtError;
 use crate::model::PartitionedTree;
 use crate::resources::{splidt_footprint, ModelFootprint};
 use crate::runtime::{
-    canonical_flow_index, shard_of_frame, FlowOutcome, LifecycleStats, RuntimeReport, SlotPressure,
+    canonical_flow_index, shard_of_frame, EngineSnapshot, LifecycleStats, SlotPressure,
     PRESSURE_TOP_K,
 };
 use crate::stream::DigestTap;
@@ -41,7 +42,6 @@ use splidt_dataplane::register::owner_lane;
 use splidt_dt::metrics::macro_f1;
 use splidt_flow::features::catalog;
 use splidt_flow::{extract_windows, FlowTrace};
-use std::collections::HashMap;
 
 // ---------------------------------------------------------------- verdicts
 
@@ -259,9 +259,6 @@ impl Trainable for crate::baselines::Ideal {
 /// Default register depth (64K flow slots).
 pub const DEFAULT_FLOW_SLOTS: usize = 1 << 16;
 
-/// Default inter-flow stagger when batching flows onto one timeline (µs).
-pub const DEFAULT_STAGGER_US: u64 = 5_000;
-
 /// Default burst (wave capacity) of the frame hot path: how many packets
 /// accumulate before the compiled plan is walked stage-major across the
 /// whole wave (see [`Engine::set_burst`]).
@@ -273,20 +270,18 @@ pub const DEFAULT_BURST: usize = 32;
 pub struct EngineBuilder<'m> {
     model: &'m PartitionedTree,
     flow_slots: usize,
-    stagger_us: u64,
     idle_timeout_us: u64,
     policy: LifecyclePolicy,
     burst: usize,
 }
 
 impl<'m> EngineBuilder<'m> {
-    /// Starts a builder for `model` with default slots/stagger/timeout
-    /// and the flow-agnostic lifecycle policy.
+    /// Starts a builder for `model` with default slots/timeout/burst and
+    /// the flow-agnostic lifecycle policy.
     pub fn new(model: &'m PartitionedTree) -> Self {
         Self {
             model,
             flow_slots: DEFAULT_FLOW_SLOTS,
-            stagger_us: DEFAULT_STAGGER_US,
             idle_timeout_us: crate::compile::DEFAULT_IDLE_TIMEOUT_US,
             policy: LifecyclePolicy::default(),
             burst: DEFAULT_BURST,
@@ -303,12 +298,6 @@ impl<'m> EngineBuilder<'m> {
     /// Register depth (must be a power of two).
     pub fn flow_slots(mut self, slots: usize) -> Self {
         self.flow_slots = slots;
-        self
-    }
-
-    /// Inter-flow stagger for batched timelines (µs).
-    pub fn stagger_us(mut self, us: u64) -> Self {
-        self.stagger_us = us;
         self
     }
 
@@ -338,7 +327,7 @@ impl<'m> EngineBuilder<'m> {
     /// Compiles the model and instantiates a single-pipeline engine.
     pub fn build(self) -> Result<Engine, SplidtError> {
         let compiled = compile_with(self.model, &self.compile_options())?;
-        let mut engine = Engine::from_compiled(self.model.clone(), compiled, self.stagger_us);
+        let mut engine = Engine::from_compiled(self.model.clone(), compiled);
         engine.set_burst(self.burst);
         Ok(engine)
     }
@@ -356,19 +345,12 @@ impl<'m> EngineBuilder<'m> {
                     compiled.program.clone(),
                     compiled.io.clone(),
                     compiled.summary.clone(),
-                    self.stagger_us,
                 );
                 engine.set_burst(self.burst);
                 engine
             })
             .collect();
-        Ok(ShardedEngine {
-            shards,
-            flow_slots: self.flow_slots,
-            collisions_skipped: 0,
-            slot_owner: HashMap::new(),
-            placement: Vec::new(),
-        })
+        Ok(ShardedEngine { shards, flow_slots: self.flow_slots })
     }
 }
 
@@ -387,7 +369,8 @@ pub struct BatchReport {
     /// `packets`). Exact by construction, so ingress reconciliation can
     /// balance received frames against pipeline outcomes end-to-end.
     pub malformed: u64,
-    /// Digests the batch produced (already collated for scoring).
+    /// Digests the batch produced, in drain order — the verdict stream a
+    /// collector such as [`Session`](crate::runtime::Session) scores.
     pub digests: Vec<Digest>,
 }
 
@@ -402,23 +385,6 @@ impl BatchReport {
     }
 }
 
-/// A flow admitted into an engine session.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Admission {
-    /// Dense per-session flow id (index into the engine's admitted list).
-    pub id: usize,
-    /// Timeline offset assigned to the flow's first packet (µs).
-    pub base_us: u64,
-    /// Canonical register slot the data plane will hash the flow to.
-    pub slot: usize,
-}
-
-struct AdmittedFlow {
-    flow: FlowTrace,
-    base_us: u64,
-    slot: usize,
-}
-
 /// A replacement model handed to [`Engine::stage_model`], compiling to a
 /// fresh program on its own thread while the live pipeline keeps serving.
 struct StagedModel {
@@ -426,25 +392,17 @@ struct StagedModel {
     handle: std::thread::JoinHandle<Result<CompiledModel, CompileError>>,
 }
 
-/// A session-oriented streaming engine over one compiled pipeline.
+/// A streaming engine serving one compiled pipeline.
 ///
-/// Lifecycle: [`EngineBuilder::build`] (compile) → [`Engine::admit`] /
-/// [`Engine::ingest`] (feed) → [`Engine::report`] (score) →
-/// [`Engine::reset`] (reuse the compiled program for a fresh session).
+/// Lifecycle: [`EngineBuilder::build`] (compile) → [`Engine::ingest`] /
+/// [`Engine::ingest_batch`] (serve; digests come back to the caller) →
+/// [`Engine::snapshot`] (observe) → [`Engine::reset`] (reuse the compiled
+/// program for a fresh session). No field grows with the traffic served.
 pub struct Engine {
     model: PartitionedTree,
     io: CompiledIo,
     summary: RulesSummary,
     pipeline: Pipeline,
-    stagger_us: u64,
-    admitted: Vec<AdmittedFlow>,
-    /// How many admitted flows [`Engine::run`] has already fed (so
-    /// repeated calls feed only newly admitted flows, never replay).
-    fed: usize,
-    slot_owner: HashMap<usize, usize>,
-    collisions_skipped: usize,
-    /// Digest collation keyed by canonical register slot.
-    collated: HashMap<u64, Vec<(u64, u16)>>,
     /// Decided ownership lanes the controller released on digest drain
     /// (compare-and-release: only when the lane still carries the
     /// digest's fingerprint).
@@ -464,8 +422,8 @@ pub struct Engine {
 
 impl Engine {
     /// Wraps an already-compiled model (the compile-once path).
-    pub fn from_compiled(model: PartitionedTree, compiled: CompiledModel, stagger_us: u64) -> Self {
-        Self::from_parts(model, compiled.program, compiled.io, compiled.summary, stagger_us)
+    pub fn from_compiled(model: PartitionedTree, compiled: CompiledModel) -> Self {
+        Self::from_parts(model, compiled.program, compiled.io, compiled.summary)
     }
 
     fn from_parts(
@@ -473,19 +431,12 @@ impl Engine {
         program: Program,
         io: CompiledIo,
         summary: RulesSummary,
-        stagger_us: u64,
     ) -> Self {
         Self {
             model,
             io,
             summary,
             pipeline: Pipeline::new(program),
-            stagger_us,
-            admitted: Vec::new(),
-            fed: 0,
-            slot_owner: HashMap::new(),
-            collisions_skipped: 0,
-            collated: HashMap::new(),
             released_decided: 0,
             released_pinned: 0,
             staged: None,
@@ -532,53 +483,6 @@ impl Engine {
         self.io.flow_slots
     }
 
-    /// Flows admitted so far (collision-skipped flows excluded).
-    pub fn admitted_flows(&self) -> usize {
-        self.admitted.len()
-    }
-
-    /// Flows rejected because their register slot was already owned.
-    pub fn collisions_skipped(&self) -> usize {
-        self.collisions_skipped
-    }
-
-    /// Admits a flow at the next staggered timeline offset. Returns `None`
-    /// (and counts a collision) when the flow's canonical register slot is
-    /// already owned by an earlier admitted flow — shared state would
-    /// corrupt both, so colliding flows are surfaced, not silently merged.
-    pub fn admit(&mut self, flow: &FlowTrace) -> Option<Admission> {
-        let base = 1_000 + self.admitted.len() as u64 * self.stagger_us;
-        self.admit_at(flow, base)
-    }
-
-    /// Admits a flow at an explicit timeline offset (used by
-    /// [`ShardedEngine`] to preserve the global schedule within a shard).
-    pub fn admit_at(&mut self, flow: &FlowTrace, base_us: u64) -> Option<Admission> {
-        let slot = canonical_flow_index(flow, self.io.flow_slots);
-        if self.slot_owner.contains_key(&slot) {
-            self.collisions_skipped += 1;
-            return None;
-        }
-        let id = self.admitted.len();
-        self.slot_owner.insert(slot, id);
-        self.admitted.push(AdmittedFlow { flow: flow.clone(), base_us, slot });
-        Some(Admission { id, base_us, slot })
-    }
-
-    /// Serializes packet `j` of a flow into an on-wire frame (Ethernet +
-    /// flow-size shim + IPv4 + TCP), exactly as the testbed generator
-    /// would. Delegates to [`splidt_flow::wire`], the single source of
-    /// truth shared with the `splidt-gen` network traffic generator.
-    pub fn frame_for(flow: &FlowTrace, j: usize) -> Vec<u8> {
-        splidt_flow::wire::frame_for(flow, j)
-    }
-
-    /// Like [`Engine::frame_for`], but serializing into a reusable buffer
-    /// so batch loops allocate nothing per packet.
-    pub fn frame_for_into(flow: &FlowTrace, j: usize, out: &mut Vec<u8>) {
-        splidt_flow::wire::frame_for_into(flow, j, out);
-    }
-
     /// Pushes one frame through the pipeline at `ts_us` as a singleton
     /// wave and returns its outcome. No public call returns with a wave
     /// open, so the frame runs after every frame fed before it. Malformed
@@ -610,35 +514,19 @@ impl Engine {
         self.pipeline.burst()
     }
 
-    /// Closes a batch: runs the open wave, drains + collates digests and
-    /// tallies the batch's dispositions (`stats`, plus the caller's
-    /// `malformed` count) into a [`BatchReport`]. The one tail of
-    /// [`Engine::ingest_batch`] and `feed_admitted`, which is why no
-    /// public call returns with a wave open.
-    fn finish_batch(&mut self, mut stats: WaveStats, malformed: u64) -> BatchReport {
-        let fields = self.io.fields;
-        self.pipeline.wave_flush(&fields, &mut stats);
-        BatchReport {
-            packets: stats.packets,
-            drops: stats.drops,
-            resubmit_limited: stats.resubmit_limited,
-            malformed,
-            digests: self.drain_digests(),
-        }
-    }
-
     /// Pushes a whole batch of `(frame, ts_us)` pairs through the
     /// pipeline's allocation-free **burst** path (see
     /// [`Engine::set_burst`]): frames accumulate into waves of up to the
     /// configured burst and execute stage-major, dispositions are
     /// tallied instead of returned one-by-one, and digests are drained
-    /// (and collated for scoring) **once per batch** rather than per
-    /// packet. Malformed frames are skipped and counted
+    /// **once per batch** rather than per packet and returned in the
+    /// report. Malformed frames are skipped and counted
     /// ([`BatchReport::malformed`]) — an untrusted wire source must not
     /// be able to abort a batch mid-way. The wave is always flushed
-    /// before returning, so session state (meters, registers, lifecycle,
-    /// digests) is final when the report lands — observationally
-    /// identical to scalar per-frame ingest at any burst.
+    /// before returning (which is why no public call returns with a wave
+    /// open), so session state (meters, registers, lifecycle) is final
+    /// when the report lands — observationally identical to scalar
+    /// per-frame ingest at any burst.
     pub fn ingest_batch<'a, I>(&mut self, frames: I) -> Result<BatchReport, SplidtError>
     where
         I: IntoIterator<Item = (&'a [u8], u64)>,
@@ -651,14 +539,21 @@ impl Engine {
                 malformed += 1;
             }
         }
-        Ok(self.finish_batch(stats, malformed))
+        self.pipeline.wave_flush(&fields, &mut stats);
+        Ok(BatchReport {
+            packets: stats.packets,
+            drops: stats.drops,
+            resubmit_limited: stats.resubmit_limited,
+            malformed,
+            digests: self.drain_digests(),
+        })
     }
 
-    /// Drains digests off the pipeline, collating them by canonical
-    /// register slot for scoring, and returns them to the caller.
-    /// Collation reads the pipeline's flat digest ring by reference; only
-    /// the returned owned records allocate (once per batch, never per
-    /// packet).
+    /// Drains digests off the pipeline and returns them to the caller;
+    /// the engine keeps no record of them. The drain loop reads the
+    /// pipeline's flat digest ring by reference, offering each digest to
+    /// the attached tap; only the returned owned records allocate (once
+    /// per batch, never per packet).
     ///
     /// A **flow-end** verdict digest also releases the flow's slot: if
     /// the ownership lane is still decided and still carries the digest's
@@ -671,18 +566,15 @@ impl Engine {
     pub fn drain_digests(&mut self) -> Vec<Digest> {
         let owner_reg = self.io.owner_reg.index();
         for i in 0..self.pipeline.digests().len() {
-            let (ts, slot, class, fp, ended) = {
-                let d = self.pipeline.digests();
-                let v = d.values(i);
+            let (slot, class, fp, ended) = {
+                let v = self.pipeline.digests().values(i);
                 (
-                    d.ts_us(i),
                     v[self.io.digest_flow_idx],
                     v[self.io.digest_class] as u16,
                     v[self.io.digest_fp],
                     v[self.io.digest_final] == 1,
                 )
             };
-            self.collated.entry(slot).or_default().push((ts, class));
             if let Some(tap) = &mut self.tap {
                 tap.observe_fp(fp);
             }
@@ -729,11 +621,11 @@ impl Engine {
     /// off-thread compile, then flips the pipeline to the new program
     /// **preserving live flow state** — ownership lanes, pressure
     /// counters, feature slots and lifecycle MAT hit counters all carry
-    /// over, pending digests and meters survive, and the session's
-    /// controller counters (releases, collation) are untouched. Only the
-    /// table contents (the model rules) change. In-flight flows keep
-    /// their slots and finish under the new model; per-window scratch
-    /// state washes out at the next window boundary.
+    /// over, pending digests and meters survive, and the controller's
+    /// lane-release counters are untouched. Only the table contents (the
+    /// model rules) change. In-flight flows keep their slots and finish
+    /// under the new model; per-window scratch state washes out at the
+    /// next window boundary.
     ///
     /// Errors if nothing is staged or the staged compile failed; the
     /// live pipeline is left untouched in both cases.
@@ -900,112 +792,26 @@ impl Engine {
             .map_err(|e| SplidtError::Compile(crate::compile::CompileError::Program(e.into())))
     }
 
-    /// Scores the admitted flows against collected digests: per-flow
-    /// verdicts, macro-F1, software agreement, meters.
-    pub fn report(&mut self) -> RuntimeReport {
-        self.drain_digests();
-        let cat = catalog();
-        let p = self.model.n_partitions();
-        let mut outcomes = Vec::with_capacity(self.admitted.len());
-        let mut truth = Vec::new();
-        let mut preds = Vec::new();
-        let mut agree = 0usize;
-        for a in &self.admitted {
-            let ds = self.collated.get(&(a.slot as u64));
-            let first = ds.and_then(|v| v.iter().min_by_key(|(ts, _)| *ts).copied());
-            let windows = extract_windows(&a.flow, p, cat);
-            let software = self.model.predict(&windows).class;
-            let outcome = FlowOutcome {
-                label: a.flow.label,
-                predicted: first.map(|(_, c)| c),
-                software,
-                digests: ds.map(|v| v.len()).unwrap_or(0),
-                ttd_us: first.map(|(ts, _)| ts.saturating_sub(a.base_us + a.flow.packets[0].ts_us)),
-            };
-            if let Some(c) = outcome.predicted {
-                truth.push(a.flow.label);
-                preds.push(c);
-                if c == software {
-                    agree += 1;
-                }
-            }
-            outcomes.push(outcome);
-        }
-        let f1 =
-            if truth.is_empty() { 0.0 } else { macro_f1(&truth, &preds, self.model.n_classes) };
-        let software_agreement =
-            if outcomes.is_empty() { 1.0 } else { agree as f64 / outcomes.len() as f64 };
-        let meters = self.pipeline.meters().clone();
-        let recirc_per_flow = if self.admitted.is_empty() {
-            0.0
-        } else {
-            meters.resubmissions as f64 / self.admitted.len() as f64
-        };
-        RuntimeReport {
-            f1,
-            software_agreement,
-            flows: outcomes,
-            meters,
-            recirc_per_flow,
-            collisions_skipped: self.collisions_skipped,
+    /// The engine's operational state: meters, lifecycle, slot pressure
+    /// and the live-swap counters.
+    pub fn snapshot(&self) -> EngineSnapshot {
+        EngineSnapshot {
+            meters: self.pipeline.meters().clone(),
             lifecycle: self.lifecycle(),
             slot_pressure: self.slot_pressure(),
-            ingress: None,
             swaps: self.swaps,
             staged_generation: self.generation,
         }
     }
 
-    /// Convenience batch driver: admit, feed (incrementally: a second
-    /// `run` feeds only the newly admitted flows), score — on the same
-    /// wave path as [`Engine::ingest_batch`].
-    pub fn run(&mut self, flows: &[FlowTrace]) -> Result<RuntimeReport, SplidtError> {
-        for f in flows {
-            self.admit(f);
-        }
-        self.feed_admitted()?;
-        Ok(self.report())
-    }
-
-    /// Streams every packet of every admitted-but-not-yet-fed flow through
-    /// the wave path, merged into one time-ordered timeline (so many flows
-    /// are in flight concurrently and register-state separation is
-    /// genuinely exercised). A parse reject means serializer and parser
-    /// disagree: the frames already pushed still run, then it surfaces.
-    fn feed_admitted(&mut self) -> Result<(), SplidtError> {
-        let mut events: Vec<(u64, usize, usize)> = Vec::new();
-        for (i, a) in self.admitted.iter().enumerate().skip(self.fed) {
-            for (j, p) in a.flow.packets.iter().enumerate() {
-                events.push((a.base_us + p.ts_us, i, j));
-            }
-        }
-        self.fed = self.admitted.len();
-        events.sort_unstable();
-        let fields = self.io.fields;
-        let mut stats = WaveStats::default();
-        let mut frame = Vec::new();
-        let fed = events.into_iter().try_for_each(|(ts, i, j)| {
-            Self::frame_for_into(&self.admitted[i].flow, j, &mut frame);
-            self.pipeline.wave_push(&frame, ts, &fields, &mut stats)
-        });
-        self.finish_batch(stats, 0);
-        Ok(fed?)
-    }
-
     /// Clears session state in place (registers — ownership lanes
     /// included — digests, meters, table stats and with them every
-    /// lifecycle counter, admissions), keeping the (expensive)
-    /// compilation. A previously-decided flow re-admits cleanly after a
-    /// reset. Also discards any staged-but-unswapped model and wipes the
+    /// lifecycle counter), keeping the (expensive) compilation. A
+    /// previously-decided flow re-admits cleanly after a reset. Also discards any staged-but-unswapped model and wipes the
     /// attached tap (observations *and* registrations) — a reset engine
     /// must behave bit-for-bit like a fresh one.
     pub fn reset(&mut self) {
         self.pipeline.reset_state();
-        self.admitted.clear();
-        self.fed = 0;
-        self.slot_owner.clear();
-        self.collisions_skipped = 0;
-        self.collated.clear();
         self.released_decided = 0;
         self.released_pinned = 0;
         self.discard_staged();
@@ -1052,13 +858,6 @@ where
 pub struct ShardedEngine {
     shards: Vec<Engine>,
     flow_slots: usize,
-    collisions_skipped: usize,
-    /// Global slot → owner filter, persistent across `run` calls (mirrors
-    /// the single-shard engine's cumulative admission semantics).
-    slot_owner: HashMap<usize, usize>,
-    /// Shard of each admitted flow, in global admission order — persistent
-    /// so repeated `run` calls merge cumulative shard reports correctly.
-    placement: Vec<usize>,
 }
 
 impl ShardedEngine {
@@ -1150,25 +949,6 @@ impl ShardedEngine {
         Ok(merged)
     }
 
-    /// Merged flow-state lifecycle counters across all shards.
-    pub fn lifecycle(&self) -> LifecycleStats {
-        let mut out = LifecycleStats::default();
-        for s in &self.shards {
-            out.merge(&s.lifecycle());
-        }
-        out
-    }
-
-    /// Merged per-slot pressure telemetry across all shards (slot ids in
-    /// `hot_slots` are shard-local).
-    pub fn slot_pressure(&self) -> SlotPressure {
-        let mut out = SlotPressure::default();
-        for s in &self.shards {
-            out.merge(&s.slot_pressure());
-        }
-        out
-    }
-
     /// Explicit operator release of a pinned lane on one shard (see
     /// [`Engine::release_pinned`]; slot ids reported by per-shard
     /// telemetry are shard-local, so the operator addresses the pair).
@@ -1176,85 +956,11 @@ impl ShardedEngine {
         self.shards.get_mut(shard).is_some_and(|s| s.release_pinned(slot))
     }
 
-    /// Batch driver: globally schedule flows (identical collision
-    /// filtering and stagger bases to a single-shard engine), partition
-    /// them by flow hash, feed every shard on its own scoped thread, then
-    /// merge the per-shard reports back into one [`RuntimeReport`] whose
-    /// per-flow outcomes are in global admission order. A panicking shard
-    /// is an `Err`, as in [`ShardedEngine::ingest_batch`].
-    ///
-    /// Cumulative like [`Engine::run`]: a second `run` without
-    /// [`ShardedEngine::reset`] admits only new flows (repeats are counted
-    /// as collisions) and reports over every flow admitted so far.
-    pub fn run(&mut self, flows: &[FlowTrace]) -> Result<RuntimeReport, SplidtError> {
-        let n = self.shards.len();
-        let stagger = self.shards[0].stagger_us;
-        // Global admission: collision filter + stagger base exactly as the
-        // single-shard engine assigns them, so outcomes match flow-for-flow.
-        for f in flows {
-            let slot = canonical_flow_index(f, self.flow_slots);
-            if self.slot_owner.contains_key(&slot) {
-                self.collisions_skipped += 1;
-                continue;
-            }
-            let order = self.placement.len();
-            self.slot_owner.insert(slot, order);
-            let base = 1_000 + order as u64 * stagger;
-            let shard = slot % n;
-            self.shards[shard].admit_at(f, base);
-            self.placement.push(shard);
-        }
-        let reports = fan_out(&mut self.shards, |_, shard| {
-            shard.feed_admitted()?;
-            Ok(shard.report())
-        })?;
-
-        // Merge: outcomes back into global admission order.
-        let mut cursors = vec![0usize; n];
-        let mut outcomes: Vec<FlowOutcome> = Vec::with_capacity(self.placement.len());
-        for &shard in &self.placement {
-            let k = cursors[shard];
-            outcomes.push(reports[shard].flows[k].clone());
-            cursors[shard] += 1;
-        }
-        let mut meters = Meters::default();
-        for r in &reports {
-            meters.merge(&r.meters);
-        }
-        let mut truth = Vec::new();
-        let mut preds = Vec::new();
-        let mut agree = 0usize;
-        for o in &outcomes {
-            if let Some(c) = o.predicted {
-                truth.push(o.label);
-                preds.push(c);
-                if c == o.software {
-                    agree += 1;
-                }
-            }
-        }
-        let n_classes = self.shards[0].model.n_classes;
-        let f1 = if truth.is_empty() { 0.0 } else { macro_f1(&truth, &preds, n_classes) };
-        let software_agreement =
-            if outcomes.is_empty() { 1.0 } else { agree as f64 / outcomes.len() as f64 };
-        let recirc_per_flow = if outcomes.is_empty() {
-            0.0
-        } else {
-            meters.resubmissions as f64 / outcomes.len() as f64
-        };
-        Ok(RuntimeReport {
-            f1,
-            software_agreement,
-            flows: outcomes,
-            meters,
-            recirc_per_flow,
-            collisions_skipped: self.collisions_skipped,
-            lifecycle: self.lifecycle(),
-            slot_pressure: self.slot_pressure(),
-            ingress: None,
-            swaps: self.shards.iter().map(|s| s.swaps).sum(),
-            staged_generation: self.shards.iter().map(|s| s.generation).max().unwrap_or(0),
-        })
+    /// Every shard's [`Engine::snapshot`], merged: meters, lifecycle and
+    /// pressure summed (pressure slot ids are shard-local), swaps summed,
+    /// staging generation the maximum.
+    pub fn snapshot(&self) -> EngineSnapshot {
+        EngineSnapshot::merged(&self.shards)
     }
 
     /// Resets every shard (keeps compiled programs).
@@ -1262,9 +968,6 @@ impl ShardedEngine {
         for s in &mut self.shards {
             s.reset();
         }
-        self.collisions_skipped = 0;
-        self.slot_owner.clear();
-        self.placement.clear();
     }
 }
 

@@ -9,13 +9,14 @@
 //! * [`mod@compile`] — partitioned tree → match-action pipeline program
 //!   (operator-selection MATs, key-generator MATs, the Range-Marking model
 //!   MAT, register allocation, resubmission protocol);
-//! * [`engine`] — the session-oriented streaming engine: the [`Classifier`]
-//!   contract shared by SpliDT and every baseline, compile-once
-//!   [`Engine`]s, and [`ShardedEngine`]s fanning each batch out on one
-//!   scoped thread per shard;
+//! * [`engine`] — the streaming engine: the [`Classifier`] contract
+//!   shared by SpliDT and every baseline, compile-once [`Engine`]s, and
+//!   [`ShardedEngine`]s fanning each batch out on one scoped thread per
+//!   shard;
 //! * [`error`] — the crate-level [`SplidtError`];
-//! * [`runtime`] — batch wrappers over the engine with
-//!   digest-vs-software equivalence checking;
+//! * [`runtime`] — the evaluation [`Session`] that feeds an engine from
+//!   outside and scores its digests against ground truth and software,
+//!   plus the [`EngineSnapshot`] every report carries;
 //! * [`resources`] — the analytic feasibility model (flows ↔ registers ↔
 //!   TCAM ↔ stages) driving the design search;
 //! * [`mod@lower`] — the backend lowering entry point bundling a compiled
@@ -62,8 +63,9 @@ pub use resources::{
     bank_physical, estimate, max_flows, splidt_footprint, BankPhysical, ModelFootprint,
 };
 pub use runtime::{
-    canonical_flow_fp, canonical_flow_index, run_flows, run_flows_compiled, IngressShardStats,
-    IngressStats, LifecycleStats, RuntimeReport, SlotPressure,
+    canonical_flow_fp, canonical_flow_index, run_flows, EngineSnapshot, IngressShardStats,
+    IngressStats, LifecycleStats, RuntimeReport, Session, SessionEngine, SlotPressure,
+    DEFAULT_STAGGER_US,
 };
 pub use stream::{DigestTap, DigestTapStats, StreamingTrainer, StreamingTrainerParams};
 pub use train::{evaluate_partitioned, train_partitioned};

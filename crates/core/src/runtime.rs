@@ -1,28 +1,32 @@
-//! Batch runtime wrappers over the streaming [`engine`](crate::engine):
-//! serialize flow traces into frames, interleave them on a shared
-//! timeline, push them through the compiled pipeline, and score the
-//! digests against ground truth.
+//! Evaluation over the streaming [`engine`](crate::engine): a [`Session`]
+//! lays flow traces onto one staggered timeline, serializes them into
+//! frames, pushes them through an engine's public `ingest_batch`, collates
+//! the digests that come back and scores them against ground truth. The
+//! engine only serves; every per-flow and per-verdict record lives in the
+//! session, as the paper's testbed keeps them in the collector outside
+//! the switch (MoonGen → Tofino1 → digest collection).
 //!
-//! This is the reproduction's equivalent of the paper's testbed run
-//! (MoonGen → Tofino1 → digest collection), and the place where the core
-//! fidelity invariant is checked: *data-plane inference must equal the
-//! software reference* ([`PartitionedTree::predict`]) flow-for-flow.
+//! This is where the core fidelity invariant is checked: *data-plane
+//! inference must equal the software reference*
+//! ([`PartitionedTree::predict`]) flow-for-flow.
 //!
-//! [`run_flows`] compiles per call; hot paths should hold an
-//! [`Engine`] and reuse it (`compile once, run
-//! many` — see `docs/engine.md`). Feeding streams the timeline through the
-//! same wave path as [`Engine::ingest_batch`], which executes the compiled
-//! [`ExecPlan`](splidt_dataplane::plan::ExecPlan) with zero heap
-//! allocations per steady-state packet.
+//! The operational half of a report — meters, lifecycle, slot pressure,
+//! swaps — is one [`EngineSnapshot`], taken by `Engine::snapshot` or
+//! `ShardedEngine::snapshot` and shared with the network ingress service.
+//!
+//! [`run_flows`] compiles per call; hot paths hold an [`Engine`] and
+//! drive it with a [`Session`] (`compile once, run many` — see
+//! `docs/engine.md`).
 
-use crate::compile::CompiledModel;
-use crate::engine::{Engine, EngineBuilder};
+use crate::engine::{BatchReport, Classifier, Engine, EngineBuilder, ShardedEngine};
 use crate::error::SplidtError;
 use crate::model::PartitionedTree;
 use splidt_dataplane::hash::{canonical_order, flow_index, owner_fingerprint};
 use splidt_dataplane::parser::{peek_flow_tuple, ParseError};
-use splidt_dataplane::pipeline::Meters;
-use splidt_flow::FlowTrace;
+use splidt_dataplane::pipeline::{Digest, Meters};
+use splidt_dt::metrics::macro_f1;
+use splidt_flow::{frame_for_into, FlowTrace};
+use std::collections::{HashMap, HashSet};
 
 /// Per-flow result of a data-plane run.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -193,9 +197,8 @@ pub struct IngressShardStats {
 /// `received == steered + dropped_ring_full + dropped_malformed` — with no
 /// best-effort slack anywhere.
 ///
-/// Produced by the `splidt_net` ingress service and carried on
-/// [`RuntimeReport::ingress`] (`None` for in-process runs with no network
-/// front-end).
+/// Produced by the `splidt_net` ingress service next to the engines'
+/// [`EngineSnapshot`].
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct IngressStats {
     /// Frames received off the source (socket datagrams / pcap records).
@@ -225,35 +228,57 @@ impl IngressStats {
     }
 }
 
-/// Aggregate report of a data-plane run.
+/// What an engine reports about itself between batches: meters,
+/// flow-state lifecycle, slot pressure and the live-swap counters —
+/// merged over shards for a `ShardedEngine` (meters, lifecycle and
+/// pressure summed, swaps summed, staging generation the maximum).
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct EngineSnapshot {
+    /// Pipeline meters (packets, passes, resubmissions, digests…).
+    pub meters: Meters,
+    /// Flow-state lifecycle counters (admissions, evictions, takeovers).
+    pub lifecycle: LifecycleStats,
+    /// Per-slot contention telemetry (top-K hottest slots + histogram).
+    pub slot_pressure: SlotPressure,
+    /// Completed live model swaps (see `Engine::swap_staged`).
+    pub swaps: u64,
+    /// Staging generation: total models ever staged for a live swap
+    /// (whether or not they were swapped in).
+    pub staged_generation: u64,
+}
+
+impl EngineSnapshot {
+    /// The snapshot of `shards` merged into one.
+    pub(crate) fn merged(shards: &[Engine]) -> Self {
+        let mut out = Self::default();
+        for s in shards.iter().map(Engine::snapshot) {
+            out.meters.merge(&s.meters);
+            out.lifecycle.merge(&s.lifecycle);
+            out.slot_pressure.merge(&s.slot_pressure);
+            out.swaps += s.swaps;
+            out.staged_generation = out.staged_generation.max(s.staged_generation);
+        }
+        out
+    }
+}
+
+/// Aggregate report of an evaluation [`Session`]: the score, next to the
+/// engine's [`EngineSnapshot`] at scoring time.
 #[derive(Debug, Clone)]
 pub struct RuntimeReport {
     /// Macro-F1 of data-plane verdicts.
     pub f1: f64,
     /// Fraction of flows where data-plane class == software class.
     pub software_agreement: f64,
-    /// Per-flow outcomes.
+    /// Per-flow outcomes, in admission order.
     pub flows: Vec<FlowOutcome>,
-    /// Pipeline meters (packets, passes, resubmissions, digests…).
-    pub meters: Meters,
-    /// Mean resubmissions per flow.
+    /// Mean resubmissions per admitted flow.
     pub recirc_per_flow: f64,
     /// Flows dropped due to register-slot collisions (hash collisions are
     /// real behaviour; colliding flows are excluded from scoring).
     pub collisions_skipped: usize,
-    /// Flow-state lifecycle counters (admissions, evictions, takeovers).
-    pub lifecycle: LifecycleStats,
-    /// Per-slot contention telemetry (top-K hottest slots + histogram).
-    pub slot_pressure: SlotPressure,
-    /// Network-ingress accounting when the run was fed off a wire source
-    /// (`None` for in-process runs).
-    pub ingress: Option<IngressStats>,
-    /// Completed live model swaps during the session (see
-    /// `Engine::swap_staged`).
-    pub swaps: u64,
-    /// Staging generation of the engine: total models ever staged for a
-    /// live swap (whether or not they were swapped in).
-    pub staged_generation: u64,
+    /// The engine's operational state when the session scored.
+    pub snapshot: EngineSnapshot,
 }
 
 /// The canonical register index of a flow (must match the pipeline's
@@ -287,32 +312,253 @@ pub fn canonical_flow_fp(f: &FlowTrace) -> u64 {
     owner_fingerprint(sip, dip, sp, dp, t.proto)
 }
 
-/// Runs `flows` through a freshly compiled pipeline for `model`.
+// ----------------------------------------------------------------- session
+
+/// Default inter-flow stagger when a [`Session`] lays flows onto one
+/// timeline (µs).
+pub const DEFAULT_STAGGER_US: u64 = 5_000;
+
+/// Frames per `ingest_batch` call when a [`Session`] feeds its timeline.
+/// Batch boundaries only flush the open wave, which is observationally
+/// identical to feeding the whole timeline at once.
+const FEED_CHUNK: usize = 4_096;
+
+/// An engine a [`Session`] can drive — [`Engine`] or [`ShardedEngine`] —
+/// through its public serving surface only.
+pub trait SessionEngine {
+    /// The engines serving traffic, in shard order (one for an [`Engine`]).
+    fn shards(&self) -> &[Engine];
+
+    /// Pushes `(frame, ts_us)` pairs through the engine's `ingest_batch`.
+    fn ingest_frames(&mut self, frames: &[(&[u8], u64)]) -> Result<BatchReport, SplidtError>;
+}
+
+impl SessionEngine for Engine {
+    fn shards(&self) -> &[Engine] {
+        std::slice::from_ref(self)
+    }
+
+    fn ingest_frames(&mut self, frames: &[(&[u8], u64)]) -> Result<BatchReport, SplidtError> {
+        self.ingest_batch(frames.iter().copied())
+    }
+}
+
+impl SessionEngine for ShardedEngine {
+    fn shards(&self) -> &[Engine] {
+        self.engines()
+    }
+
+    fn ingest_frames(&mut self, frames: &[(&[u8], u64)]) -> Result<BatchReport, SplidtError> {
+        self.ingest_batch(frames)
+    }
+}
+
+/// A flow admitted into a [`Session`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Admission {
+    /// Dense per-session flow id (admission order).
+    pub id: usize,
+    /// Timeline offset assigned to the flow's first packet (µs).
+    pub base_us: u64,
+    /// Canonical register slot the data plane will hash the flow to.
+    pub slot: usize,
+}
+
+#[derive(Debug)]
+struct Admitted {
+    flow: FlowTrace,
+    base_us: u64,
+    slot: usize,
+}
+
+/// One evaluation run: admits labelled flows onto a staggered timeline,
+/// feeds them through an engine and scores the engine's verdicts against
+/// ground truth and the software model.
 ///
-/// Flows are staggered `stagger_us` apart and their packets merged into one
-/// timeline, so many flows are in flight concurrently and register-state
-/// separation is genuinely exercised.
+/// Sessions are cumulative: a second [`Session::run`] admits only flows
+/// whose slot is still free (repeats count as collisions), feeds only the
+/// newly admitted ones and scores every flow admitted so far. A fresh
+/// session over a reset engine starts over.
+///
+/// Callers that feed frames themselves ([`Session::admit`], then
+/// `ingest` / `ingest_batch`) hand every drained digest to
+/// [`Session::collate`] before [`Session::report`].
+#[derive(Debug)]
+pub struct Session {
+    stagger_us: u64,
+    admitted: Vec<Admitted>,
+    /// Admitted flows already fed, so a later `run` never replays them.
+    fed: usize,
+    /// Canonical slots owned by admitted flows.
+    owned: HashSet<usize>,
+    collisions_skipped: usize,
+    /// Per canonical slot: the earliest digest's `(ts_us, class)` and the
+    /// digest count.
+    collated: HashMap<u64, ((u64, u16), usize)>,
+}
+
+impl Session {
+    /// An empty session whose flows start `stagger_us` apart.
+    pub fn new(stagger_us: u64) -> Self {
+        Self {
+            stagger_us,
+            admitted: Vec::new(),
+            fed: 0,
+            owned: HashSet::new(),
+            collisions_skipped: 0,
+            collated: HashMap::new(),
+        }
+    }
+
+    /// Admits a flow at the next staggered timeline offset. Returns `None`
+    /// (and counts a collision) when the flow's canonical register slot is
+    /// already owned by an earlier admitted flow — shared state would
+    /// corrupt both, so colliding flows are surfaced, not silently merged.
+    pub fn admit<E: SessionEngine>(&mut self, engine: &E, flow: &FlowTrace) -> Option<Admission> {
+        let slot = canonical_flow_index(flow, engine.shards()[0].flow_slots());
+        if !self.owned.insert(slot) {
+            self.collisions_skipped += 1;
+            return None;
+        }
+        let id = self.admitted.len();
+        let base_us = 1_000 + id as u64 * self.stagger_us;
+        self.admitted.push(Admitted { flow: flow.clone(), base_us, slot });
+        Some(Admission { id, base_us, slot })
+    }
+
+    /// Collates drained digests by canonical register slot (the slot the
+    /// data plane's `HashFlow` computed), so attribution is exact even when
+    /// initiator addresses repeat across flows.
+    pub fn collate<E: SessionEngine>(&mut self, engine: &E, digests: &[Digest]) {
+        let io = engine.shards()[0].io();
+        for d in digests {
+            let first = (d.ts_us, d.values[io.digest_class] as u16);
+            let (earliest, n) =
+                self.collated.entry(d.values[io.digest_flow_idx]).or_insert((first, 0));
+            if first.0 < earliest.0 {
+                *earliest = first;
+            }
+            *n += 1;
+        }
+    }
+
+    /// Admits `flows`, feeds every newly admitted flow's packets through
+    /// `engine` as one time-ordered timeline (so many flows are in flight
+    /// concurrently and register-state separation is genuinely exercised),
+    /// and scores.
+    pub fn run<E: SessionEngine>(
+        &mut self,
+        engine: &mut E,
+        flows: &[FlowTrace],
+    ) -> Result<RuntimeReport, SplidtError> {
+        for f in flows {
+            self.admit(engine, f);
+        }
+        self.feed(engine)?;
+        Ok(self.report(engine))
+    }
+
+    /// Serializes the not-yet-fed flows' merged timeline chunk by chunk
+    /// into one reused frame arena and pushes each chunk through the
+    /// engine. A parse reject means serializer and parser disagree: the
+    /// chunk's other frames still run, then it surfaces.
+    fn feed<E: SessionEngine>(&mut self, engine: &mut E) -> Result<(), SplidtError> {
+        let mut events: Vec<(u64, usize, usize)> = Vec::new();
+        for (i, a) in self.admitted.iter().enumerate().skip(self.fed) {
+            events.extend(
+                a.flow.packets.iter().enumerate().map(|(j, p)| (a.base_us + p.ts_us, i, j)),
+            );
+        }
+        self.fed = self.admitted.len();
+        events.sort_unstable();
+        // Frame bytes back to back, and each frame's `(end, ts_us)`.
+        let (mut arena, mut ends, mut frame) = (Vec::new(), Vec::new(), Vec::new());
+        for chunk in events.chunks(FEED_CHUNK) {
+            arena.clear();
+            ends.clear();
+            for &(ts, i, j) in chunk {
+                frame_for_into(&self.admitted[i].flow, j, &mut frame);
+                arena.extend_from_slice(&frame);
+                ends.push((arena.len(), ts));
+            }
+            let mut start = 0;
+            let batch: Vec<(&[u8], u64)> = ends
+                .iter()
+                .map(|&(end, ts)| (&arena[std::mem::replace(&mut start, end)..end], ts))
+                .collect();
+            let report = engine.ingest_frames(&batch)?;
+            self.collate(engine, &report.digests);
+            if report.malformed > 0 {
+                return Err(SplidtError::Config(format!(
+                    "{} serialized frames failed to parse",
+                    report.malformed
+                )));
+            }
+        }
+        Ok(())
+    }
+
+    /// Scores every admitted flow against the collated digests: per-flow
+    /// verdicts and time to detection, macro-F1, agreement with the
+    /// serving model in software, and the engine's snapshot.
+    pub fn report<E: SessionEngine>(&self, engine: &E) -> RuntimeReport {
+        let shards = engine.shards();
+        let mut flows = Vec::with_capacity(self.admitted.len());
+        let (mut truth, mut preds, mut agree) = (Vec::new(), Vec::new(), 0usize);
+        for a in &self.admitted {
+            // The model of the engine (shard) that served the flow.
+            let software = shards[a.slot % shards.len()].model().classify_flow(&a.flow).class;
+            let seen = self.collated.get(&(a.slot as u64));
+            let first = seen.map(|&(first, _)| first);
+            let outcome = FlowOutcome {
+                label: a.flow.label,
+                predicted: first.map(|(_, c)| c),
+                software,
+                digests: seen.map_or(0, |&(_, n)| n),
+                ttd_us: first.map(|(ts, _)| ts.saturating_sub(a.base_us + a.flow.packets[0].ts_us)),
+            };
+            if let Some(c) = outcome.predicted {
+                truth.push(a.flow.label);
+                preds.push(c);
+                agree += usize::from(c == software);
+            }
+            flows.push(outcome);
+        }
+        let n_classes = shards[0].model().n_classes;
+        let f1 = if truth.is_empty() { 0.0 } else { macro_f1(&truth, &preds, n_classes) };
+        let software_agreement =
+            if flows.is_empty() { 1.0 } else { agree as f64 / flows.len() as f64 };
+        let snapshot = EngineSnapshot::merged(shards);
+        let recirc_per_flow = if flows.is_empty() {
+            0.0
+        } else {
+            snapshot.meters.resubmissions as f64 / flows.len() as f64
+        };
+        RuntimeReport {
+            f1,
+            software_agreement,
+            flows,
+            recirc_per_flow,
+            collisions_skipped: self.collisions_skipped,
+            snapshot,
+        }
+    }
+}
+
+/// Runs `flows` through a freshly compiled pipeline for `model`: one
+/// [`Session`] with flows staggered `stagger_us` apart.
 ///
 /// Thin wrapper over [`EngineBuilder`]: it compiles on every call. Hold an
-/// [`Engine`] (or a [`ShardedEngine`](crate::engine::ShardedEngine)) to
-/// compile once and stream instead.
+/// [`Engine`] (or a [`ShardedEngine`]) and drive it with a [`Session`] to
+/// compile once instead.
 pub fn run_flows(
     model: &PartitionedTree,
     flows: &[FlowTrace],
     flow_slots: usize,
     stagger_us: u64,
 ) -> Result<RuntimeReport, SplidtError> {
-    EngineBuilder::new(model).flow_slots(flow_slots).stagger_us(stagger_us).build()?.run(flows)
-}
-
-/// Like [`run_flows`] but reusing an already-compiled model.
-pub fn run_flows_compiled(
-    model: &PartitionedTree,
-    compiled: CompiledModel,
-    flows: &[FlowTrace],
-    stagger_us: u64,
-) -> Result<RuntimeReport, SplidtError> {
-    Engine::from_compiled(model.clone(), compiled, stagger_us).run(flows)
+    let mut engine = EngineBuilder::new(model).flow_slots(flow_slots).build()?;
+    Session::new(stagger_us).run(&mut engine, flows)
 }
 
 #[cfg(test)]
@@ -364,7 +610,7 @@ mod tests {
         // resubmission (early exits can add one terminal resubmission)
         let p = model.n_partitions() as f64;
         assert!(report.recirc_per_flow <= p, "recirc/flow {}", report.recirc_per_flow);
-        assert!(report.meters.resubmissions > 0);
+        assert!(report.snapshot.meters.resubmissions > 0);
         // TTD recorded and positive
         assert!(report.flows.iter().all(|o| o.ttd_us.is_some()));
     }

@@ -2,7 +2,7 @@
 //! the Ethernet + flow-size-shim + IPv4 + TCP frames the testbed
 //! generator (MoonGen in the paper, `splidt-gen` here) would put on the
 //! wire. This is the single source of truth for the frame format — the
-//! engine's `frame_for` and the network traffic generator both call it,
+//! evaluation session and the network traffic generator both call it,
 //! so a frame built by the sender parses identically on the receiver.
 
 use crate::flow::FlowTrace;

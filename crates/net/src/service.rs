@@ -33,8 +33,8 @@
 use crate::ring::{ring, Consumer, Producer, PushError};
 use crate::source::{FrameBurst, FrameSource};
 use splidt_core::engine::{BatchReport, Engine, ShardedEngine};
-use splidt_core::runtime::{shard_of_frame, IngressShardStats, IngressStats, RuntimeReport};
-use splidt_dataplane::pipeline::{Digest, Meters};
+use splidt_core::runtime::{shard_of_frame, EngineSnapshot, IngressShardStats, IngressStats};
+use splidt_dataplane::pipeline::Digest;
 use std::io;
 use std::time::Duration;
 
@@ -66,10 +66,10 @@ pub struct IngressOutcome {
     pub stats: IngressStats,
     /// Merged pipeline outcomes across shards (packets, drops, digests).
     pub batch: BatchReport,
-    /// The engine's runtime report with [`RuntimeReport::ingress`] set.
-    /// Flow-level scoring fields are empty — wire flows have no ground
-    /// truth — but meters, lifecycle, and slot pressure are live.
-    pub report: RuntimeReport,
+    /// The engines' merged state after the drain: meters, lifecycle,
+    /// slot pressure, swaps. Wire flows have no ground truth, so nothing
+    /// is scored.
+    pub report: EngineSnapshot,
 }
 
 /// How long an idle consumer sleeps before re-polling its ring. Sleeping
@@ -137,29 +137,7 @@ pub fn run_ingress<S: FrameSource + Send>(
         batch_report.merge(report);
     }
 
-    let mut meters = Meters::default();
-    for e in engine.engines() {
-        meters.merge(e.meters());
-    }
-    let report = RuntimeReport {
-        f1: 0.0,
-        software_agreement: 1.0,
-        flows: Vec::new(),
-        meters,
-        recirc_per_flow: 0.0,
-        collisions_skipped: 0,
-        lifecycle: engine.lifecycle(),
-        slot_pressure: engine.slot_pressure(),
-        ingress: Some(stats.clone()),
-        swaps: engine.engines().iter().map(|e| e.swaps()).sum(),
-        staged_generation: engine
-            .engines()
-            .iter()
-            .map(|e| e.staged_generation())
-            .max()
-            .unwrap_or(0),
-    };
-    Ok(IngressOutcome { stats, batch: batch_report, report })
+    Ok(IngressOutcome { stats, batch: batch_report, report: engine.snapshot() })
 }
 
 /// The receiver: pull frames a **burst at a time** (one

@@ -45,11 +45,11 @@ fn main() {
     println!("max concurrent flows on Tofino1: {}", max_flows(&fp, &TargetSpec::tofino1()));
 
     // 4. Compile once into a streaming engine and replay the test flows
-    //    packet by packet. `engine.run` batches admit → ingest → report;
-    //    live traffic would call `admit`/`ingest`/`drain_digests` itself.
-    let mut engine =
-        EngineBuilder::new(&model).flow_slots(1 << 16).stagger_us(5_000).build().expect("compiles");
-    let report = engine.run(&test_flows).expect("runs");
+    //    packet by packet. A `Session` admits the flows, feeds them through
+    //    `ingest_batch` and scores the digests; live traffic would call
+    //    `ingest_batch` itself.
+    let mut engine = EngineBuilder::new(&model).flow_slots(1 << 16).build().expect("compiles");
+    let report = Session::new(5_000).run(&mut engine, &test_flows).expect("runs");
     println!(
         "data plane: F1 {:.3}, software agreement {:.1}%, {:.2} recirculations/flow",
         report.f1,
@@ -63,11 +63,12 @@ fn main() {
     engine.reset();
     let mut sharded =
         EngineBuilder::new(&model).build_sharded(4).expect("compiles once, shards 4×");
-    let sharded_report = sharded.run(&test_flows).expect("runs");
+    let sharded_report =
+        Session::new(DEFAULT_STAGGER_US).run(&mut sharded, &test_flows).expect("runs");
     assert_eq!(report.flows.len(), sharded_report.flows.len());
     println!(
         "4-shard engine: {} packets across {} shards, verdicts identical: {}",
-        sharded_report.meters.packets,
+        sharded_report.snapshot.meters.packets,
         sharded.n_shards(),
         report.flows == sharded_report.flows,
     );

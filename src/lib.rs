@@ -24,8 +24,10 @@
 //! The canonical entry point is the streaming engine: train a model (any
 //! [`Classifier`](engine::Classifier) backend), compile it **once** with
 //! [`EngineBuilder`](engine::EngineBuilder), then feed traffic and collect
-//! verdicts — batched here; incrementally via
-//! [`Engine::ingest`](engine::Engine::ingest) when driving live frames.
+//! verdicts — here through an evaluation
+//! [`Session`](core::Session), which feeds the engine from outside and
+//! scores its digests; live frames go straight to
+//! [`Engine::ingest_batch`](engine::Engine::ingest_batch).
 //!
 //! ```
 //! use splidt::prelude::*;
@@ -44,12 +46,12 @@
 //! // 3. compile once, stream the test flows through the data plane, and
 //! //    check the digests against software inference
 //! let mut engine = EngineBuilder::new(&model).flow_slots(1 << 16).build().unwrap();
-//! let report = engine.run(&test_flows).unwrap();
+//! let report = Session::new(DEFAULT_STAGGER_US).run(&mut engine, &test_flows).unwrap();
 //! assert!((report.software_agreement - 1.0).abs() < 1e-9);
 //!
 //! // 4. the same compiled engine serves the next session
 //! engine.reset();
-//! let again = engine.run(&test_flows).unwrap();
+//! let again = Session::new(DEFAULT_STAGGER_US).run(&mut engine, &test_flows).unwrap();
 //! assert_eq!(report.flows, again.flows);
 //! ```
 //!
@@ -82,8 +84,8 @@ pub mod prelude {
     pub use splidt_core::{
         canonical_flow_fp, canonical_flow_index, compile, evaluate_partitioned, max_flows,
         model_rules, run_flows, splidt_footprint, train_partitioned, DigestTap, DigestTapStats,
-        LifecyclePolicy, LifecycleStats, PartitionedTree, SlotPressure, SplidtConfig, SplidtError,
-        StreamingTrainer, StreamingTrainerParams,
+        LifecyclePolicy, LifecycleStats, PartitionedTree, Session, SlotPressure, SplidtConfig,
+        SplidtError, StreamingTrainer, StreamingTrainerParams, DEFAULT_STAGGER_US,
     };
     pub use splidt_dataplane::resources::TargetSpec;
     pub use splidt_flow::{

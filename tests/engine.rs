@@ -3,7 +3,7 @@
 //! backend-agnostic `Classifier` contract across all five model types.
 
 use splidt::core::runtime::shard_of_frame;
-use splidt::engine::DEFAULT_STAGGER_US;
+use splidt::flow::frame_for;
 use splidt::prelude::*;
 
 fn model_and_flows(n_flows: usize, seed: u64) -> (PartitionedTree, Vec<FlowTrace>) {
@@ -17,17 +17,17 @@ fn model_and_flows(n_flows: usize, seed: u64) -> (PartitionedTree, Vec<FlowTrace
     (model, select_flows(&flows, &te))
 }
 
-/// The old one-shot `run_flows` and an explicit `EngineBuilder` session
-/// must produce identical reports — `run_flows` is now a thin wrapper.
+/// The old one-shot `run_flows` and an explicit `EngineBuilder` engine
+/// driven by a `Session` must produce identical reports — `run_flows` is
+/// now a thin wrapper.
 #[test]
 fn engine_matches_run_flows() {
     let (model, test_flows) = model_and_flows(260, 11);
     let wrapper = run_flows(&model, &test_flows, 1 << 16, 2_500).unwrap();
-    let mut engine =
-        EngineBuilder::new(&model).flow_slots(1 << 16).stagger_us(2_500).build().unwrap();
-    let direct = engine.run(&test_flows).unwrap();
+    let mut engine = EngineBuilder::new(&model).flow_slots(1 << 16).build().unwrap();
+    let direct = Session::new(2_500).run(&mut engine, &test_flows).unwrap();
     assert_eq!(wrapper.flows, direct.flows);
-    assert_eq!(wrapper.meters, direct.meters);
+    assert_eq!(wrapper.snapshot.meters, direct.snapshot.meters);
     assert_eq!(wrapper.collisions_skipped, direct.collisions_skipped);
     assert!((wrapper.f1 - direct.f1).abs() < 1e-12);
     assert!((wrapper.software_agreement - direct.software_agreement).abs() < 1e-12);
@@ -41,11 +41,12 @@ fn sharded_engine_matches_single_shard() {
     // ≥200 staggered flows through both engines.
     let traffic = generate(DatasetId::D2, 230, 77);
     assert!(traffic.len() >= 200);
-    let builder = || EngineBuilder::new(&model).flow_slots(1 << 16).stagger_us(1_500);
-    let single = builder().build_sharded(1).unwrap().run(&traffic).unwrap();
+    let builder = || EngineBuilder::new(&model).flow_slots(1 << 16);
+    let single =
+        Session::new(1_500).run(&mut builder().build_sharded(1).unwrap(), &traffic).unwrap();
     let mut quad_engine = builder().build_sharded(4).unwrap();
     assert_eq!(quad_engine.n_shards(), 4);
-    let quad = quad_engine.run(&traffic).unwrap();
+    let quad = Session::new(1_500).run(&mut quad_engine, &traffic).unwrap();
 
     assert_eq!(single.flows.len(), quad.flows.len());
     assert!(single.flows.len() + single.collisions_skipped == traffic.len());
@@ -55,41 +56,46 @@ fn sharded_engine_matches_single_shard() {
     }
     // Merged meters equal the single pipeline's (every packet processed
     // exactly once on exactly one shard).
-    assert_eq!(single.meters, quad.meters);
+    assert_eq!(single.snapshot.meters, quad.snapshot.meters);
     assert!((single.f1 - quad.f1).abs() < 1e-12);
     assert_eq!(single.collisions_skipped, quad.collisions_skipped);
     // Work actually spread: with 4 shards no shard saw everything.
     let per_shard: Vec<u64> = quad_engine.shard_meters().iter().map(|m| m.packets).collect();
-    assert_eq!(per_shard.iter().sum::<u64>(), quad.meters.packets);
+    assert_eq!(per_shard.iter().sum::<u64>(), quad.snapshot.meters.packets);
     assert!(per_shard.iter().all(|&p| p > 0), "a shard sat idle: {per_shard:?}");
-    assert!(per_shard.iter().all(|&p| p < quad.meters.packets));
+    assert!(per_shard.iter().all(|&p| p < quad.snapshot.meters.packets));
 }
 
 /// The sharded engine also matches the plain single-pipeline engine.
 #[test]
 fn sharded_one_equals_engine() {
     let (model, test_flows) = model_and_flows(220, 31);
-    let plain = EngineBuilder::new(&model).build().unwrap().run(&test_flows).unwrap();
-    let sharded = EngineBuilder::new(&model).build_sharded(1).unwrap().run(&test_flows).unwrap();
+    let plain = Session::new(DEFAULT_STAGGER_US)
+        .run(&mut EngineBuilder::new(&model).build().unwrap(), &test_flows)
+        .unwrap();
+    let sharded = Session::new(DEFAULT_STAGGER_US)
+        .run(&mut EngineBuilder::new(&model).build_sharded(1).unwrap(), &test_flows)
+        .unwrap();
     assert_eq!(plain.flows, sharded.flows);
-    assert_eq!(plain.meters, sharded.meters);
+    assert_eq!(plain.snapshot.meters, sharded.snapshot.meters);
 }
 
-/// Streaming ingestion (admit → per-frame ingest → drain → report) equals
-/// the batch driver: the engine is genuinely incremental.
+/// Streaming ingestion (admit → per-frame ingest → drain → collate →
+/// report) equals the batch driver: the engine is genuinely incremental.
 #[test]
 fn streaming_ingest_equals_batch_run() {
     let (model, test_flows) = model_and_flows(200, 41);
     let mut batch = EngineBuilder::new(&model).build().unwrap();
-    let batch_report = batch.run(&test_flows).unwrap();
+    let batch_report = Session::new(DEFAULT_STAGGER_US).run(&mut batch, &test_flows).unwrap();
 
     let mut streaming = EngineBuilder::new(&model).build().unwrap();
+    let mut session = Session::new(DEFAULT_STAGGER_US);
     // Admit flows one by one, then feed their frames in timestamp order,
     // draining digests mid-stream to prove collation survives draining.
     let mut events: Vec<(u64, usize, usize)> = Vec::new();
     let mut kept: Vec<&FlowTrace> = Vec::new();
     for f in &test_flows {
-        if let Some(a) = streaming.admit(f) {
+        if let Some(a) = session.admit(&streaming, f) {
             kept.push(f);
             let idx = kept.len() - 1;
             for (j, p) in f.packets.iter().enumerate() {
@@ -99,18 +105,23 @@ fn streaming_ingest_equals_batch_run() {
     }
     events.sort_unstable();
     let mut drained = 0usize;
+    let mut drain = |engine: &mut Engine, session: &mut Session| {
+        let digests = engine.drain_digests();
+        session.collate(engine, &digests);
+        drained += digests.len();
+    };
     for (n, (ts, i, j)) in events.iter().enumerate() {
-        let frame = Engine::frame_for(kept[*i], *j);
+        let frame = frame_for(kept[*i], *j);
         streaming.ingest(&frame, *ts).unwrap();
         if n % 97 == 0 {
-            drained += streaming.drain_digests().len();
+            drain(&mut streaming, &mut session);
         }
     }
-    drained += streaming.drain_digests().len();
-    let streamed = streaming.report();
-    assert_eq!(drained as u64, streamed.meters.digests);
+    drain(&mut streaming, &mut session);
+    let streamed = session.report(&streaming);
+    assert_eq!(drained as u64, streamed.snapshot.meters.digests);
     assert_eq!(batch_report.flows, streamed.flows);
-    assert_eq!(batch_report.meters, streamed.meters);
+    assert_eq!(batch_report.snapshot.meters, streamed.snapshot.meters);
 }
 
 /// `ingest_batch` is observationally identical to per-frame `ingest` —
@@ -119,16 +130,16 @@ fn streaming_ingest_equals_batch_run() {
 #[test]
 fn ingest_batch_equals_per_frame_ingest() {
     let (model, test_flows) = model_and_flows(210, 45);
-    let build = || EngineBuilder::new(&model).stagger_us(2_000).build().unwrap();
+    let build = || EngineBuilder::new(&model).build().unwrap();
 
     // Schedule identically on both engines.
-    let mut per_frame = build();
-    let mut batched = build();
+    let (mut per_frame, mut per_frame_session) = (build(), Session::new(2_000));
+    let (mut batched, mut batched_session) = (build(), Session::new(2_000));
     let mut events: Vec<(u64, usize, usize)> = Vec::new();
     let mut kept: Vec<&FlowTrace> = Vec::new();
     for f in &test_flows {
-        let a = per_frame.admit(f);
-        let b = batched.admit(f);
+        let a = per_frame_session.admit(&per_frame, f);
+        let b = batched_session.admit(&batched, f);
         assert_eq!(a, b);
         if let Some(a) = a {
             kept.push(f);
@@ -140,17 +151,20 @@ fn ingest_batch_equals_per_frame_ingest() {
     }
     events.sort_unstable();
     let frames: Vec<(Vec<u8>, u64)> =
-        events.iter().map(|&(ts, i, j)| (Engine::frame_for(kept[i], j), ts)).collect();
+        events.iter().map(|&(ts, i, j)| (frame_for(kept[i], j), ts)).collect();
 
     for (frame, ts) in &frames {
         per_frame.ingest(frame, *ts).unwrap();
     }
+    let drained = per_frame.drain_digests();
+    per_frame_session.collate(&per_frame, &drained);
     let batch = batched.ingest_batch(frames.iter().map(|(f, ts)| (f.as_slice(), *ts))).unwrap();
+    batched_session.collate(&batched, &batch.digests);
 
     assert_eq!(batch.packets as usize, frames.len());
     assert_eq!(batch.digests.len() as u64, batched.meters().digests);
     assert_eq!(per_frame.meters(), batched.meters());
-    assert_eq!(per_frame.report().flows, batched.report().flows);
+    assert_eq!(per_frame_session.report(&per_frame).flows, batched_session.report(&batched).flows);
 }
 
 /// Sharded batch ingest routes every frame to the shard its flow hashes
@@ -159,11 +173,12 @@ fn ingest_batch_equals_per_frame_ingest() {
 fn sharded_ingest_batch_matches_single() {
     let (model, test_flows) = model_and_flows(220, 55);
     let mut single = EngineBuilder::new(&model).build().unwrap();
+    let mut session = Session::new(DEFAULT_STAGGER_US);
     let mut frames: Vec<(Vec<u8>, u64)> = Vec::new();
     for f in &test_flows {
-        if let Some(a) = single.admit(f) {
+        if let Some(a) = session.admit(&single, f) {
             for (j, p) in f.packets.iter().enumerate() {
-                frames.push((Engine::frame_for(f, j), a.base_us + p.ts_us));
+                frames.push((frame_for(f, j), a.base_us + p.ts_us));
             }
         }
     }
@@ -206,7 +221,7 @@ fn wire_steering_agrees_with_shard_of() {
             let shard = sharded.shard_of(f);
             hit[shard] = true;
             for j in 0..f.packets.len() {
-                let frame = Engine::frame_for(f, j);
+                let frame = frame_for(f, j);
                 assert_eq!(shard_of_frame(&frame, sharded.flow_slots(), n), Ok(shard));
             }
         }
@@ -219,12 +234,12 @@ fn wire_steering_agrees_with_shard_of() {
 fn reset_reuses_compilation() {
     let (model, test_flows) = model_and_flows(200, 51);
     let mut engine = EngineBuilder::new(&model).build().unwrap();
-    let first = engine.run(&test_flows).unwrap();
+    let first = Session::new(DEFAULT_STAGGER_US).run(&mut engine, &test_flows).unwrap();
     engine.reset();
-    assert_eq!(engine.admitted_flows(), 0);
-    let second = engine.run(&test_flows).unwrap();
+    assert_eq!(engine.lifecycle().admitted, 0);
+    let second = Session::new(DEFAULT_STAGGER_US).run(&mut engine, &test_flows).unwrap();
     assert_eq!(first.flows, second.flows);
-    assert_eq!(first.meters, second.meters);
+    assert_eq!(first.snapshot.meters, second.snapshot.meters);
 }
 
 /// Regression: `reset` must clear the flow-state lifecycle too — slot
@@ -236,7 +251,7 @@ fn reset_clears_lifecycle_and_readmits_decided_flow() {
     let (model, test_flows) = model_and_flows(200, 57);
     let one_flow = &test_flows[..1];
     let mut engine = EngineBuilder::new(&model).build().unwrap();
-    let first = engine.run(one_flow).unwrap();
+    let first = Session::new(DEFAULT_STAGGER_US).run(&mut engine, one_flow).unwrap();
     assert_eq!(first.flows[0].digests, 1);
     let lc = engine.lifecycle();
     assert_eq!(lc.admitted, 1);
@@ -252,7 +267,7 @@ fn reset_clears_lifecycle_and_readmits_decided_flow() {
     assert_eq!(cleared, splidt::core::LifecycleStats::default(), "reset must zero the lifecycle");
 
     // The same (previously decided) flow admits and classifies again.
-    let second = engine.run(one_flow).unwrap();
+    let second = Session::new(DEFAULT_STAGGER_US).run(&mut engine, one_flow).unwrap();
     assert_eq!(second.flows, first.flows);
     assert_eq!(second.flows[0].digests, 1, "re-admitted flow must re-classify exactly once");
     assert_eq!(engine.lifecycle().admitted, 1);
@@ -271,11 +286,11 @@ fn unregistered_flows_are_learned_from_the_wire() {
     for (i, f) in subset.iter().enumerate() {
         let base = 1_000 + i as u64 * 2_000;
         for j in 0..f.packets.len() {
-            frames.push((Engine::frame_for(f, j), base + f.packets[j].ts_us));
+            frames.push((frame_for(f, j), base + f.packets[j].ts_us));
         }
     }
     frames.sort_by_key(|&(_, ts)| ts);
-    // No admit() calls anywhere: the data plane learns the flows itself.
+    // No session admits anything: the data plane learns the flows itself.
     let report = engine.ingest_batch(frames.iter().map(|(f, ts)| (f.as_slice(), *ts))).unwrap();
     let lc = engine.lifecycle();
     assert_eq!(lc.admitted, subset.len() as u64);
@@ -289,24 +304,26 @@ fn unregistered_flows_are_learned_from_the_wire() {
     }
 }
 
-/// Sessions are cumulative: a second `run` without `reset` admits nothing
-/// new for repeated flows, never replays packets, and the sharded engine
-/// agrees with the single-shard one on the merged report.
+/// Sessions are cumulative: a second `run` in the same session admits
+/// nothing new for repeated flows, never replays packets, and the sharded
+/// engine agrees with the single-shard one on the merged report.
 #[test]
 fn repeated_run_without_reset_is_cumulative() {
     let (model, test_flows) = model_and_flows(210, 91);
     let mut single = EngineBuilder::new(&model).build().unwrap();
-    let first = single.run(&test_flows).unwrap();
-    let second = single.run(&test_flows).unwrap();
+    let mut session = Session::new(DEFAULT_STAGGER_US);
+    let first = session.run(&mut single, &test_flows).unwrap();
+    let second = session.run(&mut single, &test_flows).unwrap();
     assert_eq!(first.flows, second.flows, "re-run must not change outcomes");
-    assert_eq!(first.meters, second.meters, "re-run must not replay packets");
+    assert_eq!(first.snapshot.meters, second.snapshot.meters, "re-run must not replay packets");
     assert_eq!(second.collisions_skipped, first.collisions_skipped + test_flows.len());
 
     let mut sharded = EngineBuilder::new(&model).build_sharded(3).unwrap();
-    let s1 = sharded.run(&test_flows).unwrap();
-    let s2 = sharded.run(&test_flows).unwrap();
+    let mut session = Session::new(DEFAULT_STAGGER_US);
+    let s1 = session.run(&mut sharded, &test_flows).unwrap();
+    let s2 = session.run(&mut sharded, &test_flows).unwrap();
     assert_eq!(s1.flows, s2.flows);
-    assert_eq!(s1.meters, s2.meters);
+    assert_eq!(s1.snapshot.meters, s2.snapshot.meters);
     assert_eq!(s2.collisions_skipped, s1.collisions_skipped + test_flows.len());
     assert_eq!(s1.flows, first.flows, "sharded and single shard diverged");
 }
@@ -318,7 +335,7 @@ fn malformed_frames_are_recoverable() {
     let mut engine = EngineBuilder::new(&model).build().unwrap();
     assert!(matches!(engine.ingest(&[0u8; 9], 1_000), Err(SplidtError::Parse(_))));
     // The engine keeps working after the error.
-    let report = engine.run(&test_flows).unwrap();
+    let report = Session::new(DEFAULT_STAGGER_US).run(&mut engine, &test_flows).unwrap();
     assert!((report.software_agreement - 1.0).abs() < 1e-9);
 }
 
@@ -390,7 +407,7 @@ fn builder_defaults() {
     let mut engine = EngineBuilder::new(&model).build().unwrap();
     assert_eq!(engine.flow_slots(), 1 << 16);
     assert_eq!(DEFAULT_STAGGER_US, 5_000);
-    let report = engine.run(&test_flows).unwrap();
+    let report = Session::new(DEFAULT_STAGGER_US).run(&mut engine, &test_flows).unwrap();
     assert_eq!(report.collisions_skipped, 0);
     assert!(report.flows.iter().all(|o| o.digests == 1));
 }
@@ -403,20 +420,22 @@ fn builder_defaults() {
 fn burst_sizes_are_observationally_identical() {
     let (model, test_flows) = model_and_flows(210, 61);
     let run_at = |burst: usize| {
-        let mut engine = EngineBuilder::new(&model).stagger_us(2_000).burst(burst).build().unwrap();
+        let mut engine = EngineBuilder::new(&model).burst(burst).build().unwrap();
+        let mut session = Session::new(2_000);
         assert_eq!(engine.burst(), burst);
         let mut frames: Vec<(Vec<u8>, u64)> = Vec::new();
         for f in &test_flows {
-            if let Some(a) = engine.admit(f) {
+            if let Some(a) = session.admit(&engine, f) {
                 for (j, p) in f.packets.iter().enumerate() {
-                    frames.push((Engine::frame_for(f, j), a.base_us + p.ts_us));
+                    frames.push((frame_for(f, j), a.base_us + p.ts_us));
                 }
             }
         }
         frames.sort_by_key(|&(_, ts)| ts);
         let batch = engine.ingest_batch(frames.iter().map(|(f, ts)| (f.as_slice(), *ts))).unwrap();
+        session.collate(&engine, &batch.digests);
         let meters = engine.meters().clone();
-        (batch, meters, engine.report().flows)
+        (batch, meters, session.report(&engine).flows)
     };
     let (b1, m1, f1) = run_at(1);
     for burst in [8usize, 64] {

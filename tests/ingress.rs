@@ -103,11 +103,6 @@ fn ingress_accounting_reconciles_with_malformed_input_mixed_in() {
     assert_eq!(stats.dropped_malformed, n_bad as u64);
     assert_eq!(stats.dropped_ring_full, 0, "replay source cannot outrun the consumers");
     assert!(stats.reconciles(), "exact reconciliation: {stats:?}");
-    assert_eq!(
-        outcome.report.ingress.as_ref(),
-        Some(stats),
-        "runtime report carries the ingress accounting"
-    );
     // Every steered frame reached a pipeline: ingress accounting balances
     // against pipeline outcomes end-to-end.
     assert_eq!(outcome.batch.packets + outcome.batch.malformed, stats.steered);

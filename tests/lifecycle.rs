@@ -5,7 +5,7 @@
 
 use proptest::prelude::*;
 use splidt::dataplane::register::owner_lane;
-use splidt::flow::{churn, ChurnConfig, Dir, FiveTuple, TracePacket};
+use splidt::flow::{churn, frame_for, ChurnConfig, Dir, FiveTuple, TracePacket};
 use splidt::prelude::*;
 use std::collections::HashMap;
 use std::sync::OnceLock;
@@ -152,7 +152,7 @@ fn run_equivalence_case(flows: &[FlowTrace], starts: &[u64], slots: usize, idle_
     events.sort_unstable();
 
     for (ts, i, j) in events {
-        let frame = Engine::frame_for(&flows[i], j);
+        let frame = frame_for(&flows[i], j);
         engine.ingest(&frame, ts).expect("ingests");
         reference.probe(
             canonical_flow_index(&flows[i], slots),
@@ -251,7 +251,6 @@ proptest! {
 fn churn_frames(seed: u64, slots: usize) -> Vec<(u64, Vec<u8>)> {
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
-    use splidt::flow::frame_for;
     let mut rng = SmallRng::seed_from_u64(seed);
     let mut schedule = churn(
         DatasetId::D2,
@@ -396,7 +395,7 @@ fn idle_owner_is_evicted_and_late_packets_suppressed() {
 
     // A sends three packets then goes silent.
     for j in 0..3 {
-        engine.ingest(&Engine::frame_for(&a, j), 1_000 + a.packets[j].ts_us).unwrap();
+        engine.ingest(&frame_for(&a, j), 1_000 + a.packets[j].ts_us).unwrap();
     }
     let lc = engine.lifecycle();
     assert_eq!(lc.admitted, 1);
@@ -405,7 +404,7 @@ fn idle_owner_is_evicted_and_late_packets_suppressed() {
     // B arrives after the timeout: takes the slot over in-pass.
     let b_base = 1_000 + a.packets[2].ts_us + timeout + 1_000;
     for j in 0..3 {
-        engine.ingest(&Engine::frame_for(&b, j), b_base + b.packets[j].ts_us).unwrap();
+        engine.ingest(&frame_for(&b, j), b_base + b.packets[j].ts_us).unwrap();
     }
     let lc = engine.lifecycle();
     assert_eq!(lc.admitted, 2);
@@ -414,7 +413,7 @@ fn idle_owner_is_evicted_and_late_packets_suppressed() {
     assert_eq!(lc.active_flows, 1, "one live owner after the takeover");
 
     // A limps back while B is live: counted + suppressed, never merged.
-    engine.ingest(&Engine::frame_for(&a, 3), b_base + 2_000).unwrap();
+    engine.ingest(&frame_for(&a, 3), b_base + 2_000).unwrap();
     let lc = engine.lifecycle();
     assert_eq!(lc.live_collisions, 1);
     assert_eq!(lc.admitted, 2, "the suppressed packet must not re-admit");
@@ -437,11 +436,11 @@ fn decided_slot_is_recycled_in_band() {
     let mut frames: Vec<(Vec<u8>, u64)> = Vec::new();
     let mut t = 1_000;
     for j in 0..a.packets.len() {
-        frames.push((Engine::frame_for(&a, j), t + a.packets[j].ts_us));
+        frames.push((frame_for(&a, j), t + a.packets[j].ts_us));
     }
     t += a.packets.last().unwrap().ts_us + 1_000;
     for j in 0..b.packets.len() {
-        frames.push((Engine::frame_for(&b, j), t + b.packets[j].ts_us));
+        frames.push((frame_for(&b, j), t + b.packets[j].ts_us));
     }
     let report = engine.ingest_batch(frames.iter().map(|(f, ts)| (f.as_slice(), *ts))).unwrap();
 
@@ -486,7 +485,7 @@ fn bounded_slots_classify_8x_distinct_flows() {
     let frames: Vec<(Vec<u8>, u64)> = schedule
         .events()
         .into_iter()
-        .map(|(ts, i, j)| (Engine::frame_for(&schedule.flows[i], j), ts))
+        .map(|(ts, i, j)| (frame_for(&schedule.flows[i], j), ts))
         .collect();
     let report = engine.ingest_batch(frames.iter().map(|(f, ts)| (f.as_slice(), *ts))).unwrap();
 
@@ -530,7 +529,7 @@ fn pure_ack_scan_traffic_admits_nothing() {
             p.tcp_flags = 0x10; // ACK only
         }
         for j in 0..f.packets.len() {
-            engine.ingest(&Engine::frame_for(&f, j), 1_000 + j as u64 * 500).unwrap();
+            engine.ingest(&frame_for(&f, j), 1_000 + j as u64 * 500).unwrap();
             packets += 1;
         }
     }
@@ -570,7 +569,7 @@ fn fin_release_frees_slot_for_immediate_reuse() {
 
     // All of A (SYN-opened, FIN-closed). No digests drained yet.
     for j in 0..a.packets.len() {
-        engine.ingest(&Engine::frame_for(&a, j), 1_000 + a.packets[j].ts_us).unwrap();
+        engine.ingest(&frame_for(&a, j), 1_000 + a.packets[j].ts_us).unwrap();
     }
     let lc = engine.lifecycle();
     assert_eq!(lc.admitted, 1);
@@ -583,7 +582,7 @@ fn fin_release_frees_slot_for_immediate_reuse() {
     // B collides into the same slot: a plain free-lane claim.
     let b_base = 1_000 + a.packets.last().unwrap().ts_us + 2_000;
     for j in 0..b.packets.len() {
-        engine.ingest(&Engine::frame_for(&b, j), b_base + b.packets[j].ts_us).unwrap();
+        engine.ingest(&frame_for(&b, j), b_base + b.packets[j].ts_us).unwrap();
     }
     let lc = engine.lifecycle();
     assert_eq!(lc.admitted, 2);
@@ -626,7 +625,7 @@ fn pinned_class_lane_survives_idle_timeout() {
     // A completes — its FIN would release the lane, but the pinned class
     // wins: the lane parks decided + pinned.
     for j in 0..a.packets.len() {
-        engine.ingest(&Engine::frame_for(&a, j), 1_000 + a.packets[j].ts_us).unwrap();
+        engine.ingest(&frame_for(&a, j), 1_000 + a.packets[j].ts_us).unwrap();
     }
     let a_end = 1_000 + a.packets.last().unwrap().ts_us;
     let lc = engine.lifecycle();
@@ -645,7 +644,7 @@ fn pinned_class_lane_survives_idle_timeout() {
     // timeout: the lane defends, B is not admitted.
     let b_base = a_end + idle + 10_000;
     assert!(b_base < a_end + pinned_timeout);
-    engine.ingest(&Engine::frame_for(&b, 0), b_base).unwrap();
+    engine.ingest(&frame_for(&b, 0), b_base).unwrap();
     let lc = engine.lifecycle();
     assert_eq!(lc.admitted, 1, "pinned lane must defend: {lc:?}");
     assert!(lc.pinned_defended >= 1);
@@ -653,7 +652,7 @@ fn pinned_class_lane_survives_idle_timeout() {
 
     // Past the pinned timeout the slot finally recycles.
     let late = a_end + pinned_timeout + 10_000;
-    engine.ingest(&Engine::frame_for(&b, 0), late).unwrap();
+    engine.ingest(&frame_for(&b, 0), late).unwrap();
     let lc = engine.lifecycle();
     assert_eq!(lc.admitted, 2, "pinned timeout must finally yield: {lc:?}");
     assert_eq!(lc.evictions_pinned, 1);
@@ -675,7 +674,7 @@ fn operator_release_frees_pinned_lane() {
         .unwrap();
     let slot = canonical_flow_index(&a, slots);
     for j in 0..a.packets.len() {
-        engine.ingest(&Engine::frame_for(&a, j), 1_000 + a.packets[j].ts_us).unwrap();
+        engine.ingest(&frame_for(&a, j), 1_000 + a.packets[j].ts_us).unwrap();
     }
     assert_eq!(engine.lifecycle().pinned_pending, 1);
     assert!(!engine.release_pinned((slot + 1) % slots), "wrong slot: no-op");
@@ -694,14 +693,14 @@ fn operator_release_frees_pinned_lane() {
         .lifecycle_policy(LifecyclePolicy::tcp().pin_class(pinned_class))
         .build_sharded(2)
         .unwrap();
-    sharded.run(std::slice::from_ref(&a)).unwrap();
-    assert_eq!(sharded.lifecycle().pinned_pending, 1);
+    Session::new(DEFAULT_STAGGER_US).run(&mut sharded, std::slice::from_ref(&a)).unwrap();
+    assert_eq!(sharded.snapshot().lifecycle.pinned_pending, 1);
     let shard = canonical_flow_index(&a, slots) % 2;
     let shard_slot = canonical_flow_index(&a, slots);
     assert!(!sharded.release_pinned(99, shard_slot), "bad shard: no-op");
     assert!(sharded.release_pinned(shard, shard_slot));
-    assert_eq!(sharded.lifecycle().pinned_pending, 0);
-    assert!(sharded.lifecycle().reconciles());
+    assert_eq!(sharded.snapshot().lifecycle.pinned_pending, 0);
+    assert!(sharded.snapshot().lifecycle.reconciles());
 }
 
 /// Ownership lanes read back through the register file agree with the
@@ -711,7 +710,7 @@ fn lanes_carry_canonical_fingerprints() {
     let slots = 1 << 10;
     let f = flow_with(0x0a00_0009, 41_000, 12, 500);
     let mut engine = EngineBuilder::new(model()).flow_slots(slots).build().unwrap();
-    engine.ingest(&Engine::frame_for(&f, 0), 1_000).unwrap();
+    engine.ingest(&frame_for(&f, 0), 1_000).unwrap();
     let io = engine.io().clone();
     let slot = canonical_flow_index(&f, slots);
     let cell = engine.pipeline_registers().read(io.owner_reg.index(), slot);

@@ -8,7 +8,7 @@ use proptest::prelude::*;
 use splidt::core::stream::{DigestTap, StreamingTrainer, StreamingTrainerParams};
 use splidt::dataplane::pipeline::{Digest, Disposition};
 use splidt::dataplane::register::owner_lane;
-use splidt::flow::{churn, ChurnConfig, DriftProfile};
+use splidt::flow::{churn, frame_for, ChurnConfig, DriftProfile};
 use splidt::prelude::*;
 use std::collections::HashMap;
 use std::sync::OnceLock;
@@ -47,11 +47,7 @@ fn schedule_frames(flows: usize, seed: u64) -> Vec<(Vec<u8>, u64)> {
             ..Default::default()
         },
     );
-    schedule
-        .events()
-        .into_iter()
-        .map(|(ts, i, j)| (Engine::frame_for(&schedule.flows[i], j), ts))
-        .collect()
+    schedule.events().into_iter().map(|(ts, i, j)| (frame_for(&schedule.flows[i], j), ts)).collect()
 }
 
 fn sort_key(d: &Digest) -> (u64, Vec<u64>) {
@@ -113,7 +109,7 @@ fn swap_preserves_pinned_and_active_lanes() {
         let mut probe = EngineBuilder::new(model()).flow_slots(slots).build().unwrap();
         let io = probe.io().clone();
         for j in 0..p.packets.len() {
-            probe.ingest(&Engine::frame_for(p, j), 1_000 + p.packets[j].ts_us).unwrap();
+            probe.ingest(&frame_for(p, j), 1_000 + p.packets[j].ts_us).unwrap();
         }
         let d = probe.drain_digests();
         assert!(!d.is_empty(), "P must classify");
@@ -129,13 +125,13 @@ fn swap_preserves_pinned_and_active_lanes() {
 
     // P runs to its verdict: a decided, pinned lane.
     for j in 0..p.packets.len() {
-        engine.ingest(&Engine::frame_for(p, j), 1_000 + p.packets[j].ts_us).unwrap();
+        engine.ingest(&frame_for(p, j), 1_000 + p.packets[j].ts_us).unwrap();
     }
     engine.drain_digests();
     // Q runs half its packets: an active, mid-flight lane.
     let half = q.packets.len() / 2;
     for j in 0..half {
-        engine.ingest(&Engine::frame_for(q, j), 1_000 + q.packets[j].ts_us).unwrap();
+        engine.ingest(&frame_for(q, j), 1_000 + q.packets[j].ts_us).unwrap();
     }
 
     let p_slot = canonical_flow_index(p, slots);
@@ -160,7 +156,7 @@ fn swap_preserves_pinned_and_active_lanes() {
     // Q finishes under the new model: its lane keeps tracking (the cell
     // changes as packets land — it was not orphaned by the swap).
     for j in half..q.packets.len() {
-        engine.ingest(&Engine::frame_for(q, j), 1_000 + q.packets[j].ts_us).unwrap();
+        engine.ingest(&frame_for(q, j), 1_000 + q.packets[j].ts_us).unwrap();
     }
     let q_lane = engine.pipeline_registers().read(io.owner_reg.index(), q_slot);
     assert_ne!(q_lane, lanes_after[q_slot], "Q's lane must keep tracking after the swap");
@@ -192,7 +188,7 @@ fn reset_clears_staged_model_and_tap() {
     // swapped).
     for f in &flows {
         for j in 0..f.packets.len() {
-            engine.ingest(&Engine::frame_for(f, j), 1_000 + f.packets[j].ts_us).unwrap();
+            engine.ingest(&frame_for(f, j), 1_000 + f.packets[j].ts_us).unwrap();
         }
         engine.drain_digests();
     }
@@ -279,7 +275,7 @@ fn swap_without_stage_errors() {
     assert!(engine.swap_staged().is_err());
     assert_eq!(engine.swaps(), 0);
     let flows = generate(DatasetId::D2, 2, 3);
-    engine.ingest(&Engine::frame_for(&flows[0], 0), 1_000).expect("still serves");
+    engine.ingest(&frame_for(&flows[0], 0), 1_000).expect("still serves");
 }
 
 proptest! {
@@ -388,7 +384,7 @@ fn retrained_model_recovers_accuracy_across_live_swap() {
         let frames: Vec<(Vec<u8>, u64)> = events
             .iter()
             .filter(|&&(_, i, _)| lo <= i && i < hi)
-            .map(|&(ts, i, j)| (Engine::frame_for(&schedule.flows[i], j), ts))
+            .map(|&(ts, i, j)| (frame_for(&schedule.flows[i], j), ts))
             .collect();
         let io = engine.io().clone();
         let report =

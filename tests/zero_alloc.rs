@@ -4,6 +4,10 @@
 //! packets through an arena a live `swap_program` rebuilt — never touches
 //! the heap. One table of (program, feed) rows, each measured under a
 //! counting global allocator and held to exactly zero.
+//!
+//! The flat-heap invariant: a serving `Engine` keeps no record of the
+//! verdicts it emits, so its live heap stays flat however many digests a
+//! consumer drains and drops.
 
 use splidt::core::engine::DEFAULT_BURST;
 use splidt::core::ring::{ring, Consumer, Producer};
@@ -25,34 +29,43 @@ thread_local! {
     /// allocates nor recurses; per-thread, so libtest's own threads and
     /// sibling tests cannot leak into a measurement.
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+    /// Bytes this thread allocated minus bytes it freed.
+    static LIVE_BYTES: Cell<i64> = const { Cell::new(0) };
 }
 
-/// The system allocator plus a per-thread count of alloc / alloc_zeroed /
-/// realloc calls (`Vec` growth shows up as realloc). Frees are not
-/// counted: the metric is "how often does the hot loop touch the heap".
+/// The system allocator plus two per-thread counters: alloc / alloc_zeroed
+/// / realloc calls (`Vec` growth shows up as realloc) — "how often does
+/// the hot loop touch the heap", frees not counted — and live bytes,
+/// which frees subtract from.
 struct CountingAlloc;
 
-fn count_one() {
+fn count_one(grown: i64) {
     // `try_with`: a thread being torn down may allocate after its TLS is gone.
     let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+    track(grown);
+}
+
+fn track(grown: i64) {
+    let _ = LIVE_BYTES.try_with(|n| n.set(n.get() + grown));
 }
 
 // SAFETY: every call is forwarded unchanged to `System`, which upholds
 // the `GlobalAlloc` contract; the counter touches no allocator state.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count_one();
+        count_one(layout.size() as i64);
         System.alloc(layout)
     }
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count_one();
+        count_one(layout.size() as i64);
         System.alloc_zeroed(layout)
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count_one();
+        count_one(new_size as i64 - layout.size() as i64);
         System.realloc(ptr, layout, new_size)
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        track(-(layout.size() as i64));
         System.dealloc(ptr, layout)
     }
 }
@@ -62,6 +75,10 @@ static ALLOC: CountingAlloc = CountingAlloc;
 
 fn allocations() -> u64 {
     ALLOCATIONS.with(Cell::get)
+}
+
+fn live_bytes() -> i64 {
+    LIVE_BYTES.with(Cell::get)
 }
 
 /// Packets per batch: the wave is flushed and the digest ring disposed
@@ -288,20 +305,24 @@ fn three_register_bank() -> Rig {
 /// second compiled model half-way through: claims, takeovers, refusals,
 /// decide resubmissions and digests all land in the measured round, as do
 /// the first packets through the arena the swap rebuilt.
-fn compiled_churn_with_live_swap() -> Rig {
-    let engine_for = |seed: u64| {
-        let flows = generate(DatasetId::D2, 160, seed);
-        let cfg = SplidtConfig { partitions: vec![2, 2], k: 4, ..Default::default() };
-        let model = PartitionedTree::fit(&flows, 4, &cfg).expect("trains");
-        EngineBuilder::new(&model)
-            .flow_slots(64)
-            .idle_timeout_us(100_000)
-            .lifecycle_policy(LifecyclePolicy::tcp().pin_class(3).pinned_timeout_us(150_000))
-            .build()
-            .expect("compiles")
-    };
-    let (live, next) = (engine_for(21), engine_for(99));
-    let schedule = churn(
+/// The churn fixture's engine: TCP policy, class 3 pinned, 64 slots, a
+/// model trained from `seed`.
+fn churn_engine(seed: u64) -> Engine {
+    let flows = generate(DatasetId::D2, 160, seed);
+    let cfg = SplidtConfig { partitions: vec![2, 2], k: 4, ..Default::default() };
+    let model = PartitionedTree::fit(&flows, 4, &cfg).expect("trains");
+    EngineBuilder::new(&model)
+        .flow_slots(64)
+        .idle_timeout_us(100_000)
+        .lifecycle_policy(LifecyclePolicy::tcp().pin_class(3).pinned_timeout_us(150_000))
+        .build()
+        .expect("compiles")
+}
+
+/// ~1,024 churning flows (5 % mid-capture, a quarter RST-closed), each
+/// cut to at most `max_packets`, as `(frame, ts_us)` in timestamp order.
+fn churn_frames(max_packets: usize) -> Vec<(Vec<u8>, u64)> {
+    let mut schedule = churn(
         DatasetId::D2,
         &ChurnConfig {
             flows: 1024,
@@ -313,9 +334,14 @@ fn compiled_churn_with_live_swap() -> Rig {
             ..Default::default()
         },
     );
-    let frames =
-        schedule.events().into_iter().map(|(ts, i, j)| (frame_for(&schedule.flows[i], j), ts));
+    for f in &mut schedule.flows {
+        f.packets.truncate(max_packets);
+    }
+    schedule.events().into_iter().map(|(ts, i, j)| (frame_for(&schedule.flows[i], j), ts)).collect()
+}
 
+fn compiled_churn_with_live_swap() -> Rig {
+    let (live, next) = (churn_engine(21), churn_engine(99));
     let mut pipe = Pipeline::new(live.program().clone());
     pipe.set_burst(DEFAULT_BURST, live.flow_slots());
     // The lifecycle MAT's entries are policy-determined, so the swapped-in
@@ -324,7 +350,7 @@ fn compiled_churn_with_live_swap() -> Rig {
     Rig {
         pipe,
         fields: live.io().fields,
-        frames: frames.collect(),
+        frames: churn_frames(usize::MAX),
         swap_to: Some((next.program().clone(), (live.io().lifecycle_table, table))),
         witness: Box::new(move |pipe| {
             let hits = |i: usize| pipe.program().table(table).entries()[i].hits;
@@ -359,4 +385,48 @@ fn steady_state_packet_path_never_allocates() {
         println!("{name}: {allocs} allocations");
     }
     assert!(counts.iter().all(|&(_, allocs)| allocs == 0), "hot path allocated: {counts:?}");
+}
+
+/// Frames per `ingest_batch` call of the flat-heap probe (a consumer's
+/// drain batch).
+const SERVE_BATCH: usize = 256;
+/// Packets per flow of the flat-heap probe: mice, so a pass is dense in
+/// verdicts.
+const SERVE_FLOW_PACKETS: usize = 6;
+/// Digests the flat-heap probe emits before it stops (~450 a pass): past
+/// warm-up, a 16-byte record kept per digest outgrows the bound tenfold.
+const SERVE_DIGESTS: u64 = 2_000;
+/// Live-heap growth past warm-up the probe tolerates (bytes).
+const FLAT_HEAP_BOUND: i64 = 4 * 1024;
+
+/// The churn fixture served in consumer-sized batches, every report
+/// dropped on arrival, until `SERVE_DIGESTS` verdicts went by: once one
+/// pass has warmed the scratch capacities, the thread's live heap must
+/// not grow with the digests.
+#[test]
+fn serving_engine_heap_stays_flat() {
+    let mut engine = churn_engine(21);
+    let frames = churn_frames(SERVE_FLOW_PACKETS);
+    // Each replay of the schedule starts after every lane of the last one
+    // has idled out.
+    let pass_us = frames.last().expect("frames").1 + 1_000_000;
+    let (mut digests, mut passes, mut warm, mut growth) = (0u64, 0u64, None, 0i64);
+    while digests < SERVE_DIGESTS {
+        for batch in frames.chunks(SERVE_BATCH) {
+            let offset = passes * pass_us;
+            let report = engine
+                .ingest_batch(batch.iter().map(|(f, ts)| (f.as_slice(), ts + offset)))
+                .expect("counts malformed frames instead of failing");
+            digests += report.digests.len() as u64;
+            drop(report);
+            if let Some(base) = warm {
+                growth = growth.max(live_bytes() - base);
+            }
+        }
+        passes += 1;
+        // One full pass warms every scratch capacity.
+        warm.get_or_insert_with(live_bytes);
+    }
+    println!("{digests} digests over {passes} passes: live heap grew at most {growth} B");
+    assert!(growth < FLAT_HEAP_BOUND, "serving heap grew {growth} B over {digests} digests");
 }
