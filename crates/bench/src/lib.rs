@@ -9,7 +9,6 @@
 
 #![deny(unsafe_code)]
 
-use parking_lot::Mutex;
 use splidt_core::baselines::{Ideal, Leo, LeoParams, NetBeacon, NetBeaconParams, PerPacket};
 use splidt_core::engine::{Classifier, Trainable};
 use splidt_core::{
@@ -23,7 +22,7 @@ use splidt_flow::{
 };
 use splidt_search::{optimize, BoOptions, BoResult, Objectives, ParamSpace};
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// Paper flow targets (Table 3 and the Pareto figures).
 pub const FLOW_TARGETS: [u64; 3] = [100_000, 500_000, 1_000_000];
@@ -88,7 +87,7 @@ impl DatasetBundle {
     /// Cached (train, test) windowed matrices for `p` partitions at
     /// `bits` precision.
     pub fn windowed(&self, p: usize, bits: u8) -> Arc<(WindowedDataset, WindowedDataset)> {
-        if let Some(hit) = self.cache.lock().get(&(p, bits)) {
+        if let Some(hit) = self.cache.lock().unwrap().get(&(p, bits)) {
             return hit.clone();
         }
         let mut tr = windowed_dataset(&self.train, p, self.n_classes);
@@ -102,7 +101,7 @@ impl DatasetBundle {
             }
         }
         let arc = Arc::new((tr, te));
-        self.cache.lock().insert((p, bits), arc.clone());
+        self.cache.lock().unwrap().insert((p, bits), arc.clone());
         arc
     }
 

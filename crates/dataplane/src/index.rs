@@ -2,12 +2,9 @@
 //! once by the [`ExecPlan`](crate::plan::ExecPlan) when the pipeline is
 //! instantiated.
 //!
-//! SpliDT's compiled programs lean on two table shapes whose reference
-//! lookup ([`Table::lookup_linear`]) is an O(n) scan over every installed
-//! entry: **Range** tables (feature thresholds → elementary ranges) and
-//! **Ternary** tables (range marks expanded via prefix cross products,
-//! hundreds-to-thousands of entries). A [`MatchIndex`] replaces that scan
-//! on the plan-driven hot path:
+//! The reference lookup ([`Table::lookup_linear`]) is an O(n) scan over
+//! every installed entry. A [`MatchIndex`] replaces that scan on the
+//! plan-driven hot path with one of two structures:
 //!
 //! * **Direct** — any kind whose entries span at most `DIRECT_BITS` (10) key
 //!   bits. Each field's *domain* is the smallest all-ones mask covering
@@ -19,19 +16,17 @@
 //!   for ternary ones (no pattern cares about those bits). Most of a
 //!   compiled program's tables are this narrow: they key on flags,
 //!   subtree ids and counters' few bits.
-//! * **Exact** — keys of ≤ 2 components pack into a `u128` hashed with
-//!   FxHash (one multiply per word, no per-process random state; table
-//!   contents are control-plane installed, so DoS-resistant hashing buys
-//!   nothing here). Wider keys keep a map keyed by the whole key, still
-//!   FxHash, gathered into the caller's scratch to probe it.
-//! * **Range** — decision-tree thresholds partition each field's domain,
-//!   so the index cuts every field into *elementary intervals* (reusing
-//!   `splidt_ranging::elementary_cuts`) resolved by binary search.
-//!   Single-field tables precompute the winning entry per interval —
-//!   lookup is one `partition_point`. Multi-field tables store a
-//!   fixed-width entry bitmask per interval; candidate sets intersect
-//!   with `u64` words and the lowest surviving bit is the winner.
-//! * **Ternary** — one *pivot* dispatch, then a branch-light group.
+//! * **Ternary** — every other table, read as ternary rules. A ternary
+//!   entry is one rule. An exact entry is one rule whose patterns are its
+//!   values under full masks, so a value with bits above the field's
+//!   width still misses. A range entry is the cross product of its
+//!   fields' prefix covers (`splidt_ranging::range_to_prefixes` over 64
+//!   bits), every rule at the entry's priority. A compiled program's
+//!   wide tables are all ternary already (`splidt_ranging` lowers its
+//!   feature ranges to prefixes); only hand-built programs reach this
+//!   index with exact or range entries.
+//!
+//!   The rules sit behind one *pivot* dispatch, then a branch-light group.
 //!   The care bits every non-wildcard pattern of a field shares fix that
 //!   pattern's value over them, so they index a dense array directly:
 //!   `(v & mask) >> shift`, no hashing. The field whose shared bits
@@ -43,8 +38,9 @@
 //!   * **interval** — its only remaining live field carries prefix
 //!     patterns (contiguous care bits under a common top bit, what
 //!     `range_to_prefixes` emits: every `keygen_*` group). Prefixes are
-//!     ranges, so the group is the single-field range index again —
-//!     winners precomputed, lookup one `partition_point`.
+//!     ranges, so the group cuts that field into *elementary intervals*
+//!     (`splidt_ranging::elementary_cuts`) with the winner of each
+//!     precomputed — lookup is one `partition_point`.
 //!   * **bits** — per live field one dense row of candidate bits, again
 //!     indexed by the field's shared care bits, AND-ed with no early
 //!     exit. Fields whose patterns all care about exactly the indexed
@@ -53,17 +49,18 @@
 //!     remaining the lowest set bit wins outright, and with no indexable
 //!     field at all the group is a rank-ordered scan.
 //!
-//! Bit `r` of every bitmask is the entry of **rank** `r` (priority
+//! Bit `r` of every bitmask is the rule of **rank** `r` (priority
 //! descending, ties to the lowest install index), so the first set bit
 //! of an intersection is already the highest-priority survivor — no
-//! per-candidate priority comparison.
+//! per-candidate priority comparison. The rules one entry expands into
+//! are disjoint, so their order among themselves does not matter.
 //!
 //! Lookups read key component `i` through one accessor, `Key::get`: the
 //! pinned [`MatchIndex::lookup`] passes a slice of values, and the wave
 //! executor a view of the packet's PHV through the slot's key field ids,
 //! so no key is copied out before it is looked up. Each index reads only
 //! the components it inspects — a ternary pivot and its group's live
-//! fields, say; only wide exact keys are gathered.
+//! fields, say.
 //!
 //! Index results equal the linear oracle bit-for-bit, including for
 //! patterns the oracle can never match (`value & !mask != 0`, installable
@@ -77,8 +74,7 @@
 use crate::phv::FieldId;
 use crate::table::{EntryKey, MatchKind, Table};
 use crate::tcam::Ternary;
-use rustc_hash::FxHashMap;
-use splidt_ranging::{elementary_cuts, interval_of};
+use splidt_ranging::{elementary_cuts, interval_of, range_to_prefixes};
 use std::cmp::Reverse;
 
 /// Sentinel for "no entry" in precomputed winner arrays.
@@ -102,43 +98,23 @@ const DENSE_ROWS_MAX: u64 = 4096;
 pub(crate) const DIRECT_BITS: u32 = 10;
 
 /// Build bound of a direct table: rows × entries, the oracle scans one
-/// row costs. Tables past it keep their kind's index.
+/// row costs. Tables past it take the ternary index.
 const DIRECT_BUILD_MAX: usize = 1 << 20;
 
-/// Multi-field range tables below this entry count use a rank-ordered
-/// early-exit scan instead of per-field interval bitmasks: the scan
-/// already beats per-field binary searches plus word intersection at very
-/// small n. (Single-field range tables always take the precomputed-winner
-/// binary search — it wins at any size.)
-pub const RANGE_BITMAP_MIN: usize = 32;
-
 /// A compiled lookup index for one table. See the module docs for the
-/// structure per [`MatchKind`].
+/// two structures.
 #[derive(Debug, Clone)]
 pub enum MatchIndex {
     /// Any kind whose entries span at most 10 key bits (`DIRECT_BITS`):
     /// one precomputed row per key value.
     Direct(DirectIndex),
-    /// Exact keys of ≤ 2 components, packed into a `u128`.
-    ExactPacked {
-        /// Key component count (1 or 2).
-        fields: usize,
-        /// Packed key → entry index.
-        map: FxHashMap<u128, u32>,
-    },
-    /// Exact keys wider than 2 components.
-    ExactWide {
-        /// Key values → entry index.
-        map: FxHashMap<Vec<u64>, u32>,
-    },
-    /// Ternary entries behind a pivot dispatch into per-value groups.
+    /// Every other table, its entries as ternary rules behind a pivot
+    /// dispatch into per-value groups.
     Ternary(TernaryIndex),
-    /// Range entries over elementary intervals.
-    Range(RangeIndex),
 }
 
 /// Pivot-dispatched ternary index. Every group lists its rules in rank
-/// order: rank 0 is the entry the linear oracle would prefer over all
+/// order: rank 0 is the rule the linear oracle would prefer over all
 /// others it ties or beats.
 #[derive(Debug, Clone)]
 pub struct TernaryIndex {
@@ -163,13 +139,16 @@ struct DenseBits {
 #[derive(Debug, Clone)]
 enum TernaryGroup {
     /// One live field of prefix patterns: elementary intervals with the
-    /// winner precomputed, as in [`RangeIndex::Single`].
+    /// winner of each precomputed.
     Interval {
         field: usize,
         /// All bits up to the prefixes' common top bit; key bits above it
         /// are cared about by no pattern.
         domain: u64,
+        /// Elementary cut points (`splidt_ranging::elementary_cuts`).
         cuts: Vec<u64>,
+        /// Interval → winning entry index (`u32::MAX` = miss);
+        /// `cuts.len() + 1` long.
         winners: Vec<u32>,
     },
     /// Bit-parallel candidate rows.
@@ -198,40 +177,6 @@ struct BitFilter {
     rows: Vec<u64>,
 }
 
-/// Elementary-interval range index.
-#[derive(Debug, Clone)]
-pub enum RangeIndex {
-    /// One key field: the winner of every elementary interval is
-    /// precomputed, lookup is a single binary search.
-    Single {
-        /// Elementary cut points (`splidt_ranging::elementary_cuts`).
-        cuts: Vec<u64>,
-        /// Interval → winning entry index (`u32::MAX` = miss);
-        /// `cuts.len() + 1` long.
-        winners: Vec<u32>,
-    },
-    /// Multiple key fields, few entries: rank-ordered early-exit scan
-    /// over flattened bounds.
-    Scan {
-        /// Key width in fields.
-        n_fields: usize,
-        /// Rank → original entry index.
-        entry_of: Vec<u32>,
-        /// Rank-major flattened `(lo, hi)` bounds, `n_fields` per rank.
-        bounds: Vec<(u64, u64)>,
-    },
-    /// Multiple key fields: per-field interval bitmasks intersected via
-    /// fixed-width `u64` words.
-    Multi {
-        /// Bitmask width in words.
-        words: usize,
-        /// Rank → original entry index.
-        entry_of: Vec<u32>,
-        /// Per key field, in match order.
-        fields: Vec<RangeFieldIntervals>,
-    },
-}
-
 /// One precomputed winner per key value of a narrow table. Each field's
 /// *domain* is the smallest all-ones mask covering what the entries
 /// name on it (exact values, ternary care masks, range upper bounds);
@@ -250,24 +195,12 @@ pub struct DirectIndex {
     rows: Vec<u32>,
 }
 
-/// One field's elementary intervals and their candidate bitmasks.
-#[derive(Debug, Clone)]
-pub struct RangeFieldIntervals {
-    cuts: Vec<u64>,
-    /// `(cuts.len() + 1) * words`, interval-major.
-    masks: Vec<u64>,
-}
-
 impl MatchIndex {
     /// Compiles the index for `table`'s current entries.
     pub fn build(table: &Table) -> Self {
-        if let Some(direct) = DirectIndex::build(table) {
-            return MatchIndex::Direct(direct);
-        }
-        match table.spec().kind {
-            MatchKind::Exact => build_exact(table),
-            MatchKind::Ternary => MatchIndex::Ternary(TernaryIndex::build(table)),
-            MatchKind::Range => MatchIndex::Range(RangeIndex::build(table)),
+        match DirectIndex::build(table) {
+            Some(direct) => MatchIndex::Direct(direct),
+            None => MatchIndex::Ternary(TernaryIndex::build(table)),
         }
     }
 
@@ -276,40 +209,20 @@ impl MatchIndex {
     /// as [`Table::lookup_linear_key`](crate::table::Table::lookup_linear_key):
     /// highest priority, ties to the lowest install index.
     ///
-    /// `scratch` is the caller's reusable buffer (touched only by
-    /// multi-field range lookups and wide exact keys); size it with
-    /// [`MatchIndex::mask_words`] to keep the call allocation-free.
+    /// `scratch` is unused: no index needs a buffer. The argument stays
+    /// because the `perf_ledger` benchmark pins this signature.
     #[inline]
-    pub fn lookup(&self, key: &[u64], scratch: &mut Vec<u64>) -> Option<usize> {
-        self.lookup_key(key, scratch)
+    pub fn lookup(&self, key: &[u64], _scratch: &mut Vec<u64>) -> Option<usize> {
+        self.lookup_key(key)
     }
 
     /// [`MatchIndex::lookup`] over any [`Key`]: each index reads only the
     /// components it inspects, where they already are.
     #[inline]
-    pub(crate) fn lookup_key<K: Key + ?Sized>(
-        &self,
-        key: &K,
-        scratch: &mut Vec<u64>,
-    ) -> Option<usize> {
+    pub(crate) fn lookup_key<K: Key + ?Sized>(&self, key: &K) -> Option<usize> {
         match self {
             MatchIndex::Direct(d) => d.lookup(key),
-            MatchIndex::ExactPacked { fields, map } => {
-                map.get(&pack_key(key, *fields)).map(|&i| i as usize)
-            }
-            MatchIndex::ExactWide { map } => map.get(key.gather(scratch)).map(|&i| i as usize),
             MatchIndex::Ternary(t) => t.lookup(key),
-            MatchIndex::Range(r) => r.lookup(key, scratch),
-        }
-    }
-
-    /// Words of scratch this index needs: a multi-field range index's
-    /// intersection width, a wide exact index's key width, else 0.
-    pub fn mask_words(&self) -> usize {
-        match self {
-            MatchIndex::Range(RangeIndex::Multi { words, .. }) => *words,
-            MatchIndex::ExactWide { map } => map.keys().next().map_or(0, Vec::len),
-            _ => 0,
         }
     }
 }
@@ -319,21 +232,12 @@ impl MatchIndex {
 pub(crate) trait Key {
     /// Component `i`.
     fn get(&self, i: usize) -> u64;
-
-    /// All components as one slice, gathered into `scratch` if they are
-    /// not one already.
-    fn gather<'a>(&'a self, scratch: &'a mut Vec<u64>) -> &'a [u64];
 }
 
 impl Key for [u64] {
     #[inline]
     fn get(&self, i: usize) -> u64 {
         self[i]
-    }
-
-    #[inline]
-    fn gather<'a>(&'a self, _scratch: &'a mut Vec<u64>) -> &'a [u64] {
-        self
     }
 }
 
@@ -348,46 +252,6 @@ impl Key for PhvKey<'_> {
     #[inline]
     fn get(&self, i: usize) -> u64 {
         self.values[self.fields[i].index()]
-    }
-
-    #[inline]
-    fn gather<'a>(&'a self, scratch: &'a mut Vec<u64>) -> &'a [u64] {
-        scratch.clear();
-        scratch.extend(self.fields.iter().map(|f| self.values[f.index()]));
-        scratch
-    }
-}
-
-/// Packs ≤ 2 key components into a `u128` (64 bits per lane, so packing
-/// never changes equality semantics vs the `Vec<u64>` representation).
-#[inline]
-fn pack_key<K: Key + ?Sized>(key: &K, fields: usize) -> u128 {
-    let mut packed = key.get(0) as u128;
-    if fields == 2 {
-        packed |= (key.get(1) as u128) << 64;
-    }
-    packed
-}
-
-fn build_exact(table: &Table) -> MatchIndex {
-    let fields = table.spec().key.len();
-    // 0-field keys (the always-hit / default-only idiom) take the wide
-    // path, whose empty-slice map probe is well-defined; pack_key would
-    // index key[0].
-    if (1..=2).contains(&fields) {
-        let mut map = FxHashMap::default();
-        for (i, e) in table.entries().iter().enumerate() {
-            let EntryKey::Exact(v) = &e.key else { unreachable!("exact table") };
-            map.insert(pack_key(v.as_slice(), fields), i as u32);
-        }
-        MatchIndex::ExactPacked { fields, map }
-    } else {
-        let mut map = FxHashMap::default();
-        for (i, e) in table.entries().iter().enumerate() {
-            let EntryKey::Exact(v) = &e.key else { unreachable!("exact table") };
-            map.insert(v.clone(), i as u32);
-        }
-        MatchIndex::ExactWide { map }
     }
 }
 
@@ -455,14 +319,6 @@ impl DirectIndex {
     }
 }
 
-/// Entry indices sorted into rank (preference) order: priority
-/// descending, install index ascending.
-fn rank_order(priorities: &[u32]) -> Vec<u32> {
-    let mut ranks: Vec<u32> = (0..priorities.len() as u32).collect();
-    ranks.sort_by_key(|&i| (Reverse(priorities[i as usize]), i));
-    ranks
-}
-
 /// Elementary cuts of one field's `(range, entry)` list, given in rank
 /// order, and the first-listed entry covering each interval.
 fn interval_winners(ranked: &[((u64, u64), u32)]) -> (Vec<u64>, Vec<u32>) {
@@ -476,13 +332,6 @@ fn interval_winners(ranked: &[((u64, u64), u32)]) -> (Vec<u64>, Vec<u32>) {
         })
         .collect();
     (cuts, winners)
-}
-
-/// The precomputed winner of the elementary interval holding `v`.
-#[inline]
-fn interval_winner(cuts: &[u64], winners: &[u32], v: u64) -> Option<usize> {
-    let w = winners[interval_of(cuts, v)];
-    (w != NONE).then_some(w as usize)
 }
 
 /// The care bits every non-wildcard mask shares: each such pattern's
@@ -523,22 +372,46 @@ struct Rule<'a> {
 impl TernaryIndex {
     fn build(table: &Table) -> Self {
         let n_fields = table.spec().key.len();
-        let entries = table.entries();
-        let patterns = |i: u32| match &entries[i as usize].key {
-            EntryKey::Ternary { fields, .. } => fields.as_slice(),
-            _ => unreachable!("ternary table"),
-        };
-        let priorities: Vec<u32> = entries
-            .iter()
-            .map(|e| match &e.key {
-                EntryKey::Ternary { priority, .. } => *priority,
-                _ => unreachable!("ternary table"),
-            })
-            .collect();
+        // Per rule its `(priority, entry)`, and `n_fields` patterns each.
+        let mut heads: Vec<(u32, u32)> = Vec::new();
+        let mut pats: Vec<Ternary> = Vec::new();
+        for (entry, e) in table.entries().iter().enumerate() {
+            let entry = entry as u32;
+            match &e.key {
+                EntryKey::Exact(values) => {
+                    heads.push((0, entry));
+                    pats.extend(values.iter().map(|&value| Ternary { value, mask: u64::MAX }));
+                }
+                EntryKey::Ternary { fields, priority } => {
+                    heads.push((*priority, entry));
+                    pats.extend_from_slice(fields);
+                }
+                EntryKey::Range { fields, priority } => {
+                    // An empty range covers nothing, so neither does its
+                    // entry.
+                    if fields.iter().any(|&(lo, hi)| lo > hi) {
+                        continue;
+                    }
+                    let covers: Vec<Vec<_>> =
+                        fields.iter().map(|&(lo, hi)| range_to_prefixes(lo, hi, 64)).collect();
+                    for mut r in 0..covers.iter().map(Vec::len).product::<usize>() {
+                        heads.push((*priority, entry));
+                        for cover in &covers {
+                            let p = cover[r % cover.len()];
+                            pats.push(Ternary { value: p.value, mask: p.mask });
+                            r /= cover.len();
+                        }
+                    }
+                }
+            }
+        }
         // Rank order, less the rules `Ternary::matches` can never accept.
-        let rules: Vec<Rule> = rank_order(&priorities)
+        // One entry's rules tie, but they are disjoint.
+        let mut order: Vec<usize> = (0..heads.len()).collect();
+        order.sort_by_key(|&r| (Reverse(heads[r].0), heads[r].1));
+        let rules: Vec<Rule> = order
             .into_iter()
-            .map(|entry| Rule { entry, pats: patterns(entry) })
+            .map(|r| Rule { entry: heads[r].1, pats: &pats[r * n_fields..(r + 1) * n_fields] })
             .filter(|rule| rule.pats.iter().all(|t| t.value & !t.mask == 0))
             .collect();
 
@@ -584,7 +457,8 @@ impl TernaryIndex {
         };
         match &self.groups[group] {
             TernaryGroup::Interval { field, domain, cuts, winners } => {
-                interval_winner(cuts, winners, key.get(*field) & domain)
+                let w = winners[interval_of(cuts, key.get(*field) & domain)];
+                (w != NONE).then_some(w as usize)
             }
             TernaryGroup::Bits(g) => g.lookup(key),
         }
@@ -729,110 +603,6 @@ impl BitGroup {
     }
 }
 
-impl RangeIndex {
-    fn build(table: &Table) -> Self {
-        let n_fields = table.spec().key.len();
-        let entries = table.entries();
-        let n = entries.len();
-        let priorities: Vec<u32> = entries
-            .iter()
-            .map(|e| match &e.key {
-                EntryKey::Range { priority, .. } => *priority,
-                _ => unreachable!("range table"),
-            })
-            .collect();
-        let entry_of = rank_order(&priorities);
-        let field_range = |entry: usize, field: usize| -> (u64, u64) {
-            let EntryKey::Range { fields, .. } = &entries[entry].key else {
-                unreachable!("range table")
-            };
-            fields[field]
-        };
-
-        if n_fields == 1 {
-            let ranked: Vec<_> =
-                entry_of.iter().map(|&e| (field_range(e as usize, 0), e)).collect();
-            let (cuts, winners) = interval_winners(&ranked);
-            return RangeIndex::Single { cuts, winners };
-        }
-
-        if n < RANGE_BITMAP_MIN {
-            let mut bounds = Vec::with_capacity(n * n_fields);
-            for &e in &entry_of {
-                for f in 0..n_fields {
-                    bounds.push(field_range(e as usize, f));
-                }
-            }
-            return RangeIndex::Scan { n_fields, entry_of, bounds };
-        }
-
-        let words = n.div_ceil(64);
-        let fields = (0..n_fields)
-            .map(|f| {
-                let cuts = elementary_cuts((0..n).map(|e| field_range(e, f)));
-                let mut masks = vec![0u64; (cuts.len() + 1) * words];
-                for i in 0..=cuts.len() {
-                    let s = if i == 0 { 0 } else { cuts[i - 1] };
-                    let iv = &mut masks[i * words..(i + 1) * words];
-                    for (rank, &e) in entry_of.iter().enumerate() {
-                        let (lo, hi) = field_range(e as usize, f);
-                        // Elementary intervals never straddle an entry
-                        // boundary, so covering the start covers it all.
-                        if lo <= s && s <= hi {
-                            iv[rank / 64] |= 1 << (rank % 64);
-                        }
-                    }
-                }
-                RangeFieldIntervals { cuts, masks }
-            })
-            .collect();
-        RangeIndex::Multi { words, entry_of, fields }
-    }
-
-    #[inline]
-    fn lookup<K: Key + ?Sized>(&self, key: &K, scratch: &mut Vec<u64>) -> Option<usize> {
-        match self {
-            RangeIndex::Single { cuts, winners } => interval_winner(cuts, winners, key.get(0)),
-            RangeIndex::Scan { n_fields, entry_of, bounds } => {
-                for (rank, &e) in entry_of.iter().enumerate() {
-                    let bs = &bounds[rank * n_fields..(rank + 1) * n_fields];
-                    let inside =
-                        |(i, &(lo, hi)): (usize, &(u64, u64))| (lo..=hi).contains(&key.get(i));
-                    if bs.iter().enumerate().all(inside) {
-                        return Some(e as usize);
-                    }
-                }
-                None
-            }
-            RangeIndex::Multi { words, entry_of, fields } => {
-                if entry_of.is_empty() {
-                    return None;
-                }
-                let i0 = interval_of(&fields[0].cuts, key.get(0));
-                scratch.clear();
-                scratch.extend_from_slice(&fields[0].masks[i0 * words..(i0 + 1) * words]);
-                for (k, f) in fields.iter().enumerate().skip(1) {
-                    let i = interval_of(&f.cuts, key.get(k));
-                    let iv = &f.masks[i * words..(i + 1) * words];
-                    for (s, &m) in scratch.iter_mut().zip(iv) {
-                        *s &= m;
-                    }
-                }
-                // Interval membership is exact per field, so the
-                // intersection needs no verification: lowest rank bit is
-                // the winner.
-                for (w, &word) in scratch.iter().enumerate() {
-                    if word != 0 {
-                        let rank = w * 64 + word.trailing_zeros() as usize;
-                        return Some(entry_of[rank] as usize);
-                    }
-                }
-                None
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -856,26 +626,34 @@ mod tests {
         }
     }
 
+    /// `t` is past the direct budgets, so its entries become ternary
+    /// rules, which must agree with the linear oracle for every probe.
+    fn assert_ternary_equivalent(t: &Table, probes: impl Iterator<Item = Vec<u64>>) {
+        assert!(matches!(MatchIndex::build(t), MatchIndex::Ternary(_)));
+        assert_equivalent(t, probes);
+    }
+
     #[test]
     fn exact_packed_and_wide() {
         let (_l, a, b) = layout2();
-        // 2 fields → packed path.
+        // Two fields over eleven key bits.
         let mut t = Table::new(TableSpec::exact("p", vec![a, b], 64));
         for i in 0..20u64 {
             t.install(EntryKey::Exact(vec![i, i * 3]), Action::new("e")).unwrap();
         }
-        assert!(matches!(MatchIndex::build(&t), MatchIndex::ExactPacked { .. }));
-        assert_equivalent(&t, (0..25u64).flat_map(|i| [vec![i, i * 3], vec![i, i]]));
+        assert_ternary_equivalent(&t, (0..25u64).flat_map(|i| [vec![i, i * 3], vec![i, i]]));
 
-        // 3 fields → wide path.
+        // Three fields.
         let mut l = PhvLayout::new();
         let ks: Vec<_> = (0..3).map(|i| l.add_field(format!("k{i}"), 16)).collect();
         let mut t = Table::new(TableSpec::exact("w", ks, 64));
         for i in 0..20u64 {
             t.install(EntryKey::Exact(vec![i, i + 1, i + 2]), Action::new("e")).unwrap();
         }
-        assert!(matches!(MatchIndex::build(&t), MatchIndex::ExactWide { .. }));
-        assert_equivalent(&t, (0..25u64).flat_map(|i| [vec![i, i + 1, i + 2], vec![i, i, i]]));
+        assert_ternary_equivalent(
+            &t,
+            (0..25u64).flat_map(|i| [vec![i, i + 1, i + 2], vec![i, i, i]]),
+        );
     }
 
     #[test]
@@ -1031,14 +809,17 @@ mod tests {
         )
         .unwrap();
         let idx = MatchIndex::build(&t);
-        assert!(matches!(&idx, MatchIndex::Range(RangeIndex::Single { .. })));
+        assert!(matches!(&idx, MatchIndex::Ternary(_)));
         let mut s = Vec::new();
         assert_eq!(idx.lookup(&[9_999], &mut s), None);
         assert_eq!(idx.lookup(&[12_000], &mut s), Some(0));
         assert_eq!(idx.lookup(&[15_000], &mut s), Some(1), "overlap resolves by priority");
         assert_eq!(idx.lookup(&[30_000], &mut s), Some(1));
         assert_eq!(idx.lookup(&[30_001], &mut s), None);
-        assert_equivalent(&t, (0..40_000u64).step_by(500).flat_map(|v| [vec![v], vec![v + 1]]));
+        assert_ternary_equivalent(
+            &t,
+            (0..40_000u64).step_by(500).flat_map(|v| [vec![v], vec![v + 1]]),
+        );
     }
 
     #[test]
@@ -1062,7 +843,7 @@ mod tests {
         assert_eq!(idx.lookup(&[7, 3], &mut s), Some(0));
         assert_eq!(idx.lookup(&[7, 4], &mut s), Some(1));
         assert_eq!(idx.lookup(&[101, 3], &mut s), None);
-        assert_equivalent(&t, (0..110u64).flat_map(|v| [vec![v, 3], vec![7, v]]));
+        assert_ternary_equivalent(&t, (0..110u64).flat_map(|v| [vec![v, 3], vec![7, v]]));
     }
 
     #[test]
@@ -1079,7 +860,7 @@ mod tests {
             )
             .unwrap();
         }
-        assert_equivalent(&t, (0..240u64).map(|v| vec![v / 2, v]));
+        assert_ternary_equivalent(&t, (0..240u64).map(|v| vec![v / 2, v]));
     }
 
     /// Probes every value of each field up to twice its domain, with
@@ -1163,14 +944,14 @@ mod tests {
         // Eleven key bits.
         let mut t = Table::new(TableSpec::exact("e", vec![a, b], 4));
         t.install(EntryKey::Exact(vec![63, 31]), Action::new("e")).unwrap();
-        assert!(matches!(MatchIndex::build(&t), MatchIndex::ExactPacked { .. }));
+        assert_ternary_equivalent(&t, [63, 64, 63 | 1 << 16].into_iter().map(|x| vec![x, 31]));
         // Ten bits, but 1,025 entries: 2^10 rows × 1,025 oracle steps.
         let mut t = Table::new(TableSpec::ternary("t", vec![a], 2048));
         for i in 0..1025u64 {
             let fields = vec![Ternary::new(i, 0x3FF)];
             t.install(EntryKey::Ternary { fields, priority: 0 }, Action::new("e")).unwrap();
         }
-        assert!(matches!(MatchIndex::build(&t), MatchIndex::Ternary(_)));
+        assert_ternary_equivalent(&t, (0..1100u64).map(|v| vec![v]));
     }
 
     #[test]
@@ -1185,6 +966,45 @@ mod tests {
         let idx = MatchIndex::build(&t);
         assert_eq!(idx.lookup(&[], &mut s), Some(0));
         assert_eq!(t.lookup_linear_key(&[]), Some(0));
+        // A keyless table always fits the direct budget; its entry read
+        // as a ternary rule with no patterns hits too.
+        let idx = MatchIndex::Ternary(TernaryIndex::build(&t));
+        assert_eq!(idx.lookup(&[], &mut s), Some(0));
+    }
+
+    #[test]
+    fn ternary_fallback_keeps_install_order_and_width() {
+        let (_l, a, b) = layout2();
+        // The second entry's prefix cover is many rules; wherever the two
+        // boxes overlap, the first entry wins the priority tie. The third
+        // is empty on field 0, so it never matches.
+        let mut t = Table::new(TableSpec::range("r", vec![a, b], 4));
+        for (fields, priority) in [
+            (vec![(5_000, 9_000), (0, 1_000)], 3),
+            (vec![(1, 60_000), (3, 200)], 3),
+            (vec![(9_000, 5_000), (0, 1_000)], 9),
+        ] {
+            t.install(EntryKey::Range { fields, priority }, Action::new("e")).unwrap();
+        }
+        let MatchIndex::Ternary(ti) = MatchIndex::build(&t) else { panic!("ternary index") };
+        let overlap = (5_000..=9_000u64).flat_map(|x| [3, 100, 200].map(|y| [x, y]));
+        assert!(overlap.into_iter().all(|key| ti.lookup(key.as_slice()) == Some(0)));
+        assert_equivalent(
+            &t,
+            (4_990..9_010u64)
+                .chain(59_990..60_010)
+                .flat_map(|x| [2, 3, 200, 201].map(|y| vec![x, y])),
+        );
+
+        // Eleven key bits of exact values: a bit above the 16-bit field
+        // width misses, as no entry holds such a value.
+        let mut t = Table::new(TableSpec::exact("e", vec![a], 2048));
+        for v in 0..2_000u64 {
+            t.install(EntryKey::Exact(vec![v]), Action::new("e")).unwrap();
+        }
+        assert_ternary_equivalent(&t, (0..2_100u64).flat_map(|v| [vec![v], vec![v | 1 << 16]]));
+        let mut s = Vec::new();
+        assert_eq!(MatchIndex::build(&t).lookup(&[7 | 1 << 16], &mut s), None);
     }
 
     #[test]
@@ -1201,20 +1021,5 @@ mod tests {
             let idx = MatchIndex::build(&t);
             assert_eq!(idx.lookup(&[0, 0][..t.spec().key.len()], &mut s), None);
         }
-    }
-
-    #[test]
-    fn mask_words_sizes_scratch() {
-        let (_l, a, b) = layout2();
-        let mut t = Table::new(TableSpec::range("t", vec![a, b], 256));
-        for i in 0..130u64 {
-            t.install(
-                EntryKey::Range { fields: vec![(i, i), (0, i)], priority: 0 },
-                Action::new("e"),
-            )
-            .unwrap();
-        }
-        let idx = MatchIndex::build(&t);
-        assert_eq!(idx.mask_words(), 3, "130 entries need 3 words");
     }
 }

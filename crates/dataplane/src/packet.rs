@@ -10,8 +10,6 @@
 //! | Ethernet (14B) | shim: ethertype 0x88B5, flow_size:u16 | IPv4 | TCP/UDP | payload |
 //! ```
 
-use bytes::{BufMut, BytesMut};
-
 /// EtherType of the flow-size shim (IEEE 802 local experimental).
 pub const FLOW_SHIM_ETHERTYPE: u16 = 0x88B5;
 /// EtherType for IPv4.
@@ -119,9 +117,9 @@ impl PacketBuilder {
     }
 
     /// Serializes the frame.
-    pub fn build(&self) -> BytesMut {
-        let mut buf = BytesMut::with_capacity(self.frame_len());
-        self.serialize(&mut buf);
+    pub fn build(&self) -> Vec<u8> {
+        let mut buf = Vec::new();
+        self.build_into(&mut buf);
         buf
     }
 
@@ -134,7 +132,8 @@ impl PacketBuilder {
         self.serialize(out);
     }
 
-    fn serialize<B: BufMut>(&self, buf: &mut B) {
+    /// Appends the frame, multi-byte fields in network (big-endian) order.
+    fn serialize(&self, buf: &mut Vec<u8>) {
         let l4_len: u16 = match self.proto {
             IPPROTO_TCP => 20,
             IPPROTO_UDP => 8,
@@ -142,46 +141,40 @@ impl PacketBuilder {
         };
         let ip_total = 20 + l4_len + self.payload_len;
         // Ethernet
-        buf.put_slice(&[0x02, 0, 0, 0, 0, 0x01]); // dst MAC
-        buf.put_slice(&[0x02, 0, 0, 0, 0, 0x02]); // src MAC
+        buf.extend_from_slice(&[0x02, 0, 0, 0, 0, 0x01]); // dst MAC
+        buf.extend_from_slice(&[0x02, 0, 0, 0, 0, 0x02]); // src MAC
         if let Some(fs) = self.flow_size {
-            buf.put_u16(FLOW_SHIM_ETHERTYPE);
-            buf.put_u16(fs);
+            buf.extend_from_slice(&FLOW_SHIM_ETHERTYPE.to_be_bytes());
+            buf.extend_from_slice(&fs.to_be_bytes());
         }
-        buf.put_u16(ETHERTYPE_IPV4);
+        buf.extend_from_slice(&ETHERTYPE_IPV4.to_be_bytes());
         // IPv4 (no options)
-        buf.put_u8(0x45);
-        buf.put_u8(0);
-        buf.put_u16(ip_total);
-        buf.put_u16(0); // id
-        buf.put_u16(0); // flags/frag
-        buf.put_u8(self.ttl);
-        buf.put_u8(self.proto);
-        buf.put_u16(0); // checksum (unverified)
-        buf.put_u32(self.src_ip);
-        buf.put_u32(self.dst_ip);
+        buf.extend_from_slice(&[0x45, 0]); // version/IHL, DSCP/ECN
+        buf.extend_from_slice(&ip_total.to_be_bytes());
+        buf.extend_from_slice(&[0, 0, 0, 0]); // id, flags/frag
+        buf.extend_from_slice(&[self.ttl, self.proto]);
+        buf.extend_from_slice(&[0, 0]); // checksum (unverified)
+        buf.extend_from_slice(&self.src_ip.to_be_bytes());
+        buf.extend_from_slice(&self.dst_ip.to_be_bytes());
         // L4
         match self.proto {
             IPPROTO_TCP => {
-                buf.put_u16(self.src_port);
-                buf.put_u16(self.dst_port);
-                buf.put_u32(0); // seq
-                buf.put_u32(0); // ack
-                buf.put_u8(5 << 4); // data offset
-                buf.put_u8(self.tcp_flags);
-                buf.put_u16(0xFFFF); // window
-                buf.put_u16(0); // checksum
-                buf.put_u16(0); // urgent
+                buf.extend_from_slice(&self.src_port.to_be_bytes());
+                buf.extend_from_slice(&self.dst_port.to_be_bytes());
+                buf.extend_from_slice(&[0; 8]); // seq, ack
+                buf.extend_from_slice(&[5 << 4, self.tcp_flags]); // data offset, flags
+                buf.extend_from_slice(&0xFFFFu16.to_be_bytes()); // window
+                buf.extend_from_slice(&[0; 4]); // checksum, urgent
             }
             IPPROTO_UDP => {
-                buf.put_u16(self.src_port);
-                buf.put_u16(self.dst_port);
-                buf.put_u16(8 + self.payload_len);
-                buf.put_u16(0); // checksum
+                buf.extend_from_slice(&self.src_port.to_be_bytes());
+                buf.extend_from_slice(&self.dst_port.to_be_bytes());
+                buf.extend_from_slice(&(8 + self.payload_len).to_be_bytes());
+                buf.extend_from_slice(&[0, 0]); // checksum
             }
             _ => {}
         }
-        buf.put_bytes(0, self.payload_len as usize);
+        buf.resize(buf.len() + self.payload_len as usize, 0);
     }
 
     /// Total frame length this builder will produce.

@@ -382,9 +382,6 @@ pub struct Pipeline {
     regs: RegisterFile,
     digests: DigestBuf,
     meters: Meters,
-    /// Reusable scratch for the compiled match indexes (sized to the
-    /// most any index needs: see [`crate::index::MatchIndex::mask_words`]).
-    mask_scratch: Vec<u64>,
     /// Preallocated wave arena for burst (stage-major) execution.
     wave: WaveScratch,
 }
@@ -411,10 +408,9 @@ impl Pipeline {
             RegisterFile::new_split(program.registers())
         };
         let plan = ExecPlan::build(&program);
-        let mask_scratch = Vec::with_capacity(plan.max_mask_words());
         let digests = DigestBuf::with_stride(program.digest_fields().len());
         let wave = new_wave(&program, &plan, &regs, 1, 1);
-        Self { program, plan, regs, digests, meters: Meters::default(), mask_scratch, wave }
+        Self { program, plan, regs, digests, meters: Meters::default(), wave }
     }
 
     /// Installs an entry into a table of the **running** pipeline — the
@@ -431,7 +427,6 @@ impl Pipeline {
         assert_eq!(self.wave.len, 0, "install_entry with a wave in flight; wave_flush first");
         self.program.tables_mut()[table.index()].install(key, action)?;
         self.plan = ExecPlan::build(&self.program);
-        self.mask_scratch = Vec::with_capacity(self.plan.max_mask_words());
         // The new entry may stage digests its table never did.
         self.rebuild_wave(self.wave.burst, self.wave.conflict_slots);
         Ok(())
@@ -463,7 +458,7 @@ impl Pipeline {
     ///   MAT, whose entries are policy-determined and identical across
     ///   recompiles.
     ///
-    /// The execution plan, match indexes, and scratch buffers are rebuilt
+    /// The execution plan, match indexes, and wave arena are rebuilt
     /// from the new program — a control-plane cost (same as
     /// [`Pipeline::install_entry`]), never a per-packet one.
     pub fn swap_program(&mut self, mut program: Program, carry_tables: &[(TableId, TableId)]) {
@@ -486,7 +481,6 @@ impl Pipeline {
         self.program = program;
         self.regs = regs;
         self.plan = ExecPlan::build(&self.program);
-        self.mask_scratch = Vec::with_capacity(self.plan.max_mask_words());
         // The arena's PHVs follow the new program's layout; the burst
         // configuration survives the flip.
         self.rebuild_wave(self.wave.burst, self.wave.conflict_slots);
@@ -785,7 +779,7 @@ impl Pipeline {
             return;
         }
         let limit = self.program.resubmit_limit();
-        let Pipeline { program, plan, regs, digests, meters, mask_scratch, wave, .. } = self;
+        let Pipeline { program, plan, regs, digests, meters, wave, .. } = self;
         let tables = program.tables_mut();
         let WaveScratch { pkts, live_lanes, gated_lanes, .. } = wave;
         for pkt in &mut pkts[..n] {
@@ -829,7 +823,7 @@ impl Pipeline {
                         // A one-member step, or a value past an exact
                         // member's field width: slot by slot.
                         for si in step.start..step.end {
-                            visit_slot(plan, si as usize, tables, regs, meters, mask_scratch, pkt);
+                            visit_slot(plan, si as usize, tables, regs, meters, pkt);
                         }
                         continue;
                     };
@@ -1024,13 +1018,12 @@ fn visit_slot(
     tables: &mut [Table],
     regs: &mut RegisterFile,
     meters: &mut Meters,
-    mask_scratch: &mut Vec<u64>,
     pkt: &mut WavePacket,
 ) {
     let slot = &plan.slots()[si];
     let table = &mut tables[slot.table as usize];
     let key = PhvKey { values: pkt.phv.values(), fields: plan.slot_key(si) };
-    let action = match plan.match_index(slot.table as usize).lookup_key(&key, mask_scratch) {
+    let action = match plan.match_index(slot.table as usize).lookup_key(&key) {
         Some(e) => {
             table.record_hit(e);
             plan.entry_action(slot, e)

@@ -66,11 +66,10 @@
 //! `tests/zero_alloc.rs`).
 //!
 //! Alongside the action arena the plan compiles one
-//! [`MatchIndex`] per table — the lookup structures (direct rows for
-//! narrow tables, packed-key exact maps, elementary-interval range
-//! indexes, pivot-dispatched ternary groups) the hot path dispatches
-//! through instead of scanning installed entries; they read each slot's
-//! key in place through its key field ids. Runtime entry
+//! [`MatchIndex`] per table — the lookup structure (direct rows for
+//! narrow tables, pivot-dispatched ternary groups for the rest) the hot
+//! path dispatches through instead of scanning installed entries; each
+//! reads its slot's key in place through the key field ids. Runtime entry
 //! installation goes through
 //! [`Pipeline::install_entry`](crate::pipeline::Pipeline::install_entry),
 //! which invalidates and rebuilds the whole plan (indexes included).
@@ -568,7 +567,7 @@ impl<'a> Run<'a> {
         let mut interned: HashMap<Vec<u32>, u16> = HashMap::new();
         let (mut rows, mut results, mut op_starts, mut ops) =
             (Vec::new(), Vec::new(), vec![0u32], Vec::new());
-        let (mut key, mut scratch) = (Vec::new(), Vec::new());
+        let mut key = Vec::new();
         for row in 0..1usize << bit {
             let combo: Vec<u32> = self
                 .members
@@ -583,7 +582,7 @@ impl<'a> Run<'a> {
                             (row as u64 >> rf.shift) & rf.domain
                         }));
                         let index = plan.match_index(plan.slots[m.slot].table as usize);
-                        index.lookup(&key, &mut scratch).map_or(MISS, |e| e as u32)
+                        index.lookup_key(key.as_slice()).map_or(MISS, |e| e as u32)
                     }
                     RowMode::Entries => winner(m.table, row >> base),
                 })
@@ -685,7 +684,6 @@ pub struct ExecPlan {
     /// Compiled lookup index per table (indexed by table index).
     indexes: Vec<MatchIndex>,
     hash_flow: Option<HashFlowFields>,
-    max_mask_words: usize,
     /// Compile-time flow-bank assignment: each logical register's
     /// `(bank, offset, width)` placement, computed here so cell
     /// addressing (`base + slot * stride + offset`) is fixed before the
@@ -734,7 +732,6 @@ impl ExecPlan {
             }
         }
         let indexes: Vec<MatchIndex> = program.tables().iter().map(MatchIndex::build).collect();
-        let max_mask_words = indexes.iter().map(MatchIndex::mask_words).max().unwrap_or(0);
         let layout = program.layout();
         let (mut ops, mut op_starts, mut owners) = (Vec::new(), vec![0u32], Vec::new());
         for a in &actions {
@@ -778,7 +775,6 @@ impl ExecPlan {
             digest_fields: program.digest_fields().to_vec(),
             indexes,
             hash_flow,
-            max_mask_words,
             bank,
             steps: Vec::new(),
         };
@@ -851,13 +847,6 @@ impl ExecPlan {
     /// carried by [`PlanSlot::table`]).
     pub fn match_index(&self, table: usize) -> &MatchIndex {
         &self.indexes[table]
-    }
-
-    /// The most scratch words any index needs (see
-    /// [`MatchIndex::mask_words`]) — the capacity of the pipeline's
-    /// reusable scratch buffer.
-    pub fn max_mask_words(&self) -> usize {
-        self.max_mask_words
     }
 
     /// The compile-time flow-bank layout (per-register `(bank, offset,

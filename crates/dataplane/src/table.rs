@@ -150,8 +150,10 @@ impl std::error::Error for TableError {}
 /// The table itself resolves lookups by the **linear reference scan**
 /// ([`Table::lookup_linear`]); the packet hot path goes through the
 /// compiled [`MatchIndex`](crate::index::MatchIndex) the
-/// [`ExecPlan`](crate::plan::ExecPlan) builds per table, which is held
-/// equivalent to the scan by the `indexed_lookup_equals_linear` proptest.
+/// [`ExecPlan`](crate::plan::ExecPlan) builds per table — direct rows
+/// when the entries span few key bits, otherwise ternary rules, whatever
+/// the table's kind — which is held equivalent to the scan by the
+/// `indexed_lookup_equals_linear` proptest.
 #[derive(Debug, Clone)]
 pub struct Table {
     spec: TableSpec,

@@ -1,11 +1,8 @@
-//! Bagged random forests: a classifier (used by ablations) and a regressor
-//! with predictive mean/variance (the Bayesian-optimization surrogate in
-//! `splidt-search`, mirroring HyperMapper's random-forest surrogate).
+//! Bagged random regression forests with predictive mean/variance: the
+//! Bayesian-optimization surrogate in `splidt-search`, mirroring
+//! HyperMapper's random-forest surrogate.
 
-use crate::dataset::Dataset;
 use crate::regress::{train_regressor, RegressParams, RegressionTree};
-use crate::train::{train_classifier_on, TrainParams};
-use crate::tree::Tree;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -50,53 +47,6 @@ fn features_for_tree(rng: &mut SmallRng, n_features: usize, per_tree: usize) -> 
 fn bootstrap(rng: &mut SmallRng, n: usize, frac: f64) -> Vec<usize> {
     let m = ((n as f64) * frac).round().max(1.0) as usize;
     (0..m).map(|_| rng.random_range(0..n)).collect()
-}
-
-/// A bagged classification forest (majority vote).
-#[derive(Debug, Clone)]
-pub struct ForestClassifier {
-    trees: Vec<Tree>,
-    n_classes: usize,
-}
-
-impl ForestClassifier {
-    /// Trains a forest on the dataset.
-    pub fn train(data: &Dataset, params: &ForestParams) -> Self {
-        let mut rng = SmallRng::seed_from_u64(params.seed);
-        let mut trees = Vec::with_capacity(params.n_trees);
-        for _ in 0..params.n_trees {
-            let feats = features_for_tree(&mut rng, data.n_features(), params.features_per_tree);
-            let samples = bootstrap(&mut rng, data.n_samples(), params.sample_frac);
-            let view = data.view_of(samples);
-            let tp = TrainParams {
-                max_depth: params.max_depth,
-                allowed_features: Some(feats),
-                ..TrainParams::default()
-            };
-            trees.push(train_classifier_on(&view, &tp));
-        }
-        Self { trees, n_classes: data.n_classes() }
-    }
-
-    /// Majority-vote prediction.
-    pub fn predict(&self, row: &[f32]) -> u16 {
-        let mut votes = vec![0usize; self.n_classes];
-        for t in &self.trees {
-            votes[t.predict(row) as usize] += 1;
-        }
-        let mut best = 0usize;
-        for (c, &v) in votes.iter().enumerate() {
-            if v > votes[best] {
-                best = c;
-            }
-        }
-        best as u16
-    }
-
-    /// Number of trees.
-    pub fn n_trees(&self) -> usize {
-        self.trees.len()
-    }
 }
 
 /// A bagged regression forest with predictive mean and variance.
@@ -156,41 +106,6 @@ impl ForestRegressor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dataset::Dataset;
-
-    fn noisy_grid(seed: u64) -> Dataset {
-        let mut rng = SmallRng::seed_from_u64(seed);
-        let mut rows = Vec::new();
-        let mut labels = Vec::new();
-        for _ in 0..400 {
-            let a: f32 = rng.random_range(0.0..10.0);
-            let b: f32 = rng.random_range(0.0..10.0);
-            let noise: f32 = rng.random_range(0.0..10.0);
-            rows.push(vec![a, b, noise]);
-            labels.push((u16::from(a >= 5.0) << 1) | u16::from(b >= 5.0));
-        }
-        Dataset::from_rows(&rows, &labels, None).unwrap()
-    }
-
-    #[test]
-    fn classifier_beats_chance() {
-        let ds = noisy_grid(1);
-        let f = ForestClassifier::train(&ds, &ForestParams { n_trees: 16, ..Default::default() });
-        let correct = (0..ds.n_samples()).filter(|&i| f.predict(ds.row(i)) == ds.label(i)).count();
-        assert!(correct as f64 / ds.n_samples() as f64 > 0.9, "{correct}/400");
-        assert_eq!(f.n_trees(), 16);
-    }
-
-    #[test]
-    fn classifier_deterministic_given_seed() {
-        let ds = noisy_grid(2);
-        let p = ForestParams { n_trees: 8, seed: 7, ..Default::default() };
-        let f1 = ForestClassifier::train(&ds, &p);
-        let f2 = ForestClassifier::train(&ds, &p);
-        for i in 0..ds.n_samples() {
-            assert_eq!(f1.predict(ds.row(i)), f2.predict(ds.row(i)));
-        }
-    }
 
     #[test]
     fn regressor_mean_tracks_target() {

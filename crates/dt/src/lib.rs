@@ -48,7 +48,7 @@ pub mod train;
 pub mod tree;
 
 pub use dataset::{Dataset, DatasetView};
-pub use forest::{ForestClassifier, ForestParams, ForestRegressor};
+pub use forest::{ForestParams, ForestRegressor};
 pub use importance::{feature_importance, top_k_features};
 pub use regress::{train_regressor, RegressionTree};
 pub use stream::{SplitCandidate, StreamParams, StreamTree};

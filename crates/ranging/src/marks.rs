@@ -134,8 +134,8 @@ impl ThermometerEncoder {
 ///
 /// This is the same decomposition [`ThermometerEncoder::elementary_ranges`]
 /// performs for threshold sets, generalized to arbitrary (possibly
-/// overlapping) `[lo, hi]` ranges; the dataplane's compiled range index is
-/// built on it.
+/// overlapping) `[lo, hi]` ranges; the dataplane's ternary index resolves
+/// its prefix groups with it.
 pub fn elementary_cuts(ranges: impl IntoIterator<Item = (u64, u64)>) -> Vec<u64> {
     let mut cuts = Vec::new();
     for (lo, hi) in ranges {

@@ -21,8 +21,8 @@ use splidt::ranging::{generate_rules, range_to_prefixes, ThermometerEncoder};
 /// into plan steps or are cut by a write to a later key or the gate.
 /// About half the tables, mostly in runs, are gated on `f3`. Returns
 /// the program and its metadata fields. About half the tables draw some entry values and patterns
-/// wide, up to 2^12, past the direct-index budget, so the hashed,
-/// ternary and range indexes run too.
+/// wide, up to 2^12, past the direct-index budget, so the ternary index
+/// runs too, over exact and range entries as well as ternary ones.
 fn random_program(rng: &mut rand::rngs::SmallRng) -> (Program, Vec<FieldId>) {
     use rand::Rng;
     let mut b = ProgramBuilder::new();
@@ -381,8 +381,10 @@ proptest! {
     /// specialises on: see `compiler_shaped_ternary`. About half the
     /// random tables are narrow — values, care masks and range bounds of
     /// at most 4 bits per field — so one- and two-field ones take the
-    /// direct index, and probes carry bits above both the table's domain
-    /// and the 16-bit field width.
+    /// direct index. The wide ones take the ternary index whatever their
+    /// kind: exact entries as full-mask rules, range entries as their
+    /// prefix covers. Probes carry bits above both the table's domain and
+    /// the 16-bit field width.
     #[test]
     fn indexed_lookup_equals_linear(seed in 0u64..600) {
         use rand::rngs::SmallRng;
