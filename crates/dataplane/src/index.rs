@@ -55,6 +55,16 @@
 //! per-candidate priority comparison. The rules one entry expands into
 //! are disjoint, so their order among themselves does not matter.
 //!
+//! One [`TernaryIndex`] may hold the rules of several *member* tables
+//! that key on one field list: a plan step whose tables share a key
+//! probes them all at once ([`TernaryIndex::lookup_each`]). Ranks are
+//! then **member-major** — member 0's rules in rank order, then member
+//! 1's — so one pivot dispatch and one AND of each filter row serve every
+//! member. Walking the survivors in rank order, a member's first rule
+//! that passes verification is its winner and the rest of its rules are
+//! skipped; an interval group stores one winner per member per interval.
+//! A table's own index is the one-member case.
+//!
 //! Lookups read key component `i` through one accessor, `Key::get`: the
 //! pinned [`MatchIndex::lookup`] passes a slice of values, and the wave
 //! executor a view of the packet's PHV through the slot's key field ids,
@@ -67,7 +77,8 @@
 //! through `Ternary`'s public fields): those are dropped at build time.
 //! The `indexed_lookup_equals_linear` proptest holds the two paths
 //! equivalent over random and compiler-shaped table contents, priorities
-//! (including ties) and key streams.
+//! (including ties) and key streams, and `shared_lookup_equals_linear`
+//! holds every member of a shared index to its own table's oracle.
 //!
 //! [`Table::lookup_linear`]: crate::table::Table::lookup_linear
 
@@ -113,11 +124,15 @@ pub enum MatchIndex {
     Ternary(TernaryIndex),
 }
 
-/// Pivot-dispatched ternary index. Every group lists its rules in rank
-/// order: rank 0 is the rule the linear oracle would prefer over all
+/// Pivot-dispatched ternary index over the rules of one or more
+/// *member* tables that key on one field list. Every group lists its
+/// rules in rank order, member-major: member 0's rules first, and within
+/// a member rank 0 is the rule the linear oracle would prefer over all
 /// others it ties or beats.
 #[derive(Debug, Clone)]
 pub struct TernaryIndex {
+    /// How many tables' rules it holds; a table's own index holds one.
+    members: usize,
     /// The field the rules are split on; `None` when no field's shared
     /// care bits split them (the table is then `groups[0]` alone).
     pivot: Option<DenseBits>,
@@ -147,8 +162,8 @@ enum TernaryGroup {
         domain: u64,
         /// Elementary cut points (`splidt_ranging::elementary_cuts`).
         cuts: Vec<u64>,
-        /// Interval → winning entry index (`u32::MAX` = miss);
-        /// `cuts.len() + 1` long.
+        /// Interval-major, one per member: each member's winning entry
+        /// index (`u32::MAX` = miss); `(cuts.len() + 1) * members` long.
         winners: Vec<u32>,
     },
     /// Bit-parallel candidate rows.
@@ -159,6 +174,8 @@ enum TernaryGroup {
 struct BitGroup {
     /// Group rank → original entry index (what the pipeline hit-counts).
     entry_of: Vec<u32>,
+    /// Per member, the group rank its rules end at (exclusive).
+    member_ends: Vec<u32>,
     /// Row width in `u64` words (⌈rules / 64⌉).
     words: usize,
     filters: Vec<BitFilter>,
@@ -200,7 +217,7 @@ impl MatchIndex {
     pub fn build(table: &Table) -> Self {
         match DirectIndex::build(table) {
             Some(direct) => MatchIndex::Direct(direct),
-            None => MatchIndex::Ternary(TernaryIndex::build(table)),
+            None => MatchIndex::Ternary(TernaryIndex::build(&[table])),
         }
     }
 
@@ -319,18 +336,22 @@ impl DirectIndex {
     }
 }
 
-/// Elementary cuts of one field's `(range, entry)` list, given in rank
-/// order, and the first-listed entry covering each interval.
-fn interval_winners(ranked: &[((u64, u64), u32)]) -> (Vec<u64>, Vec<u32>) {
+/// Elementary cuts of one field's `(range, member, entry)` list, given
+/// in rank order, and per interval each member's first-listed entry
+/// covering it.
+fn interval_winners(ranked: &[((u64, u64), u32, u32)], members: usize) -> (Vec<u64>, Vec<u32>) {
     let cuts = elementary_cuts(ranked.iter().map(|r| r.0));
-    let winners = (0..=cuts.len())
-        .map(|i| {
-            // Elementary intervals never straddle a range boundary, so
-            // covering the start covers it all.
-            let start = if i == 0 { 0 } else { cuts[i - 1] };
-            ranked.iter().find(|((lo, hi), _)| *lo <= start && start <= *hi).map_or(NONE, |r| r.1)
-        })
-        .collect();
+    let mut winners = vec![NONE; (cuts.len() + 1) * members];
+    for (i, won) in winners.chunks_exact_mut(members).enumerate() {
+        // Elementary intervals never straddle a range boundary, so
+        // covering the start covers it all.
+        let start = if i == 0 { 0 } else { cuts[i - 1] };
+        for &((lo, hi), member, entry) in ranked.iter().rev() {
+            if lo <= start && start <= hi {
+                won[member as usize] = entry;
+            }
+        }
+    }
     (cuts, winners)
 }
 
@@ -362,62 +383,79 @@ impl DenseBits {
     }
 }
 
-/// One ternary rule: its entry index and per-field patterns.
+/// One ternary rule: its member table, entry index and per-field
+/// patterns.
 #[derive(Clone, Copy)]
 struct Rule<'a> {
+    member: u32,
     entry: u32,
     pats: &'a [Ternary],
 }
 
 impl TernaryIndex {
-    fn build(table: &Table) -> Self {
-        let n_fields = table.spec().key.len();
-        // Per rule its `(priority, entry)`, and `n_fields` patterns each.
-        let mut heads: Vec<(u32, u32)> = Vec::new();
+    /// Compiles the rules of `tables` (member `j` is `tables[j]`): one
+    /// probe then finds every member's winner
+    /// ([`TernaryIndex::lookup_each`]).
+    ///
+    /// # Panics
+    ///
+    /// If the tables do not all key on one field list.
+    pub fn build(tables: &[&Table]) -> Self {
+        let n_fields = tables.first().map_or(0, |t| t.spec().key.len());
+        assert!(
+            tables.iter().all(|t| t.spec().key == tables[0].spec().key),
+            "a shared ternary index needs one key field list"
+        );
+        // Per rule its `(member, priority, entry)`, and `n_fields` patterns
+        // each.
+        let mut heads: Vec<(u32, u32, u32)> = Vec::new();
         let mut pats: Vec<Ternary> = Vec::new();
-        for (entry, e) in table.entries().iter().enumerate() {
-            let entry = entry as u32;
-            match &e.key {
-                EntryKey::Exact(values) => {
-                    heads.push((0, entry));
-                    pats.extend(values.iter().map(|&value| Ternary { value, mask: u64::MAX }));
-                }
-                EntryKey::Ternary { fields, priority } => {
-                    heads.push((*priority, entry));
-                    pats.extend_from_slice(fields);
-                }
-                EntryKey::Range { fields, priority } => {
-                    // An empty range covers nothing, so neither does its
-                    // entry.
-                    if fields.iter().any(|&(lo, hi)| lo > hi) {
-                        continue;
+        for (member, table) in tables.iter().enumerate() {
+            let member = member as u32;
+            for (entry, e) in table.entries().iter().enumerate() {
+                let entry = entry as u32;
+                match &e.key {
+                    EntryKey::Exact(values) => {
+                        heads.push((member, 0, entry));
+                        pats.extend(values.iter().map(|&value| Ternary { value, mask: u64::MAX }));
                     }
-                    let covers: Vec<Vec<_>> =
-                        fields.iter().map(|&(lo, hi)| range_to_prefixes(lo, hi, 64)).collect();
-                    for mut r in 0..covers.iter().map(Vec::len).product::<usize>() {
-                        heads.push((*priority, entry));
-                        for cover in &covers {
-                            let p = cover[r % cover.len()];
-                            pats.push(Ternary { value: p.value, mask: p.mask });
-                            r /= cover.len();
+                    EntryKey::Ternary { fields, priority } => {
+                        heads.push((member, *priority, entry));
+                        pats.extend_from_slice(fields);
+                    }
+                    EntryKey::Range { fields, priority } => {
+                        let covers: Vec<Vec<_>> =
+                            fields.iter().map(|&(lo, hi)| range_to_prefixes(lo, hi, 64)).collect();
+                        for mut r in 0..covers.iter().map(Vec::len).product::<usize>() {
+                            heads.push((member, *priority, entry));
+                            for cover in &covers {
+                                let p = cover[r % cover.len()];
+                                pats.push(Ternary { value: p.value, mask: p.mask });
+                                r /= cover.len();
+                            }
                         }
                     }
                 }
             }
         }
-        // Rank order, less the rules `Ternary::matches` can never accept.
-        // One entry's rules tie, but they are disjoint.
+        // Rank order, member-major, less the rules `Ternary::matches` can
+        // never accept. One entry's rules tie, but they are disjoint.
         let mut order: Vec<usize> = (0..heads.len()).collect();
-        order.sort_by_key(|&r| (Reverse(heads[r].0), heads[r].1));
+        order.sort_by_key(|&r| (heads[r].0, Reverse(heads[r].1), heads[r].2));
         let rules: Vec<Rule> = order
             .into_iter()
-            .map(|r| Rule { entry: heads[r].1, pats: &pats[r * n_fields..(r + 1) * n_fields] })
+            .map(|r| Rule {
+                member: heads[r].0,
+                entry: heads[r].2,
+                pats: &pats[r * n_fields..(r + 1) * n_fields],
+            })
             .filter(|rule| rule.pats.iter().all(|t| t.value & !t.mask == 0))
             .collect();
 
+        let members = tables.len();
         let Some(pivot) = choose_pivot(n_fields, &rules) else {
-            let groups = vec![TernaryGroup::build(n_fields, &rules, None)];
-            return Self { pivot: None, dispatch: Vec::new(), groups };
+            let groups = vec![TernaryGroup::build(n_fields, members, &rules, None)];
+            return Self { members, pivot: None, dispatch: Vec::new(), groups };
         };
         // Rules naming a pivot value, by dispatch row; the rest can win
         // under any value and join every group at their rank.
@@ -430,8 +468,8 @@ impl TernaryIndex {
             }
         }
         let group_of = |ranks: &[usize]| {
-            let members: Vec<Rule> = ranks.iter().map(|&r| rules[r]).collect();
-            TernaryGroup::build(n_fields, &members, Some(&pivot))
+            let group: Vec<Rule> = ranks.iter().map(|&r| rules[r]).collect();
+            TernaryGroup::build(n_fields, members, &group, Some(&pivot))
         };
         let mut groups = vec![group_of(&wild)];
         let dispatch = named
@@ -446,22 +484,41 @@ impl TernaryIndex {
                 groups.len() as u32 - 1
             })
             .collect();
-        Self { pivot: Some(pivot), dispatch, groups }
+        Self { members, pivot: Some(pivot), dispatch, groups }
     }
 
+    /// Looks up pre-materialized key values once for every member:
+    /// `out[j]` becomes member `j`'s winning entry index under
+    /// [`Table::lookup_linear_key`]'s semantics, or `u32::MAX` on a miss.
+    /// `out` holds one slot per member.
+    pub fn lookup_each(&self, key: &[u64], out: &mut [u32]) {
+        self.winners(key, out)
+    }
+
+    /// [`TernaryIndex::lookup_each`] over any [`Key`].
     #[inline]
-    fn lookup<K: Key + ?Sized>(&self, key: &K) -> Option<usize> {
+    pub(crate) fn winners<K: Key + ?Sized>(&self, key: &K, out: &mut [u32]) {
+        debug_assert_eq!(out.len(), self.members);
         let group = match &self.pivot {
             Some(p) => self.dispatch[p.row_of(key.get(p.field))] as usize,
             None => 0,
         };
         match &self.groups[group] {
             TernaryGroup::Interval { field, domain, cuts, winners } => {
-                let w = winners[interval_of(cuts, key.get(*field) & domain)];
-                (w != NONE).then_some(w as usize)
+                let i = interval_of(cuts, key.get(*field) & domain);
+                for (o, &w) in out.iter_mut().zip(&winners[i * self.members..]) {
+                    *o = w;
+                }
             }
-            TernaryGroup::Bits(g) => g.lookup(key),
+            TernaryGroup::Bits(g) => g.winners(key, out),
         }
+    }
+
+    #[inline]
+    fn lookup<K: Key + ?Sized>(&self, key: &K) -> Option<usize> {
+        let mut out = [NONE];
+        self.winners(key, &mut out);
+        (out[0] != NONE).then_some(out[0] as usize)
     }
 }
 
@@ -506,10 +563,10 @@ fn prefix_domain(masks: impl Iterator<Item = u64>) -> Option<u64> {
 }
 
 impl TernaryGroup {
-    /// Compiles `rules` (rank order). Under a pivot every rule already
-    /// agrees with the key on the pivot's bits, so those count as
-    /// wildcard here.
-    fn build(n_fields: usize, rules: &[Rule], pivot: Option<&DenseBits>) -> Self {
+    /// Compiles `rules` (rank order) of `members` tables. Under a pivot
+    /// every rule already agrees with the key on the pivot's bits, so
+    /// those count as wildcard here.
+    fn build(n_fields: usize, members: usize, rules: &[Rule], pivot: Option<&DenseBits>) -> Self {
         let words = rules.len().div_ceil(64);
         let mut filters = Vec::new();
         let mut verify_fields = Vec::new();
@@ -556,10 +613,10 @@ impl TernaryGroup {
                     .map(|rule| {
                         let mask = open_at(rule, field);
                         let lo = rule.pats[field].value & mask;
-                        ((lo, lo | (domain & !mask)), rule.entry)
+                        ((lo, lo | (domain & !mask)), rule.member, rule.entry)
                     })
                     .collect();
-                let (cuts, winners) = interval_winners(&ranked);
+                let (cuts, winners) = interval_winners(&ranked, members);
                 return TernaryGroup::Interval { field, domain, cuts, winners };
             }
         }
@@ -568,6 +625,9 @@ impl TernaryGroup {
             rules.iter().flat_map(|r| verify_fields.iter().map(|&f| r.pats[f])).collect();
         TernaryGroup::Bits(BitGroup {
             entry_of: rules.iter().map(|r| r.entry).collect(),
+            member_ends: (0..members as u32)
+                .map(|m| rules.partition_point(|r| r.member <= m) as u32)
+                .collect(),
             words,
             filters,
             verify_fields,
@@ -577,29 +637,50 @@ impl TernaryGroup {
 }
 
 impl BitGroup {
+    /// Fills `out` with each member's winner: its first candidate, in
+    /// rank order, that passes verification.
     #[inline]
-    fn lookup<K: Key + ?Sized>(&self, key: &K) -> Option<usize> {
+    fn winners<K: Key + ?Sized>(&self, key: &K, out: &mut [u32]) {
+        out.fill(NONE);
         let n_verify = self.verify_fields.len();
+        // The first rank whose member is still undecided, and that member.
+        let (mut from, mut member) = (0, 0);
         for w in 0..self.words {
-            // All of this word's rules, then every filter's row ANDed in
-            // without looking at the running result.
+            if from >= (w + 1) * 64 {
+                continue;
+            }
+            // This word's undecided rules, then every filter's row ANDed
+            // in without looking at the running result.
             let rules = self.entry_of.len() - w * 64;
             let mut cand = if rules >= 64 { !0 } else { (1u64 << rules) - 1 };
+            cand &= !0 << from.saturating_sub(w * 64);
             for f in &self.filters {
                 cand &= f.rows[f.bits.row_of(key.get(f.bits.field)) * self.words + w];
             }
-            // Survivors in rank order; the first to match on the fields
-            // no filter decided is the highest-priority true match.
+            // Survivors in rank order; a member's first to match on the
+            // fields no filter decided is its highest-priority true match.
             while cand != 0 {
                 let rank = w * 64 + cand.trailing_zeros() as usize;
                 cand &= cand - 1;
                 let pats = &self.verify_pats[rank * n_verify..(rank + 1) * n_verify];
-                if self.verify_fields.iter().zip(pats).all(|(&f, t)| t.matches(key.get(f))) {
-                    return Some(self.entry_of[rank] as usize);
+                if !self.verify_fields.iter().zip(pats).all(|(&f, t)| t.matches(key.get(f))) {
+                    continue;
                 }
+                while rank >= self.member_ends[member] as usize {
+                    member += 1;
+                }
+                out[member] = self.entry_of[rank];
+                if member + 1 == out.len() {
+                    return;
+                }
+                // Skip the rest of this member's rules.
+                from = self.member_ends[member] as usize;
+                if from >= (w + 1) * 64 {
+                    break;
+                }
+                cand &= !0 << (from - w * 64);
             }
         }
-        None
     }
 }
 
@@ -968,7 +1049,7 @@ mod tests {
         assert_eq!(t.lookup_linear_key(&[]), Some(0));
         // A keyless table always fits the direct budget; its entry read
         // as a ternary rule with no patterns hits too.
-        let idx = MatchIndex::Ternary(TernaryIndex::build(&t));
+        let idx = MatchIndex::Ternary(TernaryIndex::build(&[&t]));
         assert_eq!(idx.lookup(&[], &mut s), Some(0));
     }
 
@@ -977,15 +1058,19 @@ mod tests {
         let (_l, a, b) = layout2();
         // The second entry's prefix cover is many rules; wherever the two
         // boxes overlap, the first entry wins the priority tie. The third
-        // is empty on field 0, so it never matches.
+        // is empty on field 0: it could never match, so install refuses it.
         let mut t = Table::new(TableSpec::range("r", vec![a, b], 4));
-        for (fields, priority) in [
-            (vec![(5_000, 9_000), (0, 1_000)], 3),
-            (vec![(1, 60_000), (3, 200)], 3),
-            (vec![(9_000, 5_000), (0, 1_000)], 9),
-        ] {
+        for (fields, priority) in
+            [(vec![(5_000, 9_000), (0, 1_000)], 3), (vec![(1, 60_000), (3, 200)], 3)]
+        {
             t.install(EntryKey::Range { fields, priority }, Action::new("e")).unwrap();
         }
+        let empty = EntryKey::Range { fields: vec![(9_000, 5_000), (0, 1_000)], priority: 9 };
+        assert_eq!(
+            t.install(empty, Action::new("e")),
+            Err(crate::table::TableError::EmptyRange { table: "r".into() })
+        );
+        assert_eq!(t.n_entries(), 2);
         let MatchIndex::Ternary(ti) = MatchIndex::build(&t) else { panic!("ternary index") };
         let overlap = (5_000..=9_000u64).flat_map(|x| [3, 100, 200].map(|y| [x, y]));
         assert!(overlap.into_iter().all(|key| ti.lookup(key.as_slice()) == Some(0)));

@@ -30,7 +30,7 @@ use crate::action::{Action, AluOut, Primitive, Source};
 use crate::index::PhvKey;
 use crate::parser::{parse, parse_into, ParseError, StandardFields};
 use crate::phv::{FieldId, Phv, PhvLayout};
-use crate::plan::{ExecPlan, HashFlowFields, Op, OwnerOp, MISS};
+use crate::plan::{ExecPlan, HashFlowFields, Op, OwnerOp, StepProbe, MISS, SHARED_MAX};
 use crate::program::Program;
 use crate::register::RegisterFile;
 use crate::table::{EntryKey, Table, TableError, TableId};
@@ -757,14 +757,16 @@ impl Pipeline {
     /// order takes each packet through the step in a single visit, as a
     /// packet's visit to a match-action stage is one step. A fused step
     /// reads the packet's row from its key fields in place, counts every
-    /// member's hit or miss and runs the row's combo ops; a one-member
-    /// step looks the key up in its table's match index, counts the hit
-    /// or miss and runs the action's ops. An ungated step visits the
-    /// live lanes, built once per pass, so later passes skip finished
-    /// packets; a gated one visits the live packets whose gate field
-    /// reads 1, rebuilt only where a different gate or a write to this
-    /// one may have changed them. A gated-off packet gets no lookup, no
-    /// action and neither a hit nor a miss.
+    /// member's hit or miss and runs the row's combo ops; a shared-key
+    /// step probes its one ternary index for every member's winner, then
+    /// per member in slot order counts the hit or miss and runs the
+    /// action's ops; a one-member step looks the key up in its table's
+    /// match index, counts the hit or miss and runs the action's ops. An
+    /// ungated step visits the live lanes, built once per pass, so later
+    /// passes skip finished packets; a gated one visits the live packets
+    /// whose gate field reads 1, rebuilt only where a different gate or a
+    /// write to this one may have changed them. A gated-off packet gets
+    /// no lookup, no action and neither a hit nor a miss.
     /// The loop reads the plan only, so it holds the tables mutably for
     /// the counters. Fusing the visits is exact: a lookup reads only its
     /// own packet's PHV and the immutable entries, the counters commute,
@@ -815,26 +817,47 @@ impl Pipeline {
                     }
                 };
                 let members = &plan.slots()[step.start as usize..step.end as usize];
-                for &i in lanes {
-                    let pkt = &mut pkts[i as usize];
-                    let combo =
-                        step.fused.as_ref().and_then(|f| Some((f, f.combo(pkt.phv.values())?)));
-                    let Some((fused, c)) = combo else {
-                        // A one-member step, or a value past an exact
-                        // member's field width: slot by slot.
-                        for si in step.start..step.end {
-                            visit_slot(plan, si as usize, tables, regs, meters, pkt);
-                        }
-                        continue;
-                    };
-                    for (slot, &e) in members.iter().zip(fused.results(c)) {
-                        let table = &mut tables[slot.table as usize];
-                        match e {
-                            MISS => table.record_miss(),
-                            e => table.record_hit(e as usize),
+                match &step.probe {
+                    StepProbe::Slot => {
+                        for &i in lanes {
+                            let pkt = &mut pkts[i as usize];
+                            visit_slot(plan, step.start as usize, tables, regs, meters, pkt);
                         }
                     }
-                    exec_ops(plan, fused.ops(c), regs, meters, pkt);
+                    StepProbe::Fused(fused) => {
+                        for &i in lanes {
+                            let pkt = &mut pkts[i as usize];
+                            let Some(c) = fused.combo(pkt.phv.values()) else {
+                                // A value past an exact member's field
+                                // width: slot by slot.
+                                for si in step.start..step.end {
+                                    visit_slot(plan, si as usize, tables, regs, meters, pkt);
+                                }
+                                continue;
+                            };
+                            for (slot, &e) in members.iter().zip(fused.results(c)) {
+                                record(&mut tables[slot.table as usize], e);
+                            }
+                            exec_ops(plan, fused.ops(c), regs, meters, pkt);
+                        }
+                    }
+                    StepProbe::Shared(index) => {
+                        let key = plan.slot_key(step.start as usize);
+                        for &i in lanes {
+                            let pkt = &mut pkts[i as usize];
+                            let mut won = [MISS; SHARED_MAX];
+                            let won = &mut won[..members.len()];
+                            index.winners(&PhvKey { values: pkt.phv.values(), fields: key }, won);
+                            for (slot, &e) in members.iter().zip(won.iter()) {
+                                record(&mut tables[slot.table as usize], e);
+                                let action = match e {
+                                    MISS => slot.default_action,
+                                    e => plan.entry_action(slot, e as usize),
+                                };
+                                exec_ops(plan, plan.ops(action), regs, meters, pkt);
+                            }
+                        }
+                    }
                 }
             }
             for pkt in &mut pkts[..n] {
@@ -1034,6 +1057,15 @@ fn visit_slot(
         }
     };
     exec_ops(plan, plan.ops(action), regs, meters, pkt);
+}
+
+/// Counts a step member's hit on entry `e`, or its miss.
+#[inline]
+fn record(table: &mut Table, e: u32) {
+    match e {
+        MISS => table.record_miss(),
+        e => table.record_hit(e as usize),
+    }
 }
 
 /// Runs pre-resolved ops (an interned action's, or a fused step's
@@ -1295,6 +1327,44 @@ mod tests {
     use crate::register::RegisterSpec;
     use crate::table::TableSpec;
     use crate::tcam::Ternary;
+
+    /// A shared-key step probes once, before any member's ops run: every
+    /// member's winner is the one for the key as the step began. Here
+    /// `t0` rewrites the key `t1` reads, so rule (b) keeps the plan from
+    /// sharing them and the entry walk sees the rewrite; forced into one
+    /// shared step, `t1` must not.
+    #[test]
+    fn shared_step_probes_before_any_member_ops() {
+        use crate::index::TernaryIndex;
+        use crate::plan::Step;
+        let mut b = ProgramBuilder::new();
+        let (w, out) = (b.add_meta("w", 16), b.add_meta("out", 8));
+        let t0 = b.add_table(TableSpec::ternary("t0", vec![w], 8), 0);
+        let t1 = b.add_table(TableSpec::ternary("t1", vec![w], 8), 0);
+        let entry = |b: &mut ProgramBuilder, t, v: u64, action: Action| {
+            b.add_ternary_entry(t, vec![Ternary::new(v, 0xF00)], 0, action).unwrap();
+        };
+        entry(&mut b, t0, 0x100, Action::new("rewrite").with(Primitive::set_const(w, 0x200)));
+        entry(&mut b, t1, 0x100, Action::new("one").with(Primitive::set_const(out, 1)));
+        entry(&mut b, t1, 0x200, Action::new("two").with(Primitive::set_const(out, 2)));
+        let p = b.build().unwrap();
+        let mut phv = p.layout().new_phv();
+        phv.set(w, 0x100);
+        let mut walk = Pipeline::new(p.clone());
+        assert_eq!(walk.process_phv_entrywalk(phv.clone(), 0).phv.get(out), 2);
+
+        let mut pipe = Pipeline::new(p.clone());
+        let shared = TernaryIndex::build(&[&p.tables()[0], &p.tables()[1]]);
+        *pipe.plan.exec_steps_mut() = vec![Step {
+            start: 0,
+            end: 2,
+            gate: None,
+            fresh_gate: false,
+            probe: StepProbe::Shared(shared),
+        }];
+        let o = pipe.process_phv(phv, 0);
+        assert_eq!((o.phv.get(w), o.phv.get(out)), (0x200, 1));
+    }
 
     #[test]
     fn register_accumulation_across_packets() {

@@ -32,7 +32,7 @@
 //!
 //! The wave walks **steps**, not slots ([`ExecPlan::steps`]): a step
 //! costs one probe per packet, as a switch stage applies all its tables
-//! at once. A step is a maximal run of adjacent slots that
+//! at once. A fused step is a maximal run of adjacent slots that
 //!
 //! * (a) share one gate (or none), no member but the last writing it;
 //! * (b) key on no field an earlier member's actions write;
@@ -60,6 +60,19 @@
 //! unfused order (c), and counters commute. A one-member step is the
 //! slot itself, looked up through its [`MatchIndex`].
 //!
+//! Then a run of adjacent one-member steps becomes one **shared-key
+//! step** when every member's index is [`MatchIndex::Ternary`] over the
+//! identical key-field list (same fields, same order) and the run meets
+//! (a)–(c), up to `SHARED_MAX` (8) members. The step is probed through one
+//! [`TernaryIndex`] built over all the members' rules, ranked
+//! member-major: one pivot dispatch and one AND of each filter row finds
+//! every member's winner (a table's own ternary index is the one-member
+//! case). The executor then counts each member's hit or miss and runs its
+//! action's ops in slot order, after the probe; (b) makes that exact, as
+//! no member's ops change the key a later member reads. The compiler's
+//! `slot_*` feature-update tables are such a run: they key on the same
+//! fields and each drives its own register.
+//!
 //! The wave executor runs the op slabs, never the [`Action`]s themselves
 //! (those stay for the entry-walk oracle and the P4 emitter), so the
 //! steady-state packet path performs zero heap allocations (verified by
@@ -75,7 +88,7 @@
 //! which invalidates and rebuilds the whole plan (indexes included).
 
 use crate::action::{Action, AluOut, OwnerMode, Primitive, Source};
-use crate::index::{MatchIndex, DIRECT_BITS};
+use crate::index::{MatchIndex, TernaryIndex, DIRECT_BITS};
 use crate::phv::{FieldId, PhvLayout};
 use crate::program::Program;
 use crate::register::{BankLayout, RegAluOp};
@@ -86,7 +99,11 @@ use std::collections::HashMap;
 /// per entry.
 const ENTRY_BITS_MAX: usize = 4;
 
-/// A member's miss in a combo's results.
+/// Most members a shared-key step may have: the executor holds their
+/// winners in a stack array this long.
+pub(crate) const SHARED_MAX: usize = 8;
+
+/// A member's miss in a combo's results or a shared probe's winners.
 pub(crate) const MISS: u32 = u32::MAX;
 
 /// Index of an interned action in an [`ExecPlan`]'s arena.
@@ -301,8 +318,19 @@ pub(crate) struct Step {
     /// earlier step of the pass built them for this gate, or a step
     /// since wrote the gate field.
     pub(crate) fresh_gate: bool,
-    /// The members' row table; `None` for a one-member step.
-    pub(crate) fused: Option<Fused>,
+    /// How the step is probed.
+    pub(crate) probe: StepProbe,
+}
+
+/// How a step finds its members' entries.
+#[derive(Debug, Clone)]
+pub(crate) enum StepProbe {
+    /// One member, through its table's [`MatchIndex`].
+    Slot,
+    /// The members' row table.
+    Fused(Fused),
+    /// One ternary index over every member's rules, on their one key.
+    Shared(TernaryIndex),
 }
 
 /// Direct row bits of one PHV field: `(v & domain) << shift`.
@@ -398,6 +426,8 @@ struct Member<'a> {
     regs: Vec<usize>,
     /// Its direct domains, if it may add them as row bits.
     direct: Option<Vec<u64>>,
+    /// Whether its match index is ternary, so it may share a probe.
+    ternary: bool,
 }
 
 impl<'a> Member<'a> {
@@ -406,7 +436,8 @@ impl<'a> Member<'a> {
         let writes = actions().flat_map(writes).collect();
         let regs = actions().flat_map(|a| a.regs_touched()).map(|r| r.index()).collect();
         let spec = table.spec();
-        let direct = match plan.match_index(plan.slots[slot].table as usize) {
+        let index = plan.match_index(plan.slots[slot].table as usize);
+        let direct = match index {
             // An exact member's domain must span its field's width: a
             // value outside a ternary domain only loses don't-care bits,
             // one outside an exact domain misses.
@@ -417,7 +448,8 @@ impl<'a> Member<'a> {
             }),
             _ => None,
         };
-        Self { slot, table, gate: plan.slots[slot].gate, writes, regs, direct }
+        let ternary = matches!(index, MatchIndex::Ternary(_));
+        Self { slot, table, gate: plan.slots[slot].gate, writes, regs, direct, ternary }
     }
 
     /// The way it adds row bits as a run's first member, if any.
@@ -439,6 +471,8 @@ fn row_bits(fields: &[(FieldId, u64, bool)], entry_bits: u32) -> u32 {
 /// A run of adjacent slots growing into a step.
 struct Run<'a> {
     members: Vec<Member<'a>>,
+    /// Whether it is a shared-key run (see the module docs' § Steps).
+    shared: bool,
     /// One per member while the run may grow; empty when its only member
     /// adds no row bits.
     modes: Vec<RowMode>,
@@ -450,8 +484,13 @@ struct Run<'a> {
 
 impl<'a> Run<'a> {
     fn start(m: Member<'a>) -> Self {
-        let mut run =
-            Self { members: Vec::new(), modes: Vec::new(), fields: Vec::new(), entry_bits: 0 };
+        let mut run = Self {
+            members: Vec::new(),
+            shared: false,
+            modes: Vec::new(),
+            fields: Vec::new(),
+            entry_bits: 0,
+        };
         match m.first_mode() {
             Some(mode) => run.push(m, mode),
             None => run.members.push(m),
@@ -472,22 +511,35 @@ impl<'a> Run<'a> {
         fields
     }
 
+    /// Whether `m` may follow the members under rules (a)–(c).
+    fn joins(&self, m: &Member) -> bool {
+        let written = |f: FieldId| self.members.iter().any(|p| p.writes.contains(&f));
+        let gate = self.members[0].gate;
+        let gate_holds = m.gate == gate && !gate.is_some_and(written);
+        let keys_hold = !m.table.spec().key.iter().any(|&f| written(f));
+        let regs_hold = !self.members.iter().any(|p| p.regs.iter().any(|r| m.regs.contains(r)));
+        gate_holds && keys_hold && regs_hold
+    }
+
+    /// Whether the one-member run `next` may join this run of one member
+    /// or more into a shared-key step: every member's index is ternary
+    /// over one key field list, and `next` meets rules (a)–(c).
+    fn shares(&self, next: &Run) -> bool {
+        let [m] = next.members.as_slice() else { return false };
+        let first = &self.members[0];
+        (self.shared || self.members.len() == 1)
+            && self.members.len() < SHARED_MAX
+            && first.ternary
+            && m.ternary
+            && m.table.spec().key == first.table.spec().key
+            && self.joins(m)
+    }
+
     /// The way `m` joins the run, or `None` if one of the rules (a)–(d)
     /// ends the run before it.
     fn admit(&self, m: &Member) -> Option<RowMode> {
-        if self.modes.len() != self.members.len() {
+        if self.modes.len() != self.members.len() || !self.joins(m) {
             return None;
-        }
-        let written = |f: FieldId| self.members.iter().any(|p| p.writes.contains(&f));
-        let gate = self.members[0].gate;
-        if m.gate != gate || gate.is_some_and(written) {
-            return None; // (a)
-        }
-        if m.table.spec().key.iter().any(|&f| written(f)) {
-            return None; // (b)
-        }
-        if self.members.iter().any(|p| p.regs.iter().any(|r| m.regs.contains(r))) {
-            return None; // (c)
         }
         // (d): direct bits where the member may add them, else one per entry.
         if let Some(doms) = &m.direct {
@@ -512,12 +564,20 @@ impl<'a> Run<'a> {
     fn finish(self, plan: &ExecPlan) -> (Step, Vec<FieldId>) {
         let writes = self.members.iter().flat_map(|m| m.writes.iter().copied()).collect();
         let first = &self.members[0];
+        let probe = if self.shared {
+            let tables: Vec<&Table> = self.members.iter().map(|m| m.table).collect();
+            StepProbe::Shared(TernaryIndex::build(&tables))
+        } else if self.members.len() > 1 {
+            StepProbe::Fused(self.fuse(plan))
+        } else {
+            StepProbe::Slot
+        };
         let step = Step {
             start: first.slot as u32,
             end: first.slot as u32 + self.members.len() as u32,
             gate: first.gate,
             fresh_gate: false,
-            fused: (self.members.len() > 1).then(|| self.fuse(plan)),
+            probe,
         };
         (step, writes)
     }
@@ -636,19 +696,26 @@ fn winner(table: &Table, bits: usize) -> u32 {
 /// Groups `plan`'s slots into steps and marks where the gated lanes go
 /// stale.
 fn plan_steps(plan: &ExecPlan, program: &Program) -> Vec<Step> {
-    let mut steps: Vec<(Step, Vec<FieldId>)> = Vec::new();
-    let mut run: Option<Run> = None;
+    let mut runs: Vec<Run> = Vec::new();
     for (si, slot) in plan.slots.iter().enumerate() {
         let m = Member::of(si, &program.tables()[slot.table as usize], plan, program.layout());
-        match run.as_ref().and_then(|r| r.admit(&m)) {
-            Some(mode) => run.as_mut().expect("open run").push(m, mode),
-            None => {
-                steps.extend(run.take().map(|r| r.finish(plan)));
-                run = Some(Run::start(m));
-            }
+        match runs.last().and_then(|r| r.admit(&m)) {
+            Some(mode) => runs.last_mut().expect("open run").push(m, mode),
+            None => runs.push(Run::start(m)),
         }
     }
-    steps.extend(run.map(|r| r.finish(plan)));
+    // Adjacent one-member runs on one ternary key share a probe.
+    let mut merged: Vec<Run> = Vec::new();
+    for mut run in runs {
+        match merged.last_mut() {
+            Some(prev) if prev.shares(&run) => {
+                prev.members.append(&mut run.members);
+                prev.shared = true;
+            }
+            _ => merged.push(run),
+        }
+    }
+    let mut steps: Vec<(Step, Vec<FieldId>)> = merged.into_iter().map(|r| r.finish(plan)).collect();
     // The gate whose lanes are current as each step runs.
     let mut current: Option<FieldId> = None;
     for (step, writes) in &mut steps {
@@ -797,6 +864,13 @@ impl ExecPlan {
     /// The steps the wave executes.
     pub(crate) fn exec_steps(&self) -> &[Step] {
         &self.steps
+    }
+
+    /// The steps, for a test to replace with a schedule `plan_steps`
+    /// would not form.
+    #[cfg(test)]
+    pub(crate) fn exec_steps_mut(&mut self) -> &mut Vec<Step> {
+        &mut self.steps
     }
 
     /// The interned action arena.
@@ -1053,6 +1127,129 @@ mod tests {
         assert_eq!(steps_of(&p), [vec![0, 1]]);
         // `Phv::set` stores 3 in the 1-bit field verbatim: both miss.
         assert_walks_agree(&p, &[vec![(a, 3)], vec![(a, 1)]]);
+    }
+
+    /// A ternary table on `key` past the direct budget (12-bit care masks
+    /// on the first field) and the per-entry one (six entries): entries 0
+    /// and 3, and 1 and 4, share a pattern on it under different
+    /// priorities, and entry 5 is wildcard on it, tied with entry 4.
+    fn wide_table(
+        b: &mut ProgramBuilder,
+        name: &str,
+        key: &[FieldId],
+        action: impl Fn(u64) -> Action,
+    ) -> TableId {
+        let t = b.add_table(TableSpec::ternary(name, key.to_vec(), 8), 0);
+        for e in 0..6u64 {
+            let mut pats = vec![Ternary::ANY; key.len()];
+            if e < 5 {
+                pats[0] = Ternary::new((e % 3) << 10, 0xC00);
+            }
+            if key.len() > 1 {
+                pats[1] = Ternary::exact(e & 1, 1);
+            }
+            b.add_ternary_entry(t, pats, e as u32 / 2, action(e)).unwrap();
+        }
+        t
+    }
+
+    /// PHVs over `w` (past its 16-bit width too) and the flag `a`.
+    fn wide_phvs(w: FieldId, a: FieldId) -> Vec<Vec<(FieldId, u64)>> {
+        [0, 0x400, 0x800, 0xC00, 0x1FF, 0x10400]
+            .iter()
+            .flat_map(|&v| [vec![(w, v), (a, 0)], vec![(w, v), (a, 1)]])
+            .collect()
+    }
+
+    #[test]
+    fn same_key_ternary_tables_share_one_probe() {
+        let mut b = ProgramBuilder::new();
+        let (w, a, out) = (b.add_meta("w", 16), b.add_meta("a", 1), b.add_meta("out", 8));
+        for i in 0..3u64 {
+            let r = b.add_register(RegisterSpec::new(format!("r{i}"), 32, 4), 0);
+            wide_table(&mut b, &format!("t{i}"), &[w, a], |e| {
+                bump(r).with(Primitive::set_const(out, 10 * i + e))
+            });
+        }
+        let p = b.build().unwrap();
+        assert_eq!(steps_of(&p), [vec![0, 1, 2]]);
+        let plan = ExecPlan::build(&p);
+        assert!(matches!(plan.exec_steps()[0].probe, StepProbe::Shared(_)));
+        assert_walks_agree(&p, &wide_phvs(w, a));
+    }
+
+    #[test]
+    fn gate_change_or_gate_write_ends_a_shared_run() {
+        let mut b = ProgramBuilder::new();
+        let (w, a, g) = (b.add_meta("w", 16), b.add_meta("a", 1), b.add_meta("g", 1));
+        wide_table(&mut b, "ungated", &[w, a], |e| set(a, e & 1));
+        let t1 = wide_table(&mut b, "writes_g", &[w, a], |e| set(g, e & 1));
+        let t2 = wide_table(&mut b, "gated", &[w, a], |_| Action::new("nop"));
+        for t in [t1, t2] {
+            b.gate_table(t, g);
+        }
+        let p = b.build().unwrap();
+        assert_eq!(steps_of(&p), [vec![0], vec![1], vec![2]]);
+        let phvs: Vec<_> = wide_phvs(w, a)
+            .into_iter()
+            .flat_map(|v| [v.clone(), [v, vec![(g, 1)]].concat()])
+            .collect();
+        assert_walks_agree(&p, &phvs);
+    }
+
+    #[test]
+    fn key_write_ends_a_shared_run_but_the_last_member_may_write() {
+        let mut b = ProgramBuilder::new();
+        let (w, a, out) = (b.add_meta("w", 16), b.add_meta("a", 1), b.add_meta("out", 8));
+        wide_table(&mut b, "writes_a", &[w, a], |e| set(a, e & 1));
+        wide_table(&mut b, "reads_a", &[w, a], |e| set(out, e));
+        wide_table(&mut b, "writes_w", &[w, a], |e| set(w, e << 10));
+        wide_table(&mut b, "reads_w", &[w, a], |e| set(out, 10 + e));
+        let p = b.build().unwrap();
+        assert_eq!(steps_of(&p), [vec![0], vec![1, 2], vec![3]]);
+        assert_walks_agree(&p, &wide_phvs(w, a));
+    }
+
+    #[test]
+    fn shared_register_ends_a_shared_run() {
+        let mut b = ProgramBuilder::new();
+        let (w, a) = (b.add_meta("w", 16), b.add_meta("a", 1));
+        let r0 = b.add_register(RegisterSpec::new("r0", 32, 4), 0);
+        let r1 = b.add_register(RegisterSpec::new("r1", 32, 4), 0);
+        wide_table(&mut b, "t0", &[w, a], |_| bump(r0));
+        wide_table(&mut b, "t1", &[w, a], |_| bump(r0));
+        wide_table(&mut b, "t2", &[w, a], |_| bump(r1));
+        let p = b.build().unwrap();
+        assert_eq!(steps_of(&p), [vec![0], vec![1, 2]]);
+        assert_walks_agree(&p, &wide_phvs(w, a));
+    }
+
+    #[test]
+    fn key_field_order_or_index_kind_ends_a_shared_run() {
+        let mut b = ProgramBuilder::new();
+        let (w, a, out) = (b.add_meta("w", 16), b.add_meta("a", 1), b.add_meta("out", 8));
+        wide_table(&mut b, "wa", &[w, a], |e| set(out, e));
+        wide_table(&mut b, "aw", &[a, w], |e| set(out, 10 + e));
+        wide_table(&mut b, "aw_again", &[a, w], |e| set(out, 20 + e));
+        // The same key, but narrow enough for a direct index.
+        let t = b.add_table(TableSpec::ternary("narrow", vec![a, w], 8), 0);
+        b.add_ternary_entry(t, vec![Ternary::ANY, Ternary::new(1, 1)], 0, set(out, 30)).unwrap();
+        let p = b.build().unwrap();
+        assert_eq!(steps_of(&p), [vec![0], vec![1, 2], vec![3]]);
+        assert_walks_agree(&p, &wide_phvs(w, a));
+    }
+
+    #[test]
+    fn shared_runs_stop_at_the_member_cap() {
+        let mut b = ProgramBuilder::new();
+        let (w, a, out) = (b.add_meta("w", 16), b.add_meta("a", 1), b.add_meta("out", 8));
+        for i in 0..SHARED_MAX as u64 + 1 {
+            wide_table(&mut b, &format!("t{i}"), &[w, a], |e| set(out, 10 * i + e));
+        }
+        let p = b.build().unwrap();
+        let first: Vec<usize> = (0..SHARED_MAX).collect();
+        assert_eq!(steps_of(&p), [first, vec![SHARED_MAX]]);
+        assert_walks_agree(&p, &wide_phvs(w, a));
     }
 
     #[test]

@@ -127,6 +127,12 @@ pub enum TableError {
         /// The already-installed key values.
         key: Vec<u64>,
     },
+    /// A range entry whose `lo > hi` on some field: it could never match,
+    /// yet would take capacity.
+    EmptyRange {
+        /// Table name.
+        table: String,
+    },
 }
 
 impl std::fmt::Display for TableError {
@@ -138,6 +144,9 @@ impl std::fmt::Display for TableError {
             }
             TableError::DuplicateKey { table, key } => {
                 write!(f, "duplicate exact key {key:?} in table {table}")
+            }
+            TableError::EmptyRange { table } => {
+                write!(f, "empty range (lo > hi) in an entry of table {table}")
             }
         }
     }
@@ -210,7 +219,8 @@ impl Table {
         self.misses
     }
 
-    /// Installs an entry.
+    /// Installs an entry. Refuses a key of the wrong kind or arity, an
+    /// entry past capacity, a duplicate exact key and an empty range.
     pub fn install(&mut self, key: EntryKey, action: Action) -> Result<(), TableError> {
         let arity_ok = match (&self.spec.kind, &key) {
             (MatchKind::Exact, EntryKey::Exact(v)) => v.len() == self.spec.key.len(),
@@ -224,6 +234,11 @@ impl Table {
         };
         if !arity_ok {
             return Err(TableError::KeyMismatch { table: self.spec.name.clone() });
+        }
+        if let EntryKey::Range { fields, .. } = &key {
+            if fields.iter().any(|&(lo, hi)| lo > hi) {
+                return Err(TableError::EmptyRange { table: self.spec.name.clone() });
+            }
         }
         if self.entries.len() >= self.spec.max_entries {
             return Err(TableError::Full {

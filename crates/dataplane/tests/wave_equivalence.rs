@@ -9,7 +9,8 @@
 //! churn with idle-eviction timeouts, single and storm resubmits, mid-wave
 //! drops, digest emission, counters gated on a 1-bit field that packets
 //! and actions set, counters keyed on another 1-bit field that actions
-//! write, register sharing; runs of such tables fuse into one plan step)
+//! write, register sharing; runs of such tables fuse into one plan step,
+//! and runs of wide ternary ones share one probe)
 //! plus random packet schedules with heavy
 //! same-flow adjacency, and checks the wave against the reference
 //! interpreter (`Pipeline::process_packet_entrywalk`) on *everything*:
@@ -28,6 +29,7 @@ use splidt_dataplane::pipeline::{Disposition, Pipeline, WaveStats};
 use splidt_dataplane::program::{Program, ProgramBuilder};
 use splidt_dataplane::register::RegisterSpec;
 use splidt_dataplane::table::TableSpec;
+use splidt_dataplane::tcam::Ternary;
 
 /// Program-shape knobs drawn by the property.
 #[derive(Debug, Clone)]
@@ -50,7 +52,9 @@ struct Shape {
     /// is 1), bit 7 keys the table on the 1-bit `m_flag` (an entry for 0
     /// and for 1) instead of dport, bit 8 makes the action also write the
     /// counter's low bit to `m_flag`, and bit 9 adds a no-op entry for
-    /// dport 3.
+    /// dport 3. Bits 10–11, unless both clear, instead make the table a
+    /// five-entry ternary one on `[dport, frame_len]`, too wide for a
+    /// direct index and too big to fuse, so runs of them share one probe.
     ops: Vec<u16>,
 }
 
@@ -124,8 +128,13 @@ fn build(shape: &Shape) -> (Program, StandardFields) {
         // Keyed on dport (traffic uses 2 and 3) or on the flag, so tables
         // mix per-packet hits and misses and entry/miss counters get real
         // coverage.
-        let key = if op & 128 == 0 { fields.dport } else { flag };
-        let t = b.add_table(TableSpec::exact(format!("cnt{i}"), vec![key], 4), stage);
+        let t = if op & 3072 != 0 {
+            let key = vec![fields.dport, fields.frame_len];
+            b.add_table(TableSpec::ternary(format!("cnt{i}"), key, 8), stage)
+        } else {
+            let key = if op & 128 == 0 { fields.dport } else { flag };
+            b.add_table(TableSpec::exact(format!("cnt{i}"), vec![key], 4), stage)
+        };
         let (alu, operand) = match op % 4 {
             0 => (AluOp::Add, Source::Field(fields.frame_len)),
             1 => (AluOp::Max, Source::Field(fields.flow_size)),
@@ -151,7 +160,23 @@ fn build(shape: &Shape) -> (Program, StandardFields) {
         if op & 256 != 0 {
             act = act.with(Primitive::Set { dst: flag, src: Source::Field(cnt_out) });
         }
-        if op & 128 == 0 {
+        if op & 3072 != 0 {
+            // Entry 1 ties with entry 0 on dport 2 and lengths with bit 6
+            // set, and entry 3 outranks both on odd lengths; the two share
+            // no care bit, so the index verifies them. Entry 4 names a
+            // dport no packet carries.
+            let dport3 = if op & 512 != 0 { Action::nop() } else { act.clone() };
+            let bit6 = Ternary::new(0x40, 0x40);
+            for (pats, priority, action) in [
+                ([Ternary::exact(2, 16), Ternary::ANY], 1, act.clone()),
+                ([Ternary::exact(2, 16), bit6], 1, Action::nop()),
+                ([Ternary::exact(3, 16), Ternary::ANY], 0, dport3),
+                ([Ternary::ANY, Ternary::new(1, 1)], 2, Action::nop()),
+                ([Ternary::exact(0x1002, 16), Ternary::ANY], 3, act),
+            ] {
+                b.add_ternary_entry(t, pats.to_vec(), priority, action).unwrap();
+            }
+        } else if op & 128 == 0 {
             b.add_exact_entry(t, vec![2], act).unwrap();
             if op & 512 != 0 {
                 b.add_exact_entry(t, vec![3], Action::nop()).unwrap();
@@ -256,7 +281,7 @@ proptest! {
     fn burst_execution_equals_scalar(
         (slots_sel, owner, resubmit, drop_sel, burst) in
             (0u32..3, any::<bool>(), 0u8..3, 0u64..8, 1usize..65),
-        ops in proptest::collection::vec(0u16..1024, 1..6),
+        ops in proptest::collection::vec(0u16..4096, 1..6),
         packets in proptest::collection::vec((0u32..12, 0u16..3, 0u8..2), 1..80),
     ) {
         let shape = Shape {

@@ -196,11 +196,12 @@ fn compiled_program_direct_tables() {
 }
 
 /// The compiled fixture's probe schedule: which adjacent tables the plan
-/// fuses into one step, and the probes a pass costs, counted as the sum
-/// over steps of the first member's visits (hits plus misses). The 18
-/// ungated tables take 9 probes per pass; the 9 gated ones take 7 per
-/// boundary pass. Under the flow-agnostic policy `own` is narrow enough to
-/// join `prep` and `dir`, so a pass takes 8.
+/// fuses, or probes through one shared-key index, as one step, and the
+/// probes a pass costs, counted as the sum over steps of the first
+/// member's visits (hits plus misses). The 18 ungated tables take 6
+/// probes per pass, the four `slot_*` tables one between them; the 9
+/// gated ones take 7 per boundary pass. Under the flow-agnostic policy
+/// `own` is narrow enough to join `prep` and `dir`, so a pass takes 5.
 #[test]
 fn compiled_program_steps() {
     use splidt::core::{compile_with, CompileOptions};
@@ -231,10 +232,7 @@ fn compiled_program_steps() {
         vec!["lifecycle"],
         vec!["sid", "pkt_count", "win_count", "last_all", "last_bwd", "compute"],
         vec!["valid_all", "valid_bwd", "win_first", "boundary"],
-        vec!["slot_0"],
-        vec!["slot_1"],
-        vec!["slot_2"],
-        vec!["slot_3"],
+        vec!["slot_0", "slot_1", "slot_2", "slot_3"],
         vec!["load_0"],
         vec!["load_1", "load_2", "load_3"],
         vec!["keygen_0"],
@@ -273,8 +271,64 @@ fn compiled_program_steps() {
     let boundary_passes = visits(plan.steps().last().expect("steps")[0].table as usize);
     assert!(boundary_passes > 0 && boundary_passes < passes);
     assert_eq!(ungated_tables, 18 * passes);
-    assert_eq!(ungated, 9 * passes, "ungated probes per pass");
+    assert_eq!(ungated, 6 * passes, "ungated probes per pass");
     assert_eq!(gated, 7 * boundary_passes, "gated probes per boundary pass");
+}
+
+/// The benchmark's `wide` program shape: a `[4,4,4]`, k=6 model under
+/// the flow-agnostic policy. Its six `slot_*` feature-update tables key
+/// on one field list and are probed through one shared ternary index, so
+/// the 22 ungated tables take 5 probes per pass (10 with one probe per
+/// slot table).
+#[test]
+fn wide_shaped_program_steps() {
+    use splidt::core::{compile_with, CompileOptions};
+    use splidt::dataplane::pipeline::Pipeline;
+    use splidt::dataplane::plan::ExecPlan;
+    use splidt::flow::{churn, frame_for, ChurnConfig};
+
+    let id = DatasetId::D2;
+    let cfg = SplidtConfig { partitions: vec![4, 4, 4], k: 6, ..Default::default() };
+    let wd = windowed_dataset(&generate(id, 600, 7), 3, spec(id).n_classes as usize);
+    let model = train_partitioned(&wd, &cfg, &catalog().hardware_eligible());
+    let opts = CompileOptions {
+        flow_slots: 1 << 10,
+        idle_timeout_us: 100_000,
+        policy: LifecyclePolicy::flow_agnostic(),
+    };
+    let compiled = compile_with(&model, &opts).expect("compiles");
+    let program = &compiled.program;
+    let plan = ExecPlan::build(program);
+    let name = |m: &splidt::dataplane::plan::PlanSlot| {
+        program.tables()[m.table as usize].spec().name.clone()
+    };
+    let ungated: Vec<Vec<String>> = plan
+        .steps()
+        .filter(|s| s[0].gate.is_none())
+        .map(|s| s.iter().map(name).collect())
+        .collect();
+    assert_eq!(ungated.iter().map(Vec::len).sum::<usize>(), 22);
+    assert_eq!(ungated.len(), 5, "ungated steps: {ungated:?}");
+    let slots: Vec<String> = (0..6).map(|i| format!("slot_{i}")).collect();
+    assert_eq!(ungated[4], slots);
+
+    let fields = compiled.io.fields;
+    let mut pipe = Pipeline::new(compiled.program);
+    let schedule = churn(id, &ChurnConfig { flows: 60, seed: 5, ..Default::default() });
+    for (ts, i, j) in schedule.events() {
+        pipe.process_packet(&frame_for(&schedule.flows[i], j), ts, &fields).expect("parses");
+    }
+    let visits = |t: usize| {
+        let t = &pipe.program().tables()[t];
+        t.entries().iter().map(|e| e.hits).sum::<u64>() + t.misses()
+    };
+    let probes: u64 = pipe
+        .plan()
+        .steps()
+        .filter(|s| s[0].gate.is_none())
+        .map(|s| visits(s[0].table as usize))
+        .sum();
+    assert_eq!(probes, 5 * pipe.meters().passes, "ungated probes per pass");
 }
 
 /// Which tables of the compiled fixture are gated, and on what: every

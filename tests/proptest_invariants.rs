@@ -19,10 +19,12 @@ use splidt::ranging::{generate_rules, range_to_prefixes, ThermometerEncoder};
 /// RMW, digest, resubmit, drop). Half the key fields are the 1-bit
 /// `f3`–`f5`, which actions also write, so runs of adjacent tables fuse
 /// into plan steps or are cut by a write to a later key or the gate.
-/// About half the tables, mostly in runs, are gated on `f3`. Returns
-/// the program and its metadata fields. About half the tables draw some entry values and patterns
-/// wide, up to 2^12, past the direct-index budget, so the ternary index
-/// runs too, over exact and range entries as well as ternary ones.
+/// About half the tables, mostly in runs, are gated on `f3`. About half
+/// the tables draw some entry values and patterns wide, up to 2^12, past
+/// the direct-index budget, so the ternary index runs too, over exact and
+/// range entries as well as ternary ones. Half the stages end in a run of
+/// 2–4 wide tables on one key (`shared_key_table`), so the plan forms
+/// shared-key steps. Returns the program and its metadata fields.
 fn random_program(rng: &mut rand::rngs::SmallRng) -> (Program, Vec<FieldId>) {
     use rand::Rng;
     let mut b = ProgramBuilder::new();
@@ -40,10 +42,14 @@ fn random_program(rng: &mut rand::rngs::SmallRng) -> (Program, Vec<FieldId>) {
         .map(|s| b.add_register(RegisterSpec::new(format!("r{s}"), 16, 16), s))
         .collect();
 
-    let random_action = |rng: &mut rand::rngs::SmallRng, reg: RegId| -> Action {
+    // An action writing no field of `keep`.
+    let random_action = |rng: &mut rand::rngs::SmallRng, reg: RegId, keep: &[FieldId]| -> Action {
         let mut a = Action::new("a");
         for _ in 0..rng.random_range(0usize..4) {
-            let dst = fields[rng.random_range(0usize..fields.len())];
+            let mut dst = fields[rng.random_range(0usize..fields.len())];
+            while keep.contains(&dst) {
+                dst = fields[rng.random_range(0usize..fields.len())];
+            }
             let src = |rng: &mut rand::rngs::SmallRng| {
                 if rng.random::<bool>() {
                     // Half the constants are drawn up to 2^20, past every
@@ -151,7 +157,7 @@ fn random_program(rng: &mut rand::rngs::SmallRng) -> (Program, Vec<FieldId>) {
                                     }
                                 })
                                 .collect();
-                        let action = random_action(rng, reg);
+                        let action = random_action(rng, reg, &[]);
                         // Duplicate exact keys are now rejected at install
                         // (the shadowing bugfix); the generator just skips
                         // the colliding draw, as a controller would.
@@ -180,7 +186,7 @@ fn random_program(rng: &mut rand::rngs::SmallRng) -> (Program, Vec<FieldId>) {
                             })
                             .collect();
                         let prio = rng.random_range(0u32..10);
-                        let action = random_action(rng, reg);
+                        let action = random_action(rng, reg, &[]);
                         b.add_ternary_entry(tid, pats, prio, action).unwrap();
                     }
                     tid
@@ -199,14 +205,14 @@ fn random_program(rng: &mut rand::rngs::SmallRng) -> (Program, Vec<FieldId>) {
                             })
                             .collect();
                         let prio = rng.random_range(0u32..10);
-                        let action = random_action(rng, reg);
+                        let action = random_action(rng, reg, &[]);
                         b.add_range_entry(tid, ranges, prio, action).unwrap();
                     }
                     tid
                 }
             };
             if rng.random::<bool>() {
-                let d = random_action(rng, reg);
+                let d = random_action(rng, reg, &[]);
                 b.set_default(tid, d);
             }
             // One table in three opens a gated run; two in three extend one.
@@ -215,8 +221,114 @@ fn random_program(rng: &mut rand::rngs::SmallRng) -> (Program, Vec<FieldId>) {
                 b.gate_table(tid, fields[3]);
             }
         }
+        // Half the stages end in a run of 2–4 wide tables on one key, so
+        // their ternary indexes share one probe, or are cut apart by a
+        // gate change, a write to the key or a shared register.
+        if rng.random::<bool>() {
+            let mut key = vec![fields[rng.random_range(1usize..3)]];
+            if rng.random::<bool>() {
+                key.push(key_field(rng));
+            }
+            let run_gated = rng.random::<bool>();
+            // Three runs in four write no key field, so only a gate flip
+            // or a shared register cuts them.
+            let keep = if rng.random_range(0u8..4) == 0 { Vec::new() } else { key.clone() };
+            for t in 0..rng.random_range(2usize..5) {
+                let reg = if rng.random::<bool>() {
+                    stage_reg
+                } else {
+                    b.add_register(RegisterSpec::new(format!("own{stage}_s{t}"), 16, 16), stage)
+                };
+                let name = format!("s{stage}_{t}");
+                let tid = shared_key_table(&mut b, rng, (&name, stage), &key, &flag, |rng| {
+                    random_action(rng, reg, &keep)
+                });
+                if rng.random::<bool>() {
+                    let d = random_action(rng, reg, &keep);
+                    b.set_default(tid, d);
+                }
+                // One member in eight flips the run's gate.
+                if run_gated != (rng.random_range(0u8..8) == 0) {
+                    b.gate_table(tid, fields[3]);
+                }
+            }
+        }
     }
     (b.build().unwrap(), fields)
+}
+
+/// A stage-`stage` table on `key` whose first field is 16 bits wide, with 5–8 entries
+/// (too many to fuse one bit per entry) of which the first cares about
+/// 12 bits of that field (too many for a direct index), so its match
+/// index is ternary: mostly ternary entries, some exact or range ones,
+/// priorities from a few values (ties), each running `action`.
+fn shared_key_table(
+    b: &mut ProgramBuilder,
+    rng: &mut rand::rngs::SmallRng,
+    (name, stage): (&str, usize),
+    key: &[FieldId],
+    flag: &impl Fn(FieldId) -> bool,
+    mut action: impl FnMut(&mut rand::rngs::SmallRng) -> Action,
+) -> splidt::dataplane::table::TableId {
+    use rand::Rng;
+    let n_entries = rng.random_range(5usize..9);
+    let value = |rng: &mut rand::rngs::SmallRng, f: FieldId| {
+        if flag(f) {
+            rng.random_range(0..2)
+        } else {
+            rng.random_range(0u64..1 << 12)
+        }
+    };
+    match rng.random_range(0u8..6) {
+        0 => {
+            let tid = b.add_table(TableSpec::exact(name, key.to_vec(), 8), stage);
+            let mut first = vec![0x800 | rng.random_range(0u64..1 << 11)];
+            first.extend(key[1..].iter().map(|&f| value(rng, f)));
+            let _ = b.add_exact_entry(tid, first, action(rng));
+            for _ in 1..n_entries {
+                let vals = key.iter().map(|&f| value(rng, f)).collect();
+                let _ = b.add_exact_entry(tid, vals, action(rng));
+            }
+            tid
+        }
+        1 => {
+            let tid = b.add_table(TableSpec::range(name, key.to_vec(), 8), stage);
+            for e in 0..n_entries {
+                let ranges = key
+                    .iter()
+                    .enumerate()
+                    .map(|(i, &f)| {
+                        let lo = if i == 0 && e == 0 { 0x800 } else { value(rng, f) };
+                        (lo, lo + rng.random_range(0u64..if flag(f) { 2 } else { 300 }))
+                    })
+                    .collect();
+                let action = action(rng);
+                b.add_range_entry(tid, ranges, rng.random_range(0u32..3), action).unwrap();
+            }
+            tid
+        }
+        _ => {
+            let tid = b.add_table(TableSpec::ternary(name, key.to_vec(), 8), stage);
+            for e in 0..n_entries {
+                let pats = key
+                    .iter()
+                    .enumerate()
+                    .map(|(i, &f)| match rng.random_range(0u8..4) {
+                        _ if i == 0 && e == 0 => Ternary::exact(value(rng, f) | 0x800, 12),
+                        0 => Ternary::ANY,
+                        1 if !flag(f) => Ternary::new(
+                            rng.random_range(0u64..1 << 12),
+                            rng.random_range(0..1 << 12),
+                        ),
+                        _ => Ternary::exact(value(rng, f), if flag(f) { 1 } else { 12 }),
+                    })
+                    .collect();
+                let action = action(rng);
+                b.add_ternary_entry(tid, pats, rng.random_range(0u32..3), action).unwrap();
+            }
+            tid
+        }
+    }
 }
 
 /// A ternary table shaped like the compiler's keygen / slot / model
@@ -478,6 +590,94 @@ proptest! {
                 kind,
                 probe
             );
+        }
+    }
+
+    /// One shared ternary index over 2–8 tables on one key finds, for
+    /// every member, the entry that table's own linear scan does: over
+    /// exact, ternary and range members, tied priorities (the lowest
+    /// install index must win), a subtree-id-like first field that the
+    /// index pivots on, patterns it must verify, and probes with bits
+    /// above the 16-bit field width.
+    #[test]
+    fn shared_lookup_equals_linear(seed in 0u64..600) {
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+        use splidt::dataplane::index::TernaryIndex;
+        use splidt::dataplane::table::{EntryKey, Table};
+
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let n_fields = rng.random_range(1usize..4);
+        let mut layout = splidt::dataplane::PhvLayout::new();
+        let key: Vec<_> =
+            (0..n_fields).map(|i| layout.add_field(format!("k{i}"), 16)).collect();
+        // Field 0 mostly names one of a few subtree ids.
+        let sid = |rng: &mut SmallRng| rng.random_range(0u64..4);
+        let value = |rng: &mut SmallRng, i: usize| {
+            if i == 0 && rng.random_range(0u8..4) != 0 { sid(rng) } else { rng.random_range(0u64..1 << 12) }
+        };
+        let tables: Vec<Table> = (0..rng.random_range(2usize..9))
+            .map(|_| {
+                let n_entries = rng.random_range(0usize..40);
+                let kind = rng.random_range(0u8..4);
+                let spec = match kind {
+                    0 => TableSpec::exact("e", key.clone(), n_entries + 1),
+                    1 => TableSpec::range("r", key.clone(), n_entries + 1),
+                    _ => TableSpec::ternary("t", key.clone(), n_entries + 1),
+                };
+                let mut table = Table::new(spec);
+                for _ in 0..n_entries {
+                    let priority = rng.random_range(0u32..3);
+                    let entry = match kind {
+                        0 => EntryKey::Exact((0..n_fields).map(|i| value(&mut rng, i)).collect()),
+                        1 => EntryKey::Range {
+                            fields: (0..n_fields)
+                                .map(|i| {
+                                    let lo = value(&mut rng, i);
+                                    (lo, lo + rng.random_range(0u64..if i == 0 { 2 } else { 400 }))
+                                })
+                                .collect(),
+                            priority,
+                        },
+                        _ => EntryKey::Ternary {
+                            fields: (0..n_fields)
+                                .map(|i| match rng.random_range(0u8..4) {
+                                    0 => Ternary::ANY,
+                                    1 => Ternary::new(
+                                        rng.random_range(0u64..1 << 12),
+                                        rng.random_range(0u64..1 << 12),
+                                    ),
+                                    _ => Ternary::exact(value(&mut rng, i), 12),
+                                })
+                                .collect(),
+                            priority,
+                        },
+                    };
+                    // Exact duplicates are rejected by install — skip those draws.
+                    let _ = table.install(entry, Action::new("e"));
+                }
+                table
+            })
+            .collect();
+        let members: Vec<&Table> = tables.iter().collect();
+        let index = TernaryIndex::build(&members);
+        let mut won = vec![0u32; tables.len()];
+        for _ in 0..80 {
+            let probe: Vec<u64> = (0..n_fields)
+                .map(|i| {
+                    let v = match rng.random_range(0u8..3) {
+                        0 => value(&mut rng, i),
+                        1 => rng.random_range(0u64..65536),
+                        _ => value(&mut rng, i) + rng.random_range(0u64..3),
+                    };
+                    v | u64::from(rng.random_range(0u8..8) == 0) << 16
+                })
+                .collect();
+            index.lookup_each(&probe, &mut won);
+            for (j, table) in tables.iter().enumerate() {
+                let want = table.lookup_linear_key(&probe).map_or(u32::MAX, |e| e as u32);
+                prop_assert_eq!(won[j], want, "seed {} member {} probe {:?}", seed, j, probe);
+            }
         }
     }
 
