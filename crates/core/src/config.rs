@@ -2,10 +2,8 @@
 //! explores (paper §3.2.1: tree depth `D`, features per subtree `k`, and
 //! the partition-size vector `[i1, …, ip]` with `Σ i_j = D`).
 
-use serde::{Deserialize, Serialize};
-
 /// A partitioned-tree configuration.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SplidtConfig {
     /// Per-partition subtree depths `[i1, …, ip]`; total depth `D` is the
     /// sum, the number of partitions `p` is the length.

@@ -688,11 +688,6 @@ impl Engine {
         self.tap.as_mut()
     }
 
-    /// Detaches and returns the tap.
-    pub fn detach_tap(&mut self) -> Option<DigestTap> {
-        self.tap.take()
-    }
-
     /// Explicit operator release of a **pinned** lane: frees the slot if
     /// it currently holds a decided, pinned owner, returning `true` when
     /// a lane was actually released (counted in

@@ -7,12 +7,11 @@
 //! "done" state after an early exit.
 
 use crate::config::SplidtConfig;
-use serde::{Deserialize, Serialize};
 use splidt_dt::Tree;
 use std::collections::BTreeSet;
 
 /// Where a subtree leaf sends the flow.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LeafTarget {
     /// Continue into a next-partition subtree. `fallback` is the leaf's
     /// majority class, emitted if the flow ends before the next window
@@ -28,7 +27,7 @@ pub enum LeafTarget {
 }
 
 /// One subtree of the partitioned model.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Subtree {
     /// 1-based subtree id.
     pub sid: u16,
@@ -48,7 +47,7 @@ impl Subtree {
 }
 
 /// A trained partitioned decision tree.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct PartitionedTree {
     /// The configuration it was trained with.
     pub config: SplidtConfig,

@@ -9,10 +9,9 @@
 
 use crate::phv::FieldId;
 use crate::register::{RegAluOp, RegId};
-use serde::{Deserialize, Serialize};
 
 /// An operand: a constant or a PHV field.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Source {
     /// Immediate constant.
     Const(u64),
@@ -21,7 +20,7 @@ pub enum Source {
 }
 
 /// Which value a register RMW exports to the PHV.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AluOut {
     /// The value before the update.
     Old,
@@ -33,7 +32,7 @@ pub enum AluOut {
 pub type AluOp = RegAluOp;
 
 /// What an [`Primitive::OwnerUpdate`] does to the slot's ownership lane.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum OwnerMode {
     /// First-pass admission probe: classify the packet against the lane
     /// (owner / claim / takeover / live collision) and claim or refresh
@@ -54,7 +53,7 @@ pub enum OwnerMode {
 
 /// Outcome of an ownership-lane probe, exported to a PHV metadata field.
 /// The numeric codes are what match keys and the lifecycle table see.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SlotState {
     /// Fingerprint matched a live lane — the packet belongs to the owner.
     Owner = 0,
@@ -98,7 +97,7 @@ impl SlotState {
 }
 
 /// One action primitive.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum Primitive {
     /// `dst = src` (masked to `dst` width).
     Set {
@@ -251,7 +250,7 @@ impl Primitive {
 }
 
 /// A named action: a sequence of primitives executed on a hit.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Action {
     /// Name (for debugging and rule dumps).
     pub name: String,

@@ -7,10 +7,8 @@
 //! produces [`Phv`] instances. Values are always masked to their declared
 //! width, which is how container-width truncation shows up in hardware.
 
-use serde::{Deserialize, Serialize};
-
 /// Identifier of a field within a [`PhvLayout`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct FieldId(pub(crate) u16);
 
 impl FieldId {
@@ -21,7 +19,7 @@ impl FieldId {
 }
 
 /// Declaration of a single PHV field.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct FieldSpec {
     name: String,
     bits: u8,
@@ -49,7 +47,7 @@ impl FieldSpec {
 }
 
 /// The set of fields a program's PHVs carry.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct PhvLayout {
     fields: Vec<FieldSpec>,
 }

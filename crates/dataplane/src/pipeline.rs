@@ -418,6 +418,9 @@ impl Pipeline {
     /// (entry→action arena and the table's match index) is invalidated
     /// and rebuilt, so the next packet sees the new rule; this is a
     /// control-plane cost (full plan rebuild), never a per-packet one.
+    /// Refuses what [`Table::install`](crate::table::Table::install)
+    /// refuses, and an exact value wider than its key field
+    /// ([`TableError::ValueTooWide`]).
     pub fn install_entry(
         &mut self,
         table: TableId,
@@ -425,7 +428,7 @@ impl Pipeline {
         action: Action,
     ) -> Result<(), TableError> {
         assert_eq!(self.wave.len, 0, "install_entry with a wave in flight; wave_flush first");
-        self.program.tables_mut()[table.index()].install(key, action)?;
+        self.program.install(table, key, action)?;
         self.plan = ExecPlan::build(&self.program);
         // The new entry may stage digests its table never did.
         self.rebuild_wave(self.wave.burst, self.wave.conflict_slots);
@@ -1552,6 +1555,24 @@ mod tests {
         assert_eq!(probe(&mut pipe, 15), 2);
         assert_eq!(probe(&mut pipe, 5), 1, "old rule still resolves");
         assert_eq!(pipe.program().table(t).entries()[1].hits, 1);
+    }
+
+    /// The running pipeline refuses an exact value wider than its key
+    /// field, as the builder does, and keeps the table as it was.
+    #[test]
+    fn install_entry_rejects_value_wider_than_its_field() {
+        let mut b = ProgramBuilder::new();
+        let a = b.add_meta("a", 4);
+        let t = b.add_table(TableSpec::exact("t", vec![a], 8), 0);
+        let mut pipe = Pipeline::new(b.build().unwrap());
+        let err = pipe.install_entry(t, EntryKey::Exact(vec![16]), Action::nop()).unwrap_err();
+        assert_eq!(
+            err,
+            TableError::ValueTooWide { table: "t".into(), field: "a".into(), value: 16, bits: 4 }
+        );
+        assert_eq!(pipe.program().table(t).n_entries(), 0);
+        pipe.install_entry(t, EntryKey::Exact(vec![15]), Action::nop()).unwrap();
+        assert_eq!(pipe.program().table(t).n_entries(), 1);
     }
 
     #[test]

@@ -165,13 +165,6 @@ impl Program {
             .sum()
     }
 
-    /// The stage a table was allocated to (backend emitters annotate
-    /// declarations with this; the interpreter only needs the per-stage
-    /// apply order in [`Program::stages`]).
-    pub fn stage_of_table(&self, id: TableId) -> Option<usize> {
-        self.stages.iter().position(|s| s.tables.contains(&id))
-    }
-
     /// The stage a register array is resident in — the stage whose SALUs
     /// are the only ones that may touch it (RMT stage-locality).
     pub fn stage_of_register(&self, id: RegId) -> Option<usize> {
@@ -180,6 +173,17 @@ impl Program {
 
     pub(crate) fn tables_mut(&mut self) -> &mut Vec<Table> {
         &mut self.tables
+    }
+
+    /// Installs an entry into `table`, checked against this program's
+    /// layout ([`Table::install_in`]).
+    pub(crate) fn install(
+        &mut self,
+        table: TableId,
+        key: EntryKey,
+        action: Action,
+    ) -> Result<(), TableError> {
+        self.tables[table.index()].install_in(&self.layout, key, action)
     }
 }
 
@@ -258,14 +262,16 @@ impl ProgramBuilder {
         self.gates[table.index()] = Some(field);
     }
 
-    /// Installs an exact entry.
+    /// Installs an exact entry. Refuses a value wider than its key field
+    /// ([`TableError::ValueTooWide`]) besides what [`Table::install`]
+    /// refuses.
     pub fn add_exact_entry(
         &mut self,
         table: TableId,
         values: Vec<u64>,
         action: Action,
     ) -> Result<(), ProgramError> {
-        self.tables[table.index()].install(EntryKey::Exact(values), action)?;
+        self.tables[table.index()].install_in(&self.layout, EntryKey::Exact(values), action)?;
         Ok(())
     }
 
@@ -381,6 +387,30 @@ impl ProgramBuilder {
 mod tests {
     use super::*;
     use crate::action::{AluOp, Source};
+
+    /// An exact value with bits above its key field's width could never
+    /// match; the builder refuses it before it takes capacity.
+    #[test]
+    fn exact_value_wider_than_its_field_is_rejected() {
+        let mut b = ProgramBuilder::new();
+        let f = b.add_meta("f", 8);
+        let g = b.add_meta("g", 1);
+        let t = b.add_table(TableSpec::exact("t", vec![f, g], 4), 0);
+        b.add_exact_entry(t, vec![255, 1], Action::nop()).unwrap();
+        let err = b.add_exact_entry(t, vec![256, 0], Action::nop()).unwrap_err();
+        assert_eq!(
+            err,
+            ProgramError::Table(TableError::ValueTooWide {
+                table: "t".into(),
+                field: "f".into(),
+                value: 256,
+                bits: 8,
+            })
+        );
+        assert!(b.add_exact_entry(t, vec![0, 2], Action::nop()).is_err(), "1-bit field");
+        let p = b.build().unwrap();
+        assert_eq!(p.table(t).n_entries(), 1, "only the in-width entry is installed");
+    }
 
     #[test]
     fn builds_simple_program() {

@@ -7,10 +7,8 @@
 //! provide and what SpliDT's feature slots need: write, add, min, max — each
 //! able to export the old or new value into the PHV.
 
-use serde::{Deserialize, Serialize};
-
 /// Identifier of a register array within a program.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct RegId(pub(crate) u16);
 
 impl RegId {
@@ -21,7 +19,7 @@ impl RegId {
 }
 
 /// Declaration of a register array.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct RegisterSpec {
     /// Human-readable name (unique within a program).
     pub name: String,
@@ -619,7 +617,7 @@ pub mod owner_lane {
 }
 
 /// The stateful-ALU operation applied on a register visit.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum RegAluOp {
     /// Read without modifying.
     Read,

@@ -11,10 +11,9 @@
 
 use crate::program::Program;
 use crate::table::MatchKind;
-use serde::{Deserialize, Serialize};
 
 /// A hardware target's resource budgets.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TargetSpec {
     /// Target name.
     pub name: String,

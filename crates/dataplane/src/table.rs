@@ -7,9 +7,9 @@
 //! paper's rule-count accounting and debugging.
 
 use crate::action::Action;
-use crate::phv::{FieldId, Phv};
+use crate::phv::{FieldId, Phv, PhvLayout};
 use crate::tcam::Ternary;
-use rustc_hash::FxHashSet;
+use std::collections::HashSet;
 
 /// Identifier of a table within a program.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -133,6 +133,19 @@ pub enum TableError {
         /// Table name.
         table: String,
     },
+    /// An exact entry value with bits above its key field's declared
+    /// width: no in-width key can equal it, so it could never match, yet
+    /// would take capacity and a duplicate-key slot.
+    ValueTooWide {
+        /// Table name.
+        table: String,
+        /// The key field's name.
+        field: String,
+        /// The offending value.
+        value: u64,
+        /// The field's declared width.
+        bits: u8,
+    },
 }
 
 impl std::fmt::Display for TableError {
@@ -147,6 +160,12 @@ impl std::fmt::Display for TableError {
             }
             TableError::EmptyRange { table } => {
                 write!(f, "empty range (lo > hi) in an entry of table {table}")
+            }
+            TableError::ValueTooWide { table, field, value, bits } => {
+                write!(
+                    f,
+                    "exact value {value} exceeds the {bits}-bit field {field} of table {table}"
+                )
             }
         }
     }
@@ -170,7 +189,7 @@ pub struct Table {
     /// Installed exact keys, for O(1) duplicate rejection at install time
     /// (never consulted by lookups — the linear scan stays the oracle and
     /// the compiled index the hot path).
-    exact_keys: FxHashSet<Vec<u64>>,
+    exact_keys: HashSet<Vec<u64>>,
     /// Default action on miss.
     default_action: Action,
     /// Miss counter.
@@ -183,7 +202,7 @@ impl Table {
         Self {
             spec,
             entries: Vec::new(),
-            exact_keys: FxHashSet::default(),
+            exact_keys: HashSet::new(),
             default_action: Action::nop(),
             misses: 0,
         }
@@ -256,6 +275,31 @@ impl Table {
         }
         self.entries.push(Entry { key, action, hits: 0 });
         Ok(())
+    }
+
+    /// [`Table::install`] for holders of the program's layout: also
+    /// refuses an exact value wider than its key field
+    /// ([`TableError::ValueTooWide`]).
+    pub(crate) fn install_in(
+        &mut self,
+        layout: &PhvLayout,
+        key: EntryKey,
+        action: Action,
+    ) -> Result<(), TableError> {
+        if let EntryKey::Exact(values) = &key {
+            for (&field, &value) in self.spec.key.iter().zip(values) {
+                let spec = layout.spec(field);
+                if value & !spec.mask() != 0 {
+                    return Err(TableError::ValueTooWide {
+                        table: self.spec.name.clone(),
+                        field: spec.name().to_string(),
+                        value,
+                        bits: spec.bits(),
+                    });
+                }
+            }
+        }
+        self.install(key, action)
     }
 
     /// Looks up the PHV with the **linear reference scan**; returns the

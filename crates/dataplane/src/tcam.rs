@@ -5,10 +5,8 @@
 //! matched in TCAMs via prefix expansion; the canonical algorithm lives in
 //! `splidt-ranging`, but the primitive matcher lives here with the tables.
 
-use serde::{Deserialize, Serialize};
-
 /// A ternary (value/mask) match over one field.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Ternary {
     /// Match value (bits outside `mask` are ignored).
     pub value: u64,

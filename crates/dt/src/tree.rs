@@ -7,14 +7,13 @@
 //! SpliDT's Algorithm 1 to route samples to next-partition subtrees and by
 //! the Range-Marking rule generator to emit one TCAM rule per leaf.
 
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 
 /// Index of a node within a [`Tree`]'s arena.
 pub type NodeId = u32;
 
 /// A single tree node.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Node {
     /// Internal split node: `x[feature] <= threshold` goes to `left`.
     Split {
@@ -40,7 +39,7 @@ pub enum Node {
 }
 
 /// A trained decision tree.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Tree {
     nodes: Vec<Node>,
     root: NodeId,

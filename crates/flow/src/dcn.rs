@@ -12,13 +12,12 @@
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Size in bytes of a resubmitted control packet (minimum frame).
 pub const CONTROL_PKT_BYTES: u64 = 64;
 
 /// A datacenter traffic environment.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Environment {
     /// Environment name ("webserver" / "hadoop").
     pub name: String,

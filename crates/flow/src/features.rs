@@ -22,7 +22,6 @@
 
 use crate::flow::{Dir, FlowTrace, TracePacket};
 use crate::window::window_bounds;
-use serde::{Deserialize, Serialize};
 use std::sync::OnceLock;
 
 /// Bit width of the feature value domain.
@@ -37,7 +36,7 @@ pub const FEATURE_BITS: u8 = 24;
 pub const FEATURE_CAP: u64 = (1 << FEATURE_BITS) - 1;
 
 /// Direction scope of a stateful feature.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Scope {
     /// Both directions.
     All,
@@ -64,7 +63,7 @@ impl Scope {
 }
 
 /// The value fed to a slot's ALU when its guard admits a packet.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Operand {
     /// Constant 1 (counting).
     One,
@@ -85,7 +84,7 @@ pub enum Operand {
 }
 
 /// The register update applied when the guard admits a packet.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum UpdateOp {
     /// Saturating add.
     Add,
@@ -96,7 +95,7 @@ pub enum UpdateOp {
 }
 
 /// Which kind of register cell backs the slot.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SlotRegKind {
     /// 32-bit cell saturating at [`FEATURE_CAP`] (the common case).
     CappedAccum,
@@ -108,7 +107,7 @@ pub enum SlotRegKind {
 /// match fields on the operator-selection MATs (paper §3.1.1: "to update a
 /// stateful feature only on SYN packets … the MATs can include TCP flags as
 /// a match condition").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Guard {
     /// Direction filter.
     pub scope: Scope,
@@ -174,7 +173,7 @@ impl Guard {
 
 /// How the prediction phase converts the raw register value into the
 /// feature value used as a match key.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LoadTransform {
     /// Feature value = register value.
     Identity,
@@ -186,7 +185,7 @@ pub enum LoadTransform {
 }
 
 /// A deployable stateful feature: one register slot's complete program.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SlotProgram {
     /// Admission predicate.
     pub guard: Guard,
@@ -235,14 +234,14 @@ impl SlotProgram {
 }
 
 /// Shared dependency-chain registers (one 32-bit cell per flow each).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum DepRegister {
     /// Timestamp of the previous packet in scope.
     LastTs(Scope),
 }
 
 /// Stateless per-packet features.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StatelessKind {
     /// Frame length.
     FrameLen,
@@ -260,7 +259,7 @@ pub enum StatelessKind {
 
 /// Software-only window statistics (require division/sqrt — not deployable
 /// on the match-action substrate; used by the "ideal" baseline only).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SoftwareKind {
     /// Mean frame length in scope.
     LenMean(Scope),
@@ -287,7 +286,7 @@ pub enum SoftwareKind {
 }
 
 /// A feature's computation class.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum FeatureKind {
     /// Per-packet header field.
     Stateless(StatelessKind),
@@ -298,7 +297,7 @@ pub enum FeatureKind {
 }
 
 /// A named feature.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct FeatureDef {
     /// Stable feature name.
     pub name: String,

@@ -5,10 +5,8 @@
 //! produce, what the feature extractor consumes, and what the runtime
 //! serializes into real frames for the data-plane simulator.
 
-use serde::{Deserialize, Serialize};
-
 /// Direction of a packet relative to the flow initiator.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Dir {
     /// Initiator → responder (client → server).
     Fwd,
@@ -21,7 +19,7 @@ pub enum Dir {
 /// By construction (and by the convention the data-plane direction table
 /// relies on), the responder port is a well-known service port `< 1024` and
 /// the initiator port is ephemeral `≥ 32768`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct FiveTuple {
     /// Initiator IPv4 address.
     pub src_ip: u32,
@@ -36,7 +34,7 @@ pub struct FiveTuple {
 }
 
 /// One packet of a flow trace.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TracePacket {
     /// Timestamp in microseconds from trace epoch.
     pub ts_us: u64,
@@ -58,7 +56,7 @@ impl TracePacket {
 }
 
 /// A labelled flow: its tuple, packets (time-ordered), and ground truth.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct FlowTrace {
     /// Canonical 5-tuple.
     pub tuple: FiveTuple,

@@ -79,16 +79,6 @@ pub struct BoResult {
 }
 
 impl BoResult {
-    /// Objective points of feasible history entries `(index, point)`.
-    pub fn feasible_points(&self) -> Vec<(usize, Point)> {
-        self.history
-            .iter()
-            .enumerate()
-            .filter(|(_, (_, o))| o.feasible)
-            .map(|(i, (_, o))| (i, Point { f1: o.f1, flows: o.max_flows as f64 }))
-            .collect()
-    }
-
     /// Best feasible F1 among configs supporting ≥ `min_flows`.
     pub fn best_at_flows(&self, min_flows: u64) -> Option<(usize, f64)> {
         self.history
