@@ -36,13 +36,11 @@ pub fn train_partitioned(
         sid: u16,
         partition: usize,
         rows: Vec<usize>,
-        /// (parent subtree index, leaf index) to patch once trained.
-        parent: Option<(usize, usize)>,
     }
 
     let mut subtrees: Vec<Subtree> = Vec::new();
     let mut queue = VecDeque::new();
-    queue.push_back(Job { sid: 1, partition: 0, rows: (0..wd.n_rows()).collect(), parent: None });
+    queue.push_back(Job { sid: 1, partition: 0, rows: (0..wd.n_rows()).collect() });
     let mut next_sid: u16 = 2;
 
     while let Some(job) = queue.pop_front() {
@@ -90,17 +88,11 @@ pub fn train_partitioned(
                 let sid = next_sid;
                 next_sid += 1;
                 targets[li] = LeafTarget::Next { sid, fallback: majority };
-                queue.push_back(Job {
-                    sid,
-                    partition: job.partition + 1,
-                    rows: rows.clone(),
-                    parent: None,
-                });
+                queue.push_back(Job { sid, partition: job.partition + 1, rows: rows.clone() });
             } else {
                 targets[li] = LeafTarget::Class(majority);
             }
         }
-        let _ = job.parent; // sid pre-assignment makes back-patching unnecessary
         subtrees.push(Subtree {
             sid: job.sid,
             partition: job.partition,

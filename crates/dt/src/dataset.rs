@@ -268,14 +268,8 @@ impl<'a> DatasetView<'a> {
 
     /// Majority class (ties broken toward the smaller class index).
     pub fn majority_class(&self) -> u16 {
-        let counts = self.class_counts();
-        let mut best = 0usize;
-        for (c, &n) in counts.iter().enumerate() {
-            if n > counts[best] {
-                best = c;
-            }
-        }
-        best as u16
+        let counts: Vec<u64> = self.class_counts().iter().map(|&n| n as u64).collect();
+        crate::split::majority(&counts)
     }
 
     /// A sub-view keeping the view-relative positions in `keep`.

@@ -7,6 +7,7 @@
 //! and keep the `k` features with the largest totals.
 
 use crate::dataset::{Dataset, DatasetView};
+use crate::split::gini;
 use crate::train::{train_classifier_on, TrainParams};
 use crate::tree::{Node, Tree};
 
@@ -20,7 +21,7 @@ pub fn feature_importance(tree: &Tree, data: &DatasetView<'_>) -> Vec<f64> {
     let mut imp = vec![0.0f64; n_features];
     // Route every sample down the tree, recording per-node class histograms.
     let n_classes = data.n_classes();
-    let mut node_counts: Vec<Vec<usize>> = vec![vec![0; n_classes]; tree.n_nodes()];
+    let mut node_counts: Vec<Vec<u64>> = vec![vec![0; n_classes]; tree.n_nodes()];
     for i in 0..data.len() {
         let row = data.row(i);
         let label = data.label(i) as usize;
@@ -41,9 +42,9 @@ pub fn feature_importance(tree: &Tree, data: &DatasetView<'_>) -> Vec<f64> {
     }
     for (id, node) in tree.nodes().iter().enumerate() {
         if let Node::Split { feature, left, right, .. } = node {
-            let n = node_counts[id].iter().sum::<usize>();
-            let nl = node_counts[*left as usize].iter().sum::<usize>();
-            let nr = node_counts[*right as usize].iter().sum::<usize>();
+            let n = node_counts[id].iter().sum::<u64>();
+            let nl = node_counts[*left as usize].iter().sum::<u64>();
+            let nr = node_counts[*right as usize].iter().sum::<u64>();
             if n == 0 {
                 continue;
             }
@@ -89,14 +90,6 @@ pub fn top_k_features(
     let mut top: Vec<usize> = order.into_iter().take(k).collect();
     top.sort_unstable();
     top
-}
-
-fn gini(counts: &[usize], n: usize) -> f64 {
-    if n == 0 {
-        return 0.0;
-    }
-    let n = n as f64;
-    1.0 - counts.iter().map(|&c| (c as f64 / n).powi(2)).sum::<f64>()
 }
 
 #[cfg(test)]

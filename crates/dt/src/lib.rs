@@ -7,6 +7,11 @@
 //!   SpliDT's training relies on: a maximum depth *and* a budget on the number
 //!   of **distinct features** a (sub)tree may reference (the `k` feature-slot
 //!   constraint of the paper's §2.2).
+//! * **Streaming trees** ([`StreamTree`], SPDT fixed-width histograms) under
+//!   the same constraints, for online retraining. Both trainers run one
+//!   split search: the batch trainer offers the value change points of a
+//!   node's sorted samples, the streaming trainer its histogram bin edges,
+//!   and both share one Gini, one feature-budget rule and one selection.
 //! * **Regression trees** (variance reduction) and **bagged random forests**
 //!   with predictive variance, used as the Bayesian-optimization surrogate in
 //!   `splidt-search`.
@@ -43,6 +48,7 @@ pub mod forest;
 pub mod importance;
 pub mod metrics;
 pub mod regress;
+mod split;
 pub mod stream;
 pub mod train;
 pub mod tree;
@@ -51,6 +57,7 @@ pub use dataset::{Dataset, DatasetView};
 pub use forest::{ForestParams, ForestRegressor};
 pub use importance::{feature_importance, top_k_features};
 pub use regress::{train_regressor, RegressionTree};
-pub use stream::{SplitCandidate, StreamParams, StreamTree};
+pub use split::SplitCandidate;
+pub use stream::{StreamParams, StreamTree};
 pub use train::{train_classifier, train_classifier_on, TrainParams};
 pub use tree::{Node, NodeId, Tree};

@@ -2,10 +2,11 @@
 //!
 //! This is the SPDT construction ("Finding Decision Tree Splits in Streaming
 //! Models"): instead of sorting the full sample matrix, every growing leaf
-//! keeps one fixed-width histogram per candidate feature, updated in O(1)
-//! per sample. [`StreamTree::best_split`] scans histogram bin boundaries the
-//! way the batch trainer scans sorted value change-points, and a leaf splits
-//! in place once enough evidence accumulates. [`StreamTree::grow`] snapshots
+//! keeps one fixed-width histogram per candidate feature, updated in
+//! O(log bins) per sample. [`StreamTree::best_split`] offers the histogram's
+//! bin boundaries to the split search the batch trainer offers its sorted
+//! value change points to (one `gini`, one budget rule, one selection), and
+//! a leaf splits in place once enough evidence accumulates. [`StreamTree::grow`] snapshots
 //! the result into the exact same [`Tree`] the batch trainer emits, so every
 //! downstream consumer — the SpliDT partition compiler included — is reused
 //! unchanged.
@@ -14,17 +15,20 @@
 //! [`StreamParams::warmup`] samples are buffered, their per-feature min/max
 //! fixes `[lo, hi]` for the whole tree (children inherit the parent's
 //! ranges), and the buffer is replayed into the root's histograms.
-//! Out-of-range values observed later clamp to the edge bins. Thresholds are
-//! placed *just below* a bin edge so `v <= t` routes exactly the samples the
-//! left prefix of the histogram counted.
+//! Out-of-range values observed later clamp to the edge bins. A sample is
+//! binned against the same stored edges the thresholds come from, and a
+//! threshold sits *just below* its edge, so `v <= t` routes exactly the
+//! samples the left prefix of the histogram counted.
 //!
 //! The trainer honours the same SpliDT constraints as the batch path: a
 //! distinct-feature budget `k` enforced greedily tree-wide, and an optional
 //! allowed-feature set. Everything is deterministic — no sampling, no RNG —
 //! so the same stream always yields the same tree.
 
+use crate::split::{majority, FeatureBudget, SplitSearch};
 use crate::tree::{Node, NodeId, Tree};
-use std::collections::BTreeSet;
+
+pub use crate::split::SplitCandidate;
 
 /// Hyper-parameters for streaming growth.
 #[derive(Debug, Clone)]
@@ -64,30 +68,6 @@ impl Default for StreamParams {
     }
 }
 
-/// A candidate split found by scanning histogram boundaries.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SplitCandidate {
-    /// Feature (column) index to test.
-    pub feature: usize,
-    /// Threshold; `<=` goes left, placed just below a bin edge.
-    pub threshold: f32,
-    /// Weighted Gini of the two children (lower is better).
-    pub score: f64,
-}
-
-/// Per-feature fixed-width class histogram at one growing leaf.
-#[derive(Debug, Clone)]
-struct Hist {
-    /// `bins * n_classes` counts, indexed `bin * n_classes + class`.
-    counts: Vec<u32>,
-}
-
-impl Hist {
-    fn new(bins: usize, n_classes: usize) -> Self {
-        Self { counts: vec![0; bins * n_classes] }
-    }
-}
-
 /// Bookkeeping for a leaf that is still growing.
 #[derive(Debug, Clone)]
 struct LeafStats {
@@ -97,8 +77,10 @@ struct LeafStats {
     fallback: u16,
     n: u64,
     class_counts: Vec<u64>,
-    /// One histogram per candidate feature (parallel to `candidates`).
-    hists: Vec<Hist>,
+    /// One fixed-width class histogram per candidate feature (parallel to
+    /// the budget's candidates): `bins * n_classes` counts, indexed
+    /// `bin * n_classes + class`.
+    hists: Vec<Vec<u32>>,
     /// Fresh samples since the last split attempt.
     since_attempt: usize,
 }
@@ -115,13 +97,15 @@ pub struct StreamTree {
     params: StreamParams,
     n_features: usize,
     n_classes: usize,
-    /// Candidate features (allowed set, sorted, deduped).
-    candidates: Vec<usize>,
-    /// Distinct features committed so far (budget enforcement).
-    used: BTreeSet<usize>,
-    /// Frozen per-feature `(lo, bin_width)`; width 0 marks a feature that was
-    /// constant during warmup (unsplittable — everything lands in bin 0).
-    ranges: Vec<(f32, f32)>,
+    /// Candidate features and the distinct-feature budget.
+    budget: FeatureBudget,
+    /// Frozen per-feature interior bin edges `lo + b·width`, `b` in
+    /// `1..bins`. A sample lands in the bin of the edges at or below it, and
+    /// the split at boundary `b` is `v <= edges[b - 1].next_down()`, so a
+    /// histogram always counts a sample on the side the split routes it.
+    /// Empty for a feature that was constant during warmup (unsplittable —
+    /// everything lands in bin 0).
+    edges: Vec<Vec<f32>>,
     /// Warmup buffer; `None` once ranges are frozen.
     buffer: Option<Vec<(Vec<f32>, u16)>>,
     nodes: Vec<SNode>,
@@ -135,23 +119,17 @@ impl StreamTree {
         assert!(n_features > 0, "need at least one feature");
         assert!(n_classes > 0, "need at least one class");
         assert!(params.bins >= 2, "need at least two bins");
-        let candidates: Vec<usize> = match &params.allowed_features {
-            Some(fs) => {
-                let mut fs = fs.clone();
-                fs.sort_unstable();
-                fs.dedup();
-                assert!(fs.iter().all(|&f| f < n_features), "allowed feature out of range");
-                fs
-            }
-            None => (0..n_features).collect(),
-        };
+        let budget = FeatureBudget::new(
+            params.allowed_features.as_deref(),
+            n_features,
+            params.feature_budget,
+        );
         Self {
             params,
             n_features,
             n_classes,
-            candidates,
-            used: BTreeSet::new(),
-            ranges: Vec::new(),
+            budget,
+            edges: Vec::new(),
             buffer: Some(Vec::new()),
             nodes: Vec::new(),
             n_observed: 0,
@@ -172,7 +150,8 @@ impl StreamTree {
         }
     }
 
-    /// Feeds one labeled sample. O(depth + n_candidates) after warmup.
+    /// Feeds one labeled sample. O(depth + n_candidates · log bins) after
+    /// warmup.
     pub fn update(&mut self, row: &[f32], label: u16) {
         assert_eq!(row.len(), self.n_features, "row width mismatch");
         assert!((label as usize) < self.n_classes, "label out of range");
@@ -192,64 +171,7 @@ impl StreamTree {
     /// `None` for split nodes, under-populated leaves, or when no boundary
     /// improves on the parent impurity.
     pub fn best_split(&self, id: NodeId) -> Option<SplitCandidate> {
-        let SNode::Leaf(stats) = self.nodes.get(id as usize)? else {
-            return None;
-        };
-        if stats.n < self.params.min_samples_split as u64 {
-            return None;
-        }
-        let parent_gini = gini(&stats.class_counts, stats.n);
-        let total = stats.n as f64;
-        let mut best: Option<(SplitCandidate, usize)> = None;
-        for (ci, &feature) in self.candidates.iter().enumerate() {
-            if !self.feature_eligible(feature) {
-                continue;
-            }
-            let (lo, width) = self.ranges[feature];
-            if width <= 0.0 {
-                continue;
-            }
-            let hist = &stats.hists[ci];
-            let mut left = vec![0u64; self.n_classes];
-            let mut n_left = 0u64;
-            for b in 1..self.params.bins {
-                let base = (b - 1) * self.n_classes;
-                for (c, l) in left.iter_mut().enumerate() {
-                    let v = u64::from(hist.counts[base + c]);
-                    *l += v;
-                    n_left += v;
-                }
-                let n_right = stats.n - n_left;
-                if n_left < self.params.min_samples_leaf as u64
-                    || n_right < self.params.min_samples_leaf as u64
-                {
-                    continue;
-                }
-                let mut right = vec![0u64; self.n_classes];
-                for c in 0..self.n_classes {
-                    right[c] = stats.class_counts[c] - left[c];
-                }
-                let score = (n_left as f64 / total) * gini(&left, n_left)
-                    + (n_right as f64 / total) * gini(&right, n_right);
-                if score + 1e-12 >= parent_gini {
-                    continue;
-                }
-                // Threshold just below the bin edge: `v <= t` captures
-                // exactly the samples binned strictly left of boundary `b`.
-                let threshold = (lo + b as f32 * width).next_down();
-                let better = match &best {
-                    None => true,
-                    Some((cur, cur_b)) => {
-                        score < cur.score - 1e-12
-                            || (score < cur.score + 1e-12 && (feature, b) < (cur.feature, *cur_b))
-                    }
-                };
-                if better {
-                    best = Some((SplitCandidate { feature, threshold, score }, b));
-                }
-            }
-        }
-        best.map(|(c, _)| c)
+        self.search(id).map(|(split, _)| split)
     }
 
     /// Snapshots the current sketch into the batch [`Tree`] type. Leaves
@@ -293,18 +215,44 @@ impl StreamTree {
     /// state with the same parameters (used when the label distribution is
     /// known to have shifted and old evidence would poison the retrain).
     pub fn reset(&mut self) {
-        self.used.clear();
-        self.ranges.clear();
+        self.budget.reset();
+        self.edges.clear();
         self.buffer = Some(Vec::new());
         self.nodes.clear();
         self.n_observed = 0;
     }
 
-    fn feature_eligible(&self, feature: usize) -> bool {
-        match self.params.feature_budget {
-            Some(k) if self.used.len() >= k => self.used.contains(&feature),
-            _ => true,
+    /// [`Self::best_split`] and the bin boundary it splits at.
+    fn search(&self, id: NodeId) -> Option<(SplitCandidate, usize)> {
+        let SNode::Leaf(stats) = self.nodes.get(id as usize)? else {
+            return None;
+        };
+        if stats.n < self.params.min_samples_split as u64 {
+            return None;
         }
+        let min_leaf = self.params.min_samples_leaf as u64;
+        let mut search = SplitSearch::new(&stats.class_counts, stats.n);
+        for (&feature, hist) in self.budget.candidates().iter().zip(&stats.hists) {
+            if !self.budget.allows(feature) {
+                continue;
+            }
+            search.start_feature();
+            let bins = hist.chunks_exact(self.n_classes);
+            // Boundary `b` splits bins `..b` from bins `b..` at `edges[b - 1]`.
+            for (b, (&edge, bin)) in (1..).zip(self.edges[feature].iter().zip(bins)) {
+                for (c, &v) in bin.iter().enumerate() {
+                    search.move_left(c, u64::from(v));
+                }
+                let n_left = search.n_left();
+                if n_left < min_leaf || stats.n - n_left < min_leaf {
+                    continue;
+                }
+                // Threshold just below the bin edge: `v <= t` captures
+                // exactly the samples binned strictly left of boundary `b`.
+                search.offer(feature, edge.next_down(), b);
+            }
+        }
+        search.best()
     }
 
     /// Freezes bin ranges from the buffered prefix and replays it.
@@ -318,13 +266,15 @@ impl StreamTree {
                 r.1 = r.1.max(v);
             }
         }
-        self.ranges = ranges
+        let bins = self.params.bins;
+        self.edges = ranges
             .into_iter()
             .map(|(lo, hi)| {
-                if hi > lo {
-                    (lo, (hi - lo) / self.params.bins as f32)
+                let width = (hi - lo) / bins as f32;
+                if width > 0.0 {
+                    (1..bins).map(|b| lo + b as f32 * width).collect()
                 } else {
-                    (if lo.is_finite() { lo } else { 0.0 }, 0.0)
+                    Vec::new()
                 }
             })
             .collect();
@@ -340,22 +290,15 @@ impl StreamTree {
             fallback,
             n: 0,
             class_counts: vec![0; self.n_classes],
-            hists: self
-                .candidates
-                .iter()
-                .map(|_| Hist::new(self.params.bins, self.n_classes))
-                .collect(),
+            hists: vec![vec![0; self.params.bins * self.n_classes]; self.budget.candidates().len()],
             since_attempt: 0,
         }
     }
 
+    /// The bin of `v`: the number of edges at or below it. Out-of-range
+    /// values clamp to the edge bins.
     fn bin_of(&self, feature: usize, v: f32) -> usize {
-        let (lo, width) = self.ranges[feature];
-        if width <= 0.0 {
-            return 0;
-        }
-        let b = ((v - lo) / width) as isize;
-        b.clamp(0, self.params.bins as isize - 1) as usize
+        self.edges[feature].partition_point(|&e| e <= v)
     }
 
     /// Routes a post-warmup sample to its leaf, updates the histograms, and
@@ -365,14 +308,15 @@ impl StreamTree {
         while let SNode::Split { feature, threshold, left, right } = &self.nodes[id] {
             id = if row[*feature] <= *threshold { *left as usize } else { *right as usize };
         }
-        let bins: Vec<usize> = self.candidates.iter().map(|&f| self.bin_of(f, row[f])).collect();
+        let bins: Vec<usize> =
+            self.budget.candidates().iter().map(|&f| self.bin_of(f, row[f])).collect();
         let n_classes = self.n_classes;
         let (due, depth_ok) = {
             let SNode::Leaf(stats) = &mut self.nodes[id] else { unreachable!() };
             stats.n += 1;
             stats.class_counts[label as usize] += 1;
             for (ci, &bin) in bins.iter().enumerate() {
-                stats.hists[ci].counts[bin * n_classes + label as usize] += 1;
+                stats.hists[ci][bin * n_classes + label as usize] += 1;
             }
             stats.since_attempt += 1;
             (
@@ -394,22 +338,21 @@ impl StreamTree {
     /// children start with empty histograms: evidence restarts below the
     /// split, which is what keeps per-leaf memory bounded in SPDT.
     fn try_split(&mut self, id: NodeId) {
-        let Some(cand) = self.best_split(id) else {
+        let Some((cand, boundary)) = self.search(id) else {
             return;
         };
         let SNode::Leaf(stats) = &self.nodes[id as usize] else {
             return;
         };
         let depth = stats.depth;
-        // Child fallbacks: the majority on each side of the split according
-        // to the parent's histogram for the chosen feature.
-        let ci = self.candidates.iter().position(|&f| f == cand.feature).expect("candidate");
-        let boundary = self.bin_of(cand.feature, cand.threshold) + 1;
-        let hist = &stats.hists[ci];
+        // Child fallbacks: the majority on each side of the chosen boundary
+        // in the parent's histogram for the chosen feature.
+        let ci =
+            self.budget.candidates().iter().position(|&f| f == cand.feature).expect("candidate");
         let mut left_counts = vec![0u64; self.n_classes];
-        for b in 0..boundary {
-            for (c, lc) in left_counts.iter_mut().enumerate() {
-                *lc += u64::from(hist.counts[b * self.n_classes + c]);
+        for bin in stats.hists[ci].chunks_exact(self.n_classes).take(boundary) {
+            for (l, &v) in left_counts.iter_mut().zip(bin) {
+                *l += u64::from(v);
             }
         }
         let right_counts: Vec<u64> =
@@ -417,7 +360,7 @@ impl StreamTree {
         let left_fb = majority(&left_counts);
         let right_fb = majority(&right_counts);
 
-        self.used.insert(cand.feature);
+        self.budget.commit(cand.feature);
         let left = self.nodes.len() as NodeId;
         let right = left + 1;
         self.nodes.push(SNode::Leaf(self.new_leaf(depth + 1, left_fb)));
@@ -425,31 +368,6 @@ impl StreamTree {
         self.nodes[id as usize] =
             SNode::Split { feature: cand.feature, threshold: cand.threshold, left, right };
     }
-}
-
-fn majority(counts: &[u64]) -> u16 {
-    let mut best = 0usize;
-    for (c, &n) in counts.iter().enumerate() {
-        if n > counts[best] {
-            best = c;
-        }
-    }
-    best as u16
-}
-
-/// Gini impurity of a class histogram with `n` total samples.
-fn gini(counts: &[u64], n: u64) -> f64 {
-    if n == 0 {
-        return 0.0;
-    }
-    let n = n as f64;
-    1.0 - counts
-        .iter()
-        .map(|&c| {
-            let p = c as f64 / n;
-            p * p
-        })
-        .sum::<f64>()
 }
 
 #[cfg(test)]
@@ -596,6 +514,62 @@ mod tests {
         let tree = st.grow();
         assert!(tree.features_used().iter().all(|&f| f == 1));
         assert!(tree.predict(&[3.0, 9.0]) == 1 && tree.predict(&[3.0, 0.0]) == 0);
+    }
+
+    /// Streams `rows` as one warmup batch and attempts exactly one root
+    /// split, at the end of the replay.
+    fn one_split(bins: usize, rows: &[(f32, u16)]) -> StreamTree {
+        let n = rows.len();
+        let mut st = StreamTree::new(
+            1,
+            2,
+            StreamParams { bins, warmup: n, split_period: n, ..Default::default() },
+        );
+        for &(v, label) in rows {
+            st.update(&[v], label);
+        }
+        st
+    }
+
+    #[test]
+    fn split_fallbacks_count_the_chosen_boundary() {
+        // The split lands at boundary 11: edge 7257864, threshold
+        // 7257863.5. Dividing that threshold by the bin width gives bin 11,
+        // not 10, so the fallbacks must be counted from the boundary the
+        // search chose: counted through bin 11, the left side would take in
+        // its six class-1 rows and outvote the four class-0 rows.
+        let mut rows = vec![(561_941.0, 0), (10_301_465.0, 1)];
+        rows.extend([(6_900_000.0, 0); 3]);
+        rows.extend([(7_500_000.0, 1); 6]);
+        let tree = one_split(16, &rows).grow();
+        assert_eq!(tree.n_leaves(), 2);
+        for (v, label) in rows {
+            assert_eq!(tree.predict(&[v]), label, "v={v}");
+        }
+    }
+
+    #[test]
+    fn bins_agree_with_split_thresholds() {
+        // Dividing by the bin width would put 2981889 in bin 26, yet the
+        // split at boundary 27 (threshold 2981888.8) routes it right.
+        // Counted in bin 26, it would tie boundaries 26 and 27, the first
+        // would win, and the class-0 rows at 2960000 would go right with it.
+        let mut rows = vec![(1_703_278.0, 0), (3_218_669.0, 1)];
+        rows.extend([(2_960_000.0, 0); 3]);
+        rows.extend([(2_981_889.0, 1); 3]);
+        let mut st = one_split(32, &rows);
+        let edges = st.edges[0].clone();
+        assert_eq!(st.bin_of(0, 2_981_889.0), 27);
+        for (b, edge) in (1..).zip(&edges) {
+            let t = edge.next_down();
+            for v in [t.next_down(), t, *edge, edge.next_up(), edge.floor(), edge.ceil()] {
+                assert_eq!(v <= t, st.bin_of(0, v) < b, "v={v} boundary {b}");
+            }
+        }
+        let tree = st.grow();
+        for (v, label) in rows {
+            assert_eq!(tree.predict(&[v]), label, "v={v}");
+        }
     }
 
     #[test]

@@ -11,14 +11,19 @@
 //!   stateful registers. The budget is enforced greedily during growth: once
 //!   `k` distinct features are in use, further splits may only reuse them.
 //!
+//! Each node offers its candidate boundaries — the value change points of
+//! its sorted samples — to the split search it shares with the streaming
+//! trainer, which scores them by weighted child Gini.
+//!
 //! Thresholds are chosen at midpoints between consecutive observed values.
 //! With integer-valued features (all SpliDT features are), midpoints are
 //! `x.5` values, so `v <= t` is equivalent to `v <= floor(t)` — which is how
 //! the Range-Marking rule generator maps them onto integer TCAM ranges.
 
 use crate::dataset::{Dataset, DatasetView};
+use crate::split::{majority, FeatureBudget, SplitCandidate, SplitSearch};
 use crate::tree::{Node, NodeId, Tree};
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Training hyper-parameters.
 #[derive(Debug, Clone)]
@@ -67,25 +72,7 @@ pub fn train_classifier(data: &Dataset, params: &TrainParams) -> Tree {
 /// Trains a classification tree on a dataset view (row subset).
 pub fn train_classifier_on(view: &DatasetView<'_>, params: &TrainParams) -> Tree {
     assert!(!view.is_empty(), "cannot train on an empty view");
-    let candidates: Vec<usize> = match &params.allowed_features {
-        Some(fs) => {
-            let mut fs = fs.clone();
-            fs.sort_unstable();
-            fs.dedup();
-            assert!(fs.iter().all(|&f| f < view.n_features()), "allowed feature out of range");
-            fs
-        }
-        None => (0..view.n_features()).collect(),
-    };
-    let mut b = Builder {
-        n_classes: view.n_classes(),
-        params,
-        candidates,
-        used: BTreeSet::new(),
-        used_thresholds: std::collections::BTreeMap::new(),
-        nodes: Vec::new(),
-        n_leaves: 0,
-    };
+    let mut b = Builder::new(view, params);
     let positions: Vec<usize> = (0..view.len()).collect();
     let root = b.grow(view, &positions, 0);
     Tree::from_arena(b.nodes, root, view.n_features())
@@ -94,25 +81,30 @@ pub fn train_classifier_on(view: &DatasetView<'_>, params: &TrainParams) -> Tree
 struct Builder<'p> {
     n_classes: usize,
     params: &'p TrainParams,
-    candidates: Vec<usize>,
-    used: BTreeSet<usize>,
+    budget: FeatureBudget,
     /// Distinct thresholds committed per feature (bit patterns of f32, so
     /// the set is ordered and exact).
-    used_thresholds: std::collections::BTreeMap<usize, BTreeSet<u32>>,
+    used_thresholds: BTreeMap<usize, BTreeSet<u32>>,
     nodes: Vec<Node>,
     n_leaves: u32,
 }
 
-/// Result of a split search.
-#[derive(Debug, Clone, Copy)]
-struct BestSplit {
-    feature: usize,
-    threshold: f32,
-    /// Weighted Gini of the two children (lower is better).
-    score: f64,
-}
+impl<'p> Builder<'p> {
+    fn new(view: &DatasetView<'_>, params: &'p TrainParams) -> Self {
+        Self {
+            n_classes: view.n_classes(),
+            params,
+            budget: FeatureBudget::new(
+                params.allowed_features.as_deref(),
+                view.n_features(),
+                params.feature_budget,
+            ),
+            used_thresholds: BTreeMap::new(),
+            nodes: Vec::new(),
+            n_leaves: 0,
+        }
+    }
 
-impl Builder<'_> {
     fn grow(&mut self, view: &DatasetView<'_>, positions: &[usize], depth: usize) -> NodeId {
         let counts = class_counts(view, positions, self.n_classes);
         let total: usize = positions.len();
@@ -136,7 +128,7 @@ impl Builder<'_> {
             return self.push_leaf(majority, total as u32);
         }
 
-        self.used.insert(split.feature);
+        self.budget.commit(split.feature);
         self.used_thresholds.entry(split.feature).or_default().insert(split.threshold.to_bits());
         let node_id = self.nodes.len() as NodeId;
         // Reserve the slot so children get consecutive ids after it.
@@ -155,27 +147,19 @@ impl Builder<'_> {
         id
     }
 
-    /// Features currently eligible under the distinct-feature budget.
-    fn eligible(&self) -> Vec<usize> {
-        match self.params.feature_budget {
-            Some(k) if self.used.len() >= k => {
-                self.candidates.iter().copied().filter(|f| self.used.contains(f)).collect()
-            }
-            _ => self.candidates.clone(),
-        }
-    }
-
+    /// Offers every candidate boundary — value change points of the sorted
+    /// samples, at midpoint thresholds — to one [`SplitSearch`].
     fn find_best_split(
         &self,
         view: &DatasetView<'_>,
         positions: &[usize],
-        parent_counts: &[usize],
-    ) -> Option<BestSplit> {
-        let total = positions.len() as f64;
-        let parent_gini = gini(parent_counts, positions.len());
-        let mut best: Option<BestSplit> = None;
-
-        for &feature in &self.eligible() {
+        parent_counts: &[u64],
+    ) -> Option<SplitCandidate> {
+        let mut search = SplitSearch::new(parent_counts, positions.len() as u64);
+        for &feature in self.budget.candidates() {
+            if !self.budget.allows(feature) {
+                continue;
+            }
             // Gather (value, label) pairs and sort by value.
             let mut pairs: Vec<(f32, u16)> =
                 positions.iter().map(|&p| (view.row(p)[feature], view.label(p))).collect();
@@ -183,52 +167,29 @@ impl Builder<'_> {
             if pairs.first().map(|p| p.0) == pairs.last().map(|p| p.0) {
                 continue; // constant feature on this node
             }
+            // Once a feature has used up its threshold budget, only its
+            // committed thresholds may be offered again.
+            let used = self.used_thresholds.get(&feature);
+            let n_used = used.map_or(0, BTreeSet::len);
+            let admits = |t: f32| match self.params.threshold_budget_per_feature {
+                Some(budget) => n_used < budget || used.is_some_and(|s| s.contains(&t.to_bits())),
+                None => true,
+            };
 
-            // Candidate boundaries: positions i where value changes between
-            // pairs[i-1] and pairs[i]; optionally sub-sampled to quantiles.
-            let boundaries = candidate_boundaries(&pairs, self.params.max_thresholds_per_feature);
-
-            let mut left_counts = vec![0usize; self.n_classes];
+            search.start_feature();
             let mut cursor = 0usize;
-            for &b in &boundaries {
-                while cursor < b {
-                    left_counts[pairs[cursor].1 as usize] += 1;
-                    cursor += 1;
+            for b in candidate_boundaries(&pairs, self.params.max_thresholds_per_feature) {
+                for &(_, label) in &pairs[cursor..b] {
+                    search.move_left(label as usize, 1);
                 }
-                let n_left = b;
-                let n_right = pairs.len() - b;
-                let mut right_counts = vec![0usize; self.n_classes];
-                for c in 0..self.n_classes {
-                    right_counts[c] = parent_counts[c] - left_counts[c];
-                }
-                let score = (n_left as f64 / total) * gini(&left_counts, n_left)
-                    + (n_right as f64 / total) * gini(&right_counts, n_right);
-                if score + 1e-12 >= parent_gini {
-                    continue; // no impurity decrease
-                }
+                cursor = b;
                 let threshold = midpoint(pairs[b - 1].0, pairs[b].0);
-                if let Some(budget) = self.params.threshold_budget_per_feature {
-                    let used = self.used_thresholds.get(&feature);
-                    let n_used = used.map(|s| s.len()).unwrap_or(0);
-                    let is_reuse = used.is_some_and(|s| s.contains(&threshold.to_bits()));
-                    if n_used >= budget && !is_reuse {
-                        continue;
-                    }
-                }
-                let better = match &best {
-                    None => true,
-                    Some(cur) => {
-                        score < cur.score - 1e-12
-                            || (score < cur.score + 1e-12
-                                && (feature, threshold) < (cur.feature, cur.threshold))
-                    }
-                };
-                if better {
-                    best = Some(BestSplit { feature, threshold, score });
+                if admits(threshold) {
+                    search.offer(feature, threshold, b);
                 }
             }
         }
-        best
+        search.best().map(|(split, _)| split)
     }
 }
 
@@ -244,6 +205,10 @@ fn candidate_boundaries(pairs: &[(f32, u16)], max: usize) -> Vec<usize> {
     }
     if max == 0 || change_points.len() <= max {
         return change_points;
+    }
+    if max == 1 {
+        // One quantile: the median change point.
+        return vec![change_points[(change_points.len() - 1) / 2]];
     }
     // Evenly spaced quantile subsample, always keeping the extremes' nearest
     // change points so the full value range stays splittable.
@@ -267,43 +232,20 @@ fn midpoint(lo: f32, hi: f32) -> f32 {
     }
 }
 
-fn class_counts(view: &DatasetView<'_>, positions: &[usize], n_classes: usize) -> Vec<usize> {
-    let mut counts = vec![0usize; n_classes];
+fn class_counts(view: &DatasetView<'_>, positions: &[usize], n_classes: usize) -> Vec<u64> {
+    let mut counts = vec![0u64; n_classes];
     for &p in positions {
         counts[view.label(p) as usize] += 1;
     }
     counts
 }
 
-fn majority(counts: &[usize]) -> u16 {
-    let mut best = 0usize;
-    for (c, &n) in counts.iter().enumerate() {
-        if n > counts[best] {
-            best = c;
-        }
-    }
-    best as u16
-}
-
-/// Gini impurity of a class histogram with `n` total samples.
-fn gini(counts: &[usize], n: usize) -> f64 {
-    if n == 0 {
-        return 0.0;
-    }
-    let n = n as f64;
-    1.0 - counts
-        .iter()
-        .map(|&c| {
-            let p = c as f64 / n;
-            p * p
-        })
-        .sum::<f64>()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::dataset::Dataset;
+    use crate::stream::{StreamParams, StreamTree};
+    use proptest::prelude::*;
 
     fn grid_dataset() -> Dataset {
         // 2-D grid, class = quadrant (4 classes), 100 points.
@@ -418,6 +360,21 @@ mod tests {
     }
 
     #[test]
+    fn one_threshold_per_feature_takes_the_median() {
+        // Nine change points per feature; the median one is 4.5, the
+        // quadrant boundary, so depth 2 still separates all four classes.
+        let ds = grid_dataset();
+        let tree = train_classifier(
+            &ds,
+            &TrainParams { max_depth: 2, max_thresholds_per_feature: 1, ..Default::default() },
+        );
+        for i in 0..ds.n_samples() {
+            assert_eq!(tree.predict(ds.row(i)), ds.label(i));
+        }
+        assert_eq!(candidate_boundaries(&[(0.0, 0), (1.0, 0), (2.0, 0), (3.0, 0)], 1), vec![2]);
+    }
+
+    #[test]
     fn pure_node_stops_early() {
         let rows = vec![vec![0.0], vec![1.0], vec![2.0], vec![3.0]];
         let labels = vec![1, 1, 1, 1];
@@ -428,18 +385,82 @@ mod tests {
     }
 
     #[test]
-    fn gini_math() {
-        assert!((gini(&[5, 5], 10) - 0.5).abs() < 1e-12);
-        assert!((gini(&[10, 0], 10) - 0.0).abs() < 1e-12);
-        assert!(gini(&[0, 0], 0).abs() < 1e-12);
-    }
-
-    #[test]
     fn midpoint_never_reaches_hi() {
         let cases = [(0.0f32, 1.0f32), (1.0, 1.0f32.next_up()), (-3.0, (-3.0f32).next_up())];
         for (lo, hi) in cases {
             let m = midpoint(lo, hi);
             assert!(m >= lo && m < hi, "midpoint({lo},{hi}) = {m}");
+        }
+    }
+
+    /// Random integer rows: values `0..64`, 1–4 features, 2–4 classes,
+    /// plus an all-0 and an all-65 row that pin every feature's range.
+    fn arb_int_rows() -> impl Strategy<Value = (Vec<Vec<f32>>, Vec<u16>, usize)> {
+        (1usize..5, 2usize..5, 2usize..120, any::<u64>()).prop_map(|(nf, nc, n, seed)| {
+            use rand::rngs::SmallRng;
+            use rand::{Rng, SeedableRng};
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let mut rows: Vec<Vec<f32>> = (0..n)
+                .map(|_| (0..nf).map(|_| rng.random_range(0..64u32) as f32).collect())
+                .collect();
+            rows.extend([vec![0.0; nf], vec![65.0; nf]]);
+            // Label by a threshold on the first feature, with noise, so
+            // most draws have a split worth finding.
+            let labels = rows
+                .iter()
+                .map(|r| {
+                    if rng.random_range(0..4u32) == 0 {
+                        rng.random_range(0..nc as u16)
+                    } else {
+                        (r[0] as u16 * nc as u16) / 66
+                    }
+                })
+                .collect();
+            (rows, labels, nc)
+        })
+    }
+
+    proptest! {
+        /// With a bin per value, the histogram boundaries are the sorted
+        /// change points plus boundaries around empty bins, so the streaming root split is
+        /// the exact batch root split: same feature, same rows on each
+        /// side, same score to the bit.
+        #[test]
+        fn split_search_batch_equals_stream((rows, labels, nc) in arb_int_rows()) {
+            let ds = Dataset::from_rows(&rows, &labels, None).unwrap();
+            let view = ds.view();
+            let params = TrainParams {
+                max_thresholds_per_feature: 0,
+                threshold_budget_per_feature: None,
+                ..TrainParams::default()
+            };
+            let positions: Vec<usize> = (0..view.len()).collect();
+            let counts = class_counts(&view, &positions, view.n_classes());
+            let batch = Builder::new(&view, &params).find_best_split(&view, &positions, &counts);
+
+            // 65 bins over [0, 65] are one unit wide: every value has its
+            // own bin and every edge is an integer, where the threshold
+            // must stop just below it. Warmup holds every row and no split
+            // is attempted during the replay, so the root sees them all.
+            let n = rows.len();
+            let mut st = StreamTree::new(
+                rows[0].len(),
+                nc,
+                StreamParams { bins: 65, warmup: n, split_period: n + 1, ..StreamParams::default() },
+            );
+            for (r, &l) in rows.iter().zip(&labels) {
+                st.update(r, l);
+            }
+            let stream = st.best_split(0);
+
+            prop_assert_eq!(batch.is_some(), stream.is_some());
+            if let (Some(b), Some(s)) = (batch, stream) {
+                prop_assert_eq!(b.feature, s.feature);
+                prop_assert_eq!(b.score.to_bits(), s.score.to_bits());
+                for r in &rows {
+                    prop_assert_eq!(r[b.feature] <= b.threshold, r[s.feature] <= s.threshold);
+                }
+            }
         }
     }
 }
